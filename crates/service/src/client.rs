@@ -5,7 +5,7 @@
 //! retries with exponential backoff and deterministic seeded jitter.
 
 use std::collections::HashSet;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -62,7 +62,7 @@ impl Default for ClientConfig {
 /// open one client each.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
 }
 
 impl Client {
@@ -110,8 +110,14 @@ impl Client {
             .map_err(|e| ServiceError::Io(e.to_string()))?;
         Ok(Client {
             reader: BufReader::new(read_half),
-            writer: BufWriter::new(conn),
+            writer: conn,
         })
+    }
+
+    /// The connection's socket (for socket-option tests).
+    #[cfg(test)]
+    pub(crate) fn socket(&self) -> &TcpStream {
+        &self.writer
     }
 
     /// Send one request frame without waiting for the response. Exposed
@@ -444,13 +450,17 @@ fn connect_one(addr: &SocketAddr, timeout: Option<Duration>) -> Result<TcpStream
         Some(t) => TcpStream::connect_timeout(addr, t),
         None => TcpStream::connect(addr),
     };
-    result.map_err(|e| {
+    let conn = result.map_err(|e| {
         if proto::is_timeout(e.kind()) {
             ServiceError::Timeout(format!("connect to {addr} timed out"))
         } else {
             ServiceError::Io(format!("connect to {addr} failed: {e}"))
         }
-    })
+    })?;
+    // Requests go out as whole frames; Nagle could only hold them back.
+    conn.set_nodelay(true)
+        .map_err(|e| ServiceError::Io(e.to_string()))?;
+    Ok(conn)
 }
 
 fn unexpected(resp: Response) -> ServiceError {

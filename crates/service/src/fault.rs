@@ -235,6 +235,9 @@ impl FaultProxy {
                         // Upstream gone: refuse by dropping the client.
                         continue;
                     };
+                    // Frames are forwarded whole, one write each: no Nagle.
+                    let _ = down.set_nodelay(true);
+                    let _ = up.set_nodelay(true);
                     let id = next_conn.fetch_add(1, Ordering::Relaxed);
                     if let (Ok(d), Ok(u)) = (down.try_clone(), up.try_clone()) {
                         let mut socks = shared.socks.lock().unwrap();
@@ -280,6 +283,13 @@ impl FaultProxyHandle {
     /// The proxy's listen address — point clients here.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Both legs of every proxied connection (for socket-option tests).
+    #[cfg(test)]
+    pub(crate) fn sockets(&self) -> Vec<TcpStream> {
+        let socks = self.shared.socks.lock().unwrap();
+        socks.iter().filter_map(|s| s.try_clone().ok()).collect()
     }
 
     /// Snapshot of the injected-fault log, in injection order per pump.
@@ -351,14 +361,15 @@ fn pump(shared: &Shared, dir: Direction, conn: u64, ends: PumpEnds) {
     loop {
         // 8-byte header: u32-BE payload length, then the u32 request id
         // (forwarded untouched — faults target the payload, so request-id
-        // correlation survives corruption).
-        let mut header = [0u8; 8];
-        if read_exactly(&mut src, &mut header).is_err() {
+        // correlation survives corruption). Header and payload share one
+        // buffer so whatever is forwarded goes out in a single write.
+        let mut buf = vec![0u8; 8];
+        if read_exactly(&mut src, &mut buf).is_err() {
             break;
         }
-        let len = u32::from_be_bytes(header[..4].try_into().unwrap()) as usize;
-        let mut payload = vec![0u8; len];
-        if read_exactly(&mut src, &mut payload).is_err() {
+        let len = u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize;
+        buf.resize(8 + len, 0);
+        if read_exactly(&mut src, &mut buf[8..]).is_err() {
             break;
         }
         let action = shared.plan.decide(dir, conn, frame);
@@ -376,13 +387,11 @@ fn pump(shared: &Shared, dir: Direction, conn: u64, ends: PumpEnds) {
             FaultAction::Delay(d) => std::thread::sleep(d),
             FaultAction::Reset => break,
             FaultAction::Truncate => {
-                let half = &payload[..len / 2];
-                let _ = dst.write_all(&header).and_then(|()| dst.write_all(half));
-                let _ = dst.flush();
+                let _ = dst.write_all(&buf[..8 + len / 2]);
                 break;
             }
             FaultAction::CorruptOpcode => {
-                if let Some(op) = payload.first_mut() {
+                if let Some(op) = buf.get_mut(8) {
                     *op ^= 0x40;
                 }
             }
@@ -390,13 +399,9 @@ fn pump(shared: &Shared, dir: Direction, conn: u64, ends: PumpEnds) {
         if matches!(
             action,
             FaultAction::Pass | FaultAction::Delay(_) | FaultAction::CorruptOpcode
-        ) {
-            let ok = dst
-                .write_all(&header)
-                .and_then(|()| dst.write_all(&payload));
-            if ok.and_then(|()| dst.flush()).is_err() {
-                break;
-            }
+        ) && dst.write_all(&buf).is_err()
+        {
+            break;
         }
     }
     let _ = dst.shutdown(Shutdown::Both);

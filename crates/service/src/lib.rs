@@ -58,6 +58,13 @@
 //! subsequently emits (frame-too-large, mid-frame timeout) is
 //! connection-fatal because it cannot be attributed to one request.
 //!
+//! Every frame goes out **whole, in one write**, and every socket the
+//! service opens or accepts (server, clients, fault proxy) sets
+//! `TCP_NODELAY`. Sent as a separate header write, a large frame's
+//! payload would wait behind the unacknowledged header (Nagle's
+//! algorithm) until the peer's delayed ACK fires, ~40 ms later on Linux;
+//! with whole-frame writes Nagle has nothing left to coalesce.
+//!
 //! Request opcodes (client → server; `s`/`t` abbreviate the source and
 //! target DTD texts):
 //!

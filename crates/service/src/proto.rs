@@ -301,6 +301,11 @@ pub fn is_timeout(kind: io::ErrorKind) -> bool {
 /// the payload. Request id 0 marks legacy unpipelined traffic (see the
 /// [module docs](self)).
 ///
+/// The header and payload are assembled into one buffer and handed to a
+/// single `write_all`, so a frame leaves as one send. Sent as two, the
+/// payload of a large frame waits behind the unacknowledged header
+/// (Nagle) until the peer's delayed ACK fires, ~40 ms later.
+///
 /// # Errors
 /// `InvalidInput` when the payload exceeds [`MAX_FRAME_LEN`] — an
 /// oversized payload must fail loudly rather than wrap in the `u32`
@@ -315,9 +320,11 @@ pub fn write_frame(w: &mut impl Write, request_id: u32, payload: &[u8]) -> io::R
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(&request_id.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&request_id.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -772,6 +779,45 @@ mod tests {
         // Full header, partial payload: same verdict.
         let mut r: &[u8] = &[0, 0, 0, 9, 0, 0, 0, 1, b'x'];
         assert!(matches!(read_frame(&mut r), Err(FrameError::Truncated)));
+    }
+
+    /// A writer that records every `write` call separately, standing in
+    /// for a socket where each call is one send.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_sends_each_frame_in_one_write() {
+        // Empty, just under / at an 8 KiB buffer boundary, and a large
+        // migration-sized document: always exactly one write call.
+        for len in [0, 8 * 1024 - 8, 8 * 1024, 56 * 1024] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, 42, &payload).unwrap();
+            assert_eq!(w.writes.len(), 1, "{len}-byte payload");
+            assert_eq!(w.writes[0].len(), 8 + len);
+            let mut r = &w.writes[0][..];
+            assert_eq!(read_frame(&mut r).unwrap(), (42, payload));
+            assert!(r.is_empty(), "{len}-byte payload: trailing bytes");
+        }
+        // Oversized: rejected before anything reaches the writer.
+        let mut w = CountingWriter::default();
+        let err = write_frame(&mut w, 1, &vec![0u8; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(w.writes.is_empty());
     }
 
     /// A reader that yields some bytes, then reports a socket deadline

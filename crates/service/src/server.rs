@@ -15,6 +15,12 @@
 //! overruns it, the reader simply stops reading and TCP backpressure does
 //! the rest.
 //!
+//! Every accepted socket, served or shed, sets `TCP_NODELAY`, and every
+//! response goes out as one whole-frame write straight to the socket (no
+//! write buffer, nothing to flush). A frame split across two sends would
+//! leave its payload waiting on Nagle's algorithm for the client's
+//! delayed ACK of the header, ~40 ms per large response.
+//!
 //! # Robustness
 //!
 //! * Every connection carries **read/write deadlines**
@@ -35,7 +41,7 @@
 //!   then force-close the remaining sockets and join every thread.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -192,6 +198,9 @@ impl Server {
                         break;
                     }
                     let Ok(conn) = conn else { continue };
+                    // Every write is a whole frame (see `write_frame`), so
+                    // Nagle has nothing to coalesce and could only delay.
+                    let _ = conn.set_nodelay(true);
                     let backlog = {
                         let mut q = queue.deque.lock().unwrap();
                         if q.len() < max_queued {
@@ -411,7 +420,7 @@ fn answer_read_error(err: FrameError, writer: &mut impl Write) {
 /// and the drain flag. Starts in the legacy strict request/response loop;
 /// the first nonzero request id hands the connection to
 /// [`serve_pipelined`] for out-of-order completion.
-fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
+fn serve_connection(mut conn: TcpStream, ctx: &WorkerCtx) {
     if conn.set_read_timeout(ctx.config.read_timeout).is_err()
         || conn.set_write_timeout(ctx.config.write_timeout).is_err()
     {
@@ -422,12 +431,11 @@ fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
     };
     let id = ctx.tracker.register(&conn);
     let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(conn);
     loop {
         let (req_id, payload) = match read_frame(&mut reader) {
             Ok(frame) => frame,
             Err(e) => {
-                answer_read_error(e, &mut writer);
+                answer_read_error(e, &mut conn);
                 break;
             }
         };
@@ -435,12 +443,12 @@ fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
         if req_id != 0 {
             // The peer pipelines. Hand the whole connection over, first
             // frame included; serve_pipelined runs it to completion.
-            serve_pipelined((req_id, payload, started), reader, writer, ctx);
+            serve_pipelined((req_id, payload, started), reader, conn, ctx);
             ctx.tracker.unregister(id);
             return;
         }
         let resp = process_request(&payload, started, ctx);
-        if write_frame(&mut writer, 0, &resp.encode()).is_err() {
+        if write_frame(&mut conn, 0, &resp.encode()).is_err() {
             break;
         }
         // Draining: finish the in-flight request (just answered), then
@@ -449,7 +457,6 @@ fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
             break;
         }
     }
-    let _ = writer.flush();
     ctx.tracker.unregister(id);
 }
 
@@ -473,7 +480,7 @@ struct PipeQueue {
 fn serve_pipelined(
     first: PipeTask,
     mut reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    conn: TcpStream,
     ctx: &WorkerCtx,
 ) {
     let queue = PipeQueue {
@@ -481,7 +488,7 @@ fn serve_pipelined(
         ready: Condvar::new(),
         space: Condvar::new(),
     };
-    let writer = Mutex::new(writer);
+    let writer = Mutex::new(conn);
     let dead = AtomicBool::new(false);
     std::thread::scope(|scope| {
         for _ in 0..ctx.config.pipeline_executors.max(1) {
@@ -538,5 +545,36 @@ fn serve_pipelined(
         queue.tasks.lock().unwrap().1 = true;
         queue.ready.notify_all();
     });
-    let _ = writer.lock().unwrap().flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, FaultPlan, FaultProxy, RegistryConfig};
+
+    #[test]
+    fn every_service_socket_disables_nagle() {
+        let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig::default()));
+        let config = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", registry, config).unwrap();
+        let proxy = FaultProxy::spawn(server.addr(), FaultPlan::calm(0)).unwrap();
+        let mut direct = Client::connect(server.addr()).unwrap();
+        let mut proxied = Client::connect(proxy.addr()).unwrap();
+        // A completed round trip means a worker has registered the
+        // server side of each connection.
+        direct.stats().unwrap();
+        proxied.stats().unwrap();
+
+        assert!(direct.socket().nodelay().unwrap());
+        assert!(proxied.socket().nodelay().unwrap());
+        let accepted = server.tracker.conns.lock().unwrap();
+        assert_eq!(accepted.len(), 2, "direct client + proxy upstream leg");
+        assert!(accepted.values().all(|c| c.nodelay().unwrap()));
+        let legs = proxy.sockets();
+        assert_eq!(legs.len(), 2, "downstream + upstream leg");
+        assert!(legs.iter().all(|c| c.nodelay().unwrap()));
+    }
 }

@@ -11,8 +11,8 @@ use xse_dtd::{GenConfig, InstanceGenerator};
 use xse_service::loadgen::{self, Endpoint, LoadConfig};
 use xse_service::proto::{op, read_frame, write_frame};
 use xse_service::{
-    Client, EmbeddingRegistry, ErrorCode, RegistryConfig, Request, Response, Server, ServerConfig,
-    ServiceError,
+    Client, EmbeddingRegistry, ErrorCode, PipelinedClient, RegistryConfig, Request, Response,
+    Server, ServerConfig, ServiceError,
 };
 use xse_workloads::traffic::TrafficMix;
 
@@ -93,6 +93,66 @@ fn tcp_concurrent_clients_single_flight() {
         stats.hits + stats.misses + stats.single_flight_waits,
         6,
         "{stats:?}"
+    );
+}
+
+/// Large frames must not stall on Nagle × delayed ACK (~40 ms each when
+/// a frame's header and payload leave in separate sends). 50 round trips
+/// of >= 32 KiB frames take ~20 ms on loopback in a release build and
+/// ~120 ms in a debug one; with the stall they take ~4.4 s, so the 1 s
+/// bound has a wide margin either way.
+#[test]
+fn large_frames_round_trip_without_a_send_stall() {
+    let server = spawn_server(8);
+    let (s, t) = wrap_pair();
+    let doc = format!(
+        "<r><a>{}</a><b><c>1</c><c>2</c></b></r>",
+        "information preserving ".repeat(1500)
+    );
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.compile(&s, &t).unwrap();
+    let image = client.apply(&s, &t, &doc).unwrap();
+    assert!(doc.len() >= 32 * 1024 && image.len() >= 32 * 1024);
+
+    let start = std::time::Instant::now();
+    for _ in 0..25 {
+        assert_eq!(client.apply(&s, &t, &doc).unwrap(), image);
+        assert_eq!(client.invert(&s, &t, &image).unwrap(), doc);
+    }
+    let sequential = start.elapsed();
+
+    let mut pipelined = PipelinedClient::connect(server.addr()).unwrap();
+    let apply = Request::Apply {
+        source_dtd: s.clone(),
+        target_dtd: t.clone(),
+        xml: doc.clone(),
+    };
+    let invert = Request::Invert {
+        source_dtd: s,
+        target_dtd: t,
+        xml: image.clone(),
+    };
+    let start = std::time::Instant::now();
+    for _ in 0..25 {
+        let resps = pipelined.call_pipelined(&[apply.clone(), invert.clone()], 1);
+        assert_eq!(
+            resps.unwrap(),
+            [
+                Response::Document { xml: image.clone() },
+                Response::Document { xml: doc.clone() }
+            ]
+        );
+    }
+    let windowed = start.elapsed();
+
+    let bound = std::time::Duration::from_secs(1);
+    assert!(
+        sequential < bound,
+        "Client: 50 large ops took {sequential:?}"
+    );
+    assert!(
+        windowed < bound,
+        "PipelinedClient: 50 large ops took {windowed:?}"
     );
 }
 
