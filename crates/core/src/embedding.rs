@@ -3,7 +3,6 @@
 //! derived operation (`σd`, `σd⁻¹`, `Tr`, stylesheet generation) from
 //! precomputed state.
 
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 use xse_dtd::{Dtd, EdgeTarget, MindefPlan, SchemaGraph, TypeId};
@@ -110,43 +109,6 @@ impl PathMapping {
     /// Set the path of edge `slot` of type `a`.
     pub fn set(&mut self, a: TypeId, slot: usize, path: XrPath) {
         self.paths[a.index()][slot] = path;
-    }
-
-    /// Set the path of the edge from `parent` to its child named `child`.
-    ///
-    /// # Panics
-    /// Panics on unknown names or unparsable paths — the legacy
-    /// literal-embedding construction API, kept for one release.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `EmbeddingBuilder::edge`, which accumulates errors instead of panicking"
-    )]
-    pub fn edge(&mut self, source: &Dtd, parent: &str, child: &str, path: &str) -> &mut Self {
-        let a = source
-            .type_id(parent)
-            .unwrap_or_else(|| panic!("unknown source type {parent:?}"));
-        let graph = SchemaGraph::new(source);
-        let slot = graph
-            .edges_from(a)
-            .iter()
-            .position(|e| match e.target {
-                EdgeTarget::Type(t) => source.name(t) == child,
-                EdgeTarget::Str => child == "str",
-            })
-            .unwrap_or_else(|| panic!("{parent:?} has no child {child:?}"));
-        self.paths[a.index()][slot] = XrPath::parse(path).unwrap_or_else(|e| panic!("{e}"));
-        self
-    }
-
-    /// Set the `str` edge of a `A → str` type (legacy; see
-    /// [`EmbeddingBuilder::text_edge`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `EmbeddingBuilder::text_edge`, which accumulates errors instead of panicking"
-    )]
-    #[allow(deprecated)]
-    pub fn text_edge(&mut self, source: &Dtd, parent: &str, path: &str) -> &mut Self {
-        self.edge(source, parent, "str", path)
     }
 
     /// The path at `(a, slot)`.
@@ -417,7 +379,7 @@ impl EmbeddingBuilder {
 /// Construction ([`EmbeddingBuilder::build`] or [`CompiledEmbedding::new`])
 /// checks the §4.1 validity conditions, canonicalizes positions
 /// (DESIGN.md §3), and precomputes everything the per-document operations
-/// need: both schema graphs, the resolved paths, the target's minimum
+/// need: the source schema graph, the resolved paths, the target's minimum
 /// default plans, and the per-edge translation automata used by `Tr`.
 /// The result has no lifetime parameter and is `Send + Sync`: store it,
 /// share it behind an [`Arc`], and map documents from many threads — or let
@@ -427,8 +389,6 @@ pub struct CompiledEmbedding {
     pub(crate) source: Arc<Dtd>,
     pub(crate) target: Arc<Dtd>,
     pub(crate) src_graph: SchemaGraph,
-    #[allow(dead_code)] // kept: handy for future extensions and debugging
-    pub(crate) tgt_graph: SchemaGraph,
     pub(crate) lambda: TypeMapping,
     /// Resolved, normalized paths per `(source type, edge slot)`.
     pub(crate) resolved: Vec<Vec<ResolvedPath>>,
@@ -540,7 +500,6 @@ impl CompiledEmbedding {
             source,
             target,
             src_graph,
-            tgt_graph,
             lambda,
             resolved,
             plans,
@@ -647,60 +606,6 @@ impl CompiledEmbedding {
             }
         }
         out
-    }
-}
-
-/// Legacy borrowing front for [`CompiledEmbedding`], kept for one PR so
-/// downstream diffs stay reviewable. It compiles the same engine (cloning
-/// the borrowed DTDs once) and derefs to it, so every method is available;
-/// new code should use [`EmbeddingBuilder`] or [`CompiledEmbedding::new`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `CompiledEmbedding`: the compiled engine is owned and `Send + Sync`"
-)]
-pub struct Embedding<'a> {
-    inner: CompiledEmbedding,
-    _dtds: PhantomData<&'a Dtd>,
-}
-
-#[allow(deprecated)]
-impl<'a> Embedding<'a> {
-    /// Validate `(λ, path)` and build the embedding.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `EmbeddingBuilder` or `CompiledEmbedding::new`: the compiled engine is owned and `Send + Sync`"
-    )]
-    pub fn new(
-        source: &'a Dtd,
-        target: &'a Dtd,
-        lambda: TypeMapping,
-        paths: PathMapping,
-    ) -> Result<Self, EmbeddingError> {
-        Ok(Embedding {
-            inner: CompiledEmbedding::new(source.clone(), target.clone(), lambda, paths)?,
-            _dtds: PhantomData,
-        })
-    }
-
-    /// Unwrap into the owned engine (drops the spurious lifetime).
-    pub fn into_compiled(self) -> CompiledEmbedding {
-        self.inner
-    }
-}
-
-#[allow(deprecated)]
-impl std::ops::Deref for Embedding<'_> {
-    type Target = CompiledEmbedding;
-
-    fn deref(&self) -> &CompiledEmbedding {
-        &self.inner
-    }
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for Embedding<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.inner.fmt(f)
     }
 }
 
@@ -926,23 +831,6 @@ pub(crate) mod tests {
                 name: "nope".into()
             }
         );
-    }
-
-    #[test]
-    fn deprecated_shim_still_compiles_the_same_engine() {
-        #![allow(deprecated)]
-        let (s1, s2) = wrap();
-        let lambda = TypeMapping::by_name_pairs(&s1, &s2, &[("b", "w")]).unwrap();
-        let owned = wrap_compiled(&s1, &s2);
-        let paths = {
-            // Rebuild the same PathMapping the builder produced.
-            let b = wrap_builder(&s1, &s2);
-            b.paths.clone()
-        };
-        let shim = Embedding::new(&s1, &s2, lambda, paths).unwrap();
-        assert_eq!(shim.describe(), owned.describe());
-        let compiled: CompiledEmbedding = shim.into_compiled();
-        assert_eq!(compiled.size(), owned.size());
     }
 
     #[test]

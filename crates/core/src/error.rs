@@ -107,16 +107,6 @@ pub enum EmbeddingError {
     UnsupportedPosition(String),
 }
 
-/// Legacy name of [`EmbeddingError`], kept for one PR while downstreams
-/// migrate to the unified enum.
-#[deprecated(since = "0.2.0", note = "use `EmbeddingError`")]
-pub type SchemaEmbeddingError = EmbeddingError;
-
-/// Legacy name of [`EmbeddingError`] for translation failures; the old
-/// `TranslateError::UnsupportedPosition` pattern still matches.
-#[deprecated(since = "0.2.0", note = "use `EmbeddingError`")]
-pub type TranslateError = EmbeddingError;
-
 impl fmt::Display for EmbeddingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use EmbeddingError::*;

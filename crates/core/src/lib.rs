@@ -38,9 +38,6 @@
 //! * [`preserve`] — executable checkers for all of the above, used by the
 //!   test suites and the experiment harness;
 //! * [`multi`] — embedding *multiple* sources into one target (§4.5).
-//!
-//! The lifetime-bound [`Embedding`] type is a deprecated shim over
-//! [`CompiledEmbedding`] kept for one release.
 
 mod embedding;
 mod error;
@@ -55,12 +52,8 @@ mod sim;
 mod translate;
 mod validity;
 
-#[allow(deprecated)]
-pub use embedding::Embedding;
 pub use embedding::{CompiledEmbedding, EmbeddingBuilder, MappingOutput, PathMapping, TypeMapping};
 pub use error::EmbeddingError;
-#[allow(deprecated)]
-pub use error::{SchemaEmbeddingError, TranslateError};
 pub use resolve::{PathClass, ResolvedPath, ResolvedStep};
 pub use sim::SimilarityMatrix;
 pub use translate::{Lab, PlanCacheStats, TranslatePlan};

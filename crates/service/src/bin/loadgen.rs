@@ -166,15 +166,13 @@ fn main() -> ExitCode {
     let pairs = loadgen::build_pairs(args.pairs, args.seed);
 
     let contended = args.connections > 1 || args.inflight > 1;
-    let registry = || {
-        Arc::new(EmbeddingRegistry::new(RegistryConfig {
-            capacity: args.capacity,
-            shards: args.shards,
-            discovery: loadgen::loadgen_discovery(),
-            ..RegistryConfig::default()
-        }))
-    };
-    let server_config = || ServerConfig {
+    let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig {
+        capacity: args.capacity,
+        shards: args.shards,
+        discovery: loadgen::loadgen_discovery(),
+        ..RegistryConfig::default()
+    }));
+    let server_config = ServerConfig {
         // Contended runs hold one worker per connection for the whole
         // replay; anything less serializes whole connections.
         workers: if contended {
@@ -192,37 +190,43 @@ fn main() -> ExitCode {
         ..ServerConfig::default()
     };
 
-    // `_server` / `_proxy` must outlive the endpoint; dropping them joins
+    // `server` / `_proxy` must outlive the endpoint; dropping them joins
     // their threads.
-    let mut _server = None;
+    let server = if args.spawn_server {
+        match Server::bind(("127.0.0.1", 0), Arc::clone(&registry), server_config) {
+            Ok(h) => {
+                eprintln!("xse-loadgen: spawned server on {}", h.addr());
+                Some(h)
+            }
+            Err(e) => {
+                eprintln!("xse-loadgen: bind: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    } else {
+        None
+    };
     let mut _proxy = None;
 
     if contended {
-        let target = if let Some(addr) = &args.addr {
-            use std::net::ToSocketAddrs;
-            match addr.to_socket_addrs().ok().and_then(|mut it| it.next()) {
-                Some(a) => a,
-                None => {
-                    eprintln!("xse-loadgen: cannot resolve {addr}");
-                    return ExitCode::from(2);
+        let target = match (&args.addr, &server) {
+            (_, Some(handle)) => handle.addr(),
+            (Some(addr), None) => {
+                use std::net::ToSocketAddrs;
+                match addr.to_socket_addrs().ok().and_then(|mut it| it.next()) {
+                    Some(a) => a,
+                    None => {
+                        eprintln!("xse-loadgen: cannot resolve {addr}");
+                        return ExitCode::from(2);
+                    }
                 }
             }
-        } else {
-            let handle = match Server::bind(("127.0.0.1", 0), registry(), server_config()) {
-                Ok(h) => h,
-                Err(e) => {
-                    eprintln!("xse-loadgen: bind: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let a = handle.addr();
-            eprintln!(
-                "xse-loadgen: spawned server on {a} ({} shards, {} connections x {} in flight)",
-                args.shards, args.connections, args.inflight
-            );
-            _server = Some(handle);
-            a
+            (None, None) => unreachable!("parse_args requires a TCP endpoint"),
         };
+        eprintln!(
+            "xse-loadgen: {} shards, {} connections x {} in flight",
+            args.shards, args.connections, args.inflight
+        );
         let summary = match loadgen::run_contended(
             target,
             &pairs,
@@ -252,17 +256,8 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    } else if args.spawn_server {
-        let handle = match Server::bind(("127.0.0.1", 0), registry(), server_config()) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("xse-loadgen: bind: {e}");
-                return ExitCode::from(2);
-            }
-        };
+    } else if let Some(handle) = &server {
         let server_addr = handle.addr();
-        eprintln!("xse-loadgen: spawned server on {server_addr}");
-        _server = Some(handle);
         if args.chaos {
             let plan = FaultPlan::standard(args.fault_seed);
             let proxy = match FaultProxy::spawn(server_addr, plan) {
@@ -307,7 +302,7 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        Endpoint::InProcess(registry())
+        Endpoint::InProcess(registry)
     };
 
     let summary = loadgen::run(
@@ -330,7 +325,7 @@ fn main() -> ExitCode {
             counts.truncations,
             counts.corruptions,
             counts.delays,
-            _server.as_ref().map_or(0, |s| s.shed_count()),
+            server.as_ref().map_or(0, |s| s.shed_count()),
         );
     }
 

@@ -1,7 +1,7 @@
 //! Blocking TCP clients for the embedding service: a deadline-bounded
-//! [`Client`] (one request at a time, the legacy id-0 lane), a
-//! [`PipelinedClient`] that keeps several tagged requests in flight on
-//! one connection, and a [`RetryingClient`] wrapper that reconnects and
+//! [`Client`], which answers one request at a time on the legacy id-0
+//! lane or keeps several tagged requests in flight on the same
+//! connection, and a [`RetryingClient`] wrapper that reconnects and
 //! retries with exponential backoff and deterministic seeded jitter.
 
 use std::collections::HashSet;
@@ -54,16 +54,36 @@ impl Default for ClientConfig {
     }
 }
 
-/// One connection to a running [`Server`](crate::Server). Requests are
-/// strictly sequential per connection: every frame is sent with request
-/// id 0, the wire protocol's legacy unpipelined marker, so the server
-/// answers in order, one at a time. For several requests in flight per
-/// connection use [`PipelinedClient`]; for several concurrent callers,
-/// open one client each.
+/// One connection to a running [`Server`](crate::Server), used in one of
+/// two ways (not both at once):
+///
+/// * **Lockstep.** [`Client::call`] and the typed helpers send each
+///   request with id 0, the wire protocol's legacy unpipelined marker,
+///   and wait for its answer; the server answers id 0 in order, one at a
+///   time.
+/// * **Pipelined.** [`Client::submit`] sends a request under a fresh
+///   nonzero id without waiting, and [`Client::recv`] returns whichever
+///   response arrives next together with its id: the server may answer
+///   **out of order**, and the id is the only correlation
+///   ([`Client::call_pipelined`] windows a whole batch and restores
+///   request order). A structured error frame fails only the request
+///   whose id it carries; the connection and every other in-flight
+///   request stay live. The exception is an error frame with id 0: the
+///   server could not attribute it to a request (oversized frame,
+///   read-deadline expiry), so it is connection-fatal and surfaces as
+///   [`ServiceError::Remote`].
+///
+/// For several concurrent callers, open one client each.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    next_id: u32,
+    inflight: HashSet<u32>,
 }
+
+/// The name [`Client`] had in its pipelined role, kept as an alias for
+/// code written against it.
+pub type PipelinedClient = Client;
 
 impl Client {
     /// Connect with the default [`ClientConfig`] deadlines.
@@ -111,6 +131,8 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(read_half),
             writer: conn,
+            next_id: 1,
+            inflight: HashSet::new(),
         })
     }
 
@@ -120,25 +142,16 @@ impl Client {
         &self.writer
     }
 
-    /// Send one request frame without waiting for the response. Exposed
-    /// (with [`Client::read_response`]) so wrappers like
-    /// [`RetryingClient`] can tell a pre-send failure from a post-send
-    /// one — the retry-safety boundary.
-    ///
-    /// # Errors
-    /// [`ServiceError::Timeout`] when the write deadline expires,
-    /// [`ServiceError::Io`] on any other socket failure.
-    pub fn send_request(&mut self, req: &Request) -> Result<(), ServiceError> {
+    /// Send one id-0 request frame without waiting for the response. Kept
+    /// apart from [`Client::read_response`] so [`RetryingClient`] can tell
+    /// a pre-send failure from a post-send one — the retry-safety
+    /// boundary.
+    fn send_request(&mut self, req: &Request) -> Result<(), ServiceError> {
         self.send_tagged(0, req)
     }
 
-    /// Send one request frame tagged with `request_id` (the pipelined
-    /// lane; [`PipelinedClient`] assigns nonzero ids and matches
-    /// responses back by id).
-    ///
-    /// # Errors
-    /// As in [`Client::send_request`].
-    pub fn send_tagged(&mut self, request_id: u32, req: &Request) -> Result<(), ServiceError> {
+    /// Send one request frame tagged with `request_id`.
+    fn send_tagged(&mut self, request_id: u32, req: &Request) -> Result<(), ServiceError> {
         write_frame(&mut self.writer, request_id, &req.encode()).map_err(|e| {
             if proto::is_timeout(e.kind()) {
                 ServiceError::Timeout("write deadline expired sending the request".into())
@@ -148,31 +161,20 @@ impl Client {
         })
     }
 
-    /// Wait for one response frame (after [`Client::send_request`]).
-    ///
-    /// # Errors
-    /// [`ServiceError::Timeout`] when the read deadline expires,
-    /// [`ServiceError::Closed`] when the server closed cleanly between
-    /// frames, [`ServiceError::Protocol`] for truncated or undecodable
-    /// responses — including a response carrying a nonzero request id,
-    /// which an unpipelined connection must never see —
-    /// [`ServiceError::Io`] otherwise.
-    pub fn read_response(&mut self) -> Result<Response, ServiceError> {
+    /// Wait for the answer to an id-0 request; a response carrying a
+    /// nonzero id is a [`ServiceError::Protocol`] error.
+    fn read_response(&mut self) -> Result<Response, ServiceError> {
         let (id, resp) = self.read_tagged()?;
         if id != 0 {
             return Err(ServiceError::Protocol(format!(
-                "unpipelined connection received response id {id}"
+                "id-0 request answered with response id {id}"
             )));
         }
         Ok(resp)
     }
 
-    /// Wait for one response frame and its echoed request id (the
-    /// pipelined lane — responses may arrive out of request order).
-    ///
-    /// # Errors
-    /// As in [`Client::read_response`], minus the id-0 check.
-    pub fn read_tagged(&mut self) -> Result<(u32, Response), ServiceError> {
+    /// Wait for one response frame and its echoed request id.
+    fn read_tagged(&mut self) -> Result<(u32, Response), ServiceError> {
         let (id, payload) = read_frame(&mut self.reader).map_err(|e| match e {
             FrameError::TooLarge(n) => {
                 ServiceError::Protocol(format!("server announced a {n}-byte frame"))
@@ -189,14 +191,24 @@ impl Client {
         Ok((id, resp))
     }
 
-    /// Send one request and wait for its response frame.
+    /// Send one request with id 0 and wait for its response frame.
     ///
     /// # Errors
-    /// Transport errors as in [`Client::send_request`] and
-    /// [`Client::read_response`]. A [`Response::Error`] is a *successful*
-    /// call — match on it (or use the typed helpers, which surface it as
-    /// [`ServiceError::Remote`]).
+    /// [`ServiceError::Protocol`] when submitted requests are still in
+    /// flight (an id-0 request must not overlap tagged ones), or when the
+    /// response is truncated, undecodable or carries a nonzero id;
+    /// [`ServiceError::Timeout`] when a read or write deadline expires;
+    /// [`ServiceError::Closed`] when the server closed cleanly between
+    /// frames; [`ServiceError::Io`] otherwise. A [`Response::Error`] is a
+    /// *successful* call — match on it (or use the typed helpers, which
+    /// surface it as [`ServiceError::Remote`]).
     pub fn call(&mut self, req: &Request) -> Result<Response, ServiceError> {
+        if !self.inflight.is_empty() {
+            return Err(ServiceError::Protocol(format!(
+                "{} tagged requests in flight; an id-0 call must not overlap them",
+                self.inflight.len()
+            )));
+        }
         self.send_request(req)?;
         self.read_response()
     }
@@ -318,50 +330,6 @@ impl Client {
             other => Err(unexpected(other)),
         }
     }
-}
-
-/// A client that keeps up to K requests in flight on one connection.
-///
-/// Every submitted request gets a fresh nonzero id; the server may answer
-/// **out of order**, and [`PipelinedClient::recv`] returns whichever
-/// response arrives next together with its id — correlation is the
-/// caller's choice of bookkeeping (or use
-/// [`PipelinedClient::call_pipelined`], which windows a whole batch and
-/// restores request order). A structured error frame fails only the
-/// request whose id it carries; the connection — and every other
-/// in-flight request — stays live. The exception is an error frame with
-/// id 0: the server could not attribute it to a request (oversized frame,
-/// read-deadline expiry), so it is connection-fatal and surfaces as
-/// [`ServiceError::Remote`].
-pub struct PipelinedClient {
-    conn: Client,
-    next_id: u32,
-    inflight: HashSet<u32>,
-}
-
-impl PipelinedClient {
-    /// Connect with the default [`ClientConfig`] deadlines.
-    ///
-    /// # Errors
-    /// As in [`Client::connect`].
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<PipelinedClient, ServiceError> {
-        PipelinedClient::connect_with(addr, &ClientConfig::default())
-    }
-
-    /// Connect with explicit deadlines.
-    ///
-    /// # Errors
-    /// As in [`Client::connect`].
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        config: &ClientConfig,
-    ) -> Result<PipelinedClient, ServiceError> {
-        Ok(PipelinedClient {
-            conn: Client::connect_with(addr, config)?,
-            next_id: 1,
-            inflight: HashSet::new(),
-        })
-    }
 
     /// Number of submitted requests whose responses are still outstanding.
     pub fn in_flight(&self) -> usize {
@@ -373,11 +341,12 @@ impl PipelinedClient {
     /// to 1 — 0 is the legacy unpipelined marker and is never assigned).
     ///
     /// # Errors
-    /// As in [`Client::send_request`].
+    /// [`ServiceError::Timeout`] when the write deadline expires,
+    /// [`ServiceError::Io`] on any other socket failure.
     pub fn submit(&mut self, req: &Request) -> Result<u32, ServiceError> {
         let id = self.next_id;
         self.next_id = self.next_id.checked_add(1).unwrap_or(1);
-        self.conn.send_tagged(id, req)?;
+        self.send_tagged(id, req)?;
         self.inflight.insert(id);
         Ok(id)
     }
@@ -386,12 +355,12 @@ impl PipelinedClient {
     /// return it with its id.
     ///
     /// # Errors
-    /// Transport errors as in [`Client::read_response`];
+    /// Transport errors as in [`Client::call`];
     /// [`ServiceError::Protocol`] when the id matches no in-flight
     /// request; [`ServiceError::Remote`] for an id-0 error frame
     /// (connection-fatal, not attributable to any one request).
     pub fn recv(&mut self) -> Result<(u32, Response), ServiceError> {
-        let (id, resp) = self.conn.read_tagged()?;
+        let (id, resp) = self.read_tagged()?;
         if id == 0 {
             return Err(match resp {
                 Response::Error { code, message } => ServiceError::Remote { code, message },

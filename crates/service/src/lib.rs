@@ -14,9 +14,9 @@
 //!   ([`registry`] docs).
 //! * [`Server`] / [`Client`] — a length-prefixed binary protocol over
 //!   `std::net::TcpStream` with a bounded worker pool. No async runtime.
-//!   Nonzero request ids opt a connection into pipelining
-//!   ([`PipelinedClient`]): up to K requests in flight, responses matched
-//!   by id and possibly out of order (see *Wire format*).
+//!   Requests with nonzero ids are pipelined ([`Client::submit`] /
+//!   [`Client::recv`]): up to K in flight, responses matched by id and
+//!   possibly out of order (see *Wire format*).
 //! * [`loadgen`] — replays [`TrafficMix`](xse_workloads::traffic) request
 //!   mixes built from the workloads corpora against an in-process registry
 //!   or a TCP endpoint, and reports per-op latency percentiles, QPS and
@@ -46,17 +46,16 @@
 //! UTF-8 strings and all integers are big-endian.
 //!
 //! `id` is the **request id**, echoed verbatim in the response frame that
-//! answers the request. The compatibility rule: id `0` marks the legacy
-//! unpipelined lane — the server answers strictly in order and a
-//! connection using it behaves exactly like the pre-pipelining protocol.
-//! A **nonzero** id opts the connection into pipelined mode: the client
-//! may keep many requests in flight ([`PipelinedClient`]) and responses
-//! may arrive **out of order**; the id is the only correlation between a
-//! response and its request. A connection must not mix the two lanes —
-//! after the first nonzero id the server routes the connection through
-//! its out-of-order completion path, and any id-`0` *error* frame it
-//! subsequently emits (frame-too-large, mid-frame timeout) is
-//! connection-fatal because it cannot be attributed to one request.
+//! answers the request. The rule is per frame. A request with id `0` is
+//! answered in **lockstep**: the server finishes and answers it before it
+//! reads the next frame, so id-0 requests are answered strictly in order,
+//! exactly as in the pre-pipelining protocol. A request with a **nonzero**
+//! id may complete **out of order**: the client may keep many in flight
+//! ([`Client::submit`]) and the id is the only correlation between a
+//! response and its request. On one connection, id-0 requests must not
+//! overlap tagged ones ([`Client::call`] refuses to). An id-`0` *error*
+//! frame the server emits unprompted (frame-too-large, mid-frame timeout)
+//! cannot be attributed to one request, so it is connection-fatal.
 //!
 //! Every frame goes out **whole, in one write**, and every socket the
 //! service opens or accepts (server, clients, fault proxy) sets

@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +33,7 @@ use xse_workloads::traffic::{ServiceOp, TrafficMix};
 
 use crate::proto::{ErrorCode, Request, Response, StatsWire};
 use crate::registry::{default_similarity, EmbeddingRegistry};
-use crate::{Client, PipelinedClient, RetryStats, RetryingClient, ServiceError};
+use crate::{Client, RetryStats, RetryingClient, ServiceError};
 
 /// One source/target schema pair with pre-generated request payloads.
 pub struct SchemaPair {
@@ -423,13 +423,7 @@ pub fn response_matches(req: &Request, resp: &Response) -> bool {
 pub fn run(endpoint: &mut Endpoint, pairs: &[SchemaPair], cfg: &LoadConfig) -> LoadSummary {
     assert!(!pairs.is_empty(), "load generation needs at least one pair");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut latencies: Vec<Vec<u64>> = vec![Vec::new(); ServiceOp::ALL.len()];
-    let mut protocol_errors = 0u64;
-    let mut op_errors = 0u64;
-    let mut errors = ErrorTaxonomy::default();
-    let mut shed = 0u64;
-    let mut misinterpretations = 0u64;
-    let mut issued = 0u64;
+    let mut out = ReplayOutcome::default();
 
     let t0 = Instant::now();
     for _ in 0..cfg.ops {
@@ -451,8 +445,7 @@ pub fn run(endpoint: &mut Endpoint, pairs: &[SchemaPair], cfg: &LoadConfig) -> L
                 target_dtd: pair.target_text.clone(),
             };
             if let Err(e) = endpoint.exec(&evict) {
-                protocol_errors += 1;
-                errors.note_transport(&e);
+                out.transport_failure(&e);
                 if !endpoint.survives_transport_errors() {
                     break;
                 }
@@ -460,83 +453,19 @@ pub fn run(endpoint: &mut Endpoint, pairs: &[SchemaPair], cfg: &LoadConfig) -> L
             }
         }
         let start = Instant::now();
-        let result = endpoint.exec(&req);
-        let nanos = start.elapsed().as_nanos() as u64;
-        match result {
-            Ok(Response::Error { code, message: _ }) => {
-                op_errors += 1;
-                errors.note_response(code);
-                if code == ErrorCode::Overloaded {
-                    shed += 1;
-                }
-            }
-            Ok(resp) => {
-                if !response_matches(&req, &resp) {
-                    misinterpretations += 1;
-                }
-            }
+        match endpoint.exec(&req) {
+            Ok(resp) => out.record(op, &req, &resp, start.elapsed()),
             Err(e) => {
-                protocol_errors += 1;
-                errors.note_transport(&e);
+                out.transport_failure(&e);
                 if !endpoint.survives_transport_errors() {
                     break;
                 }
-                continue;
             }
         }
-        issued += 1;
-        let slot = ServiceOp::ALL
-            .iter()
-            .position(|&o| o == op)
-            .expect("in ALL");
-        latencies[slot].push(nanos);
     }
-    let elapsed_nanos = t0.elapsed().as_nanos() as u64;
-
-    let registry = match endpoint.exec(&Request::Stats) {
-        Ok(Response::Stats(s)) => s,
-        _ => StatsWire::default(),
-    };
-    let resolutions = registry.hits + registry.misses + registry.single_flight_waits;
-    let hit_rate = if resolutions == 0 {
-        0.0
-    } else {
-        registry.hits as f64 / resolutions as f64
-    };
-    let translations = registry.plan_hits + registry.plan_misses;
-    let plan_hit_rate = if translations == 0 {
-        0.0
-    } else {
-        registry.plan_hits as f64 / translations as f64
-    };
-
-    let mut all: Vec<u64> = latencies.iter().flatten().copied().collect();
-    let per_op = ServiceOp::ALL
-        .iter()
-        .zip(latencies.iter_mut())
-        .map(|(&op, lat)| (op, digest(lat)))
-        .collect();
-    LoadSummary {
-        mix: cfg.mix.name().to_string(),
-        ops: issued,
-        elapsed_nanos,
-        qps: if elapsed_nanos == 0 {
-            0.0
-        } else {
-            issued as f64 * 1e9 / elapsed_nanos as f64
-        },
-        hit_rate,
-        plan_hit_rate,
-        protocol_errors,
-        op_errors,
-        errors,
-        shed,
-        misinterpretations,
-        retry: endpoint.retry_stats(),
-        per_op,
-        registry,
-        overall_digest: digest(&mut all),
-    }
+    let elapsed = t0.elapsed();
+    let registry = endpoint.exec(&Request::Stats);
+    out.summarize(&cfg.mix, elapsed, registry, endpoint.retry_stats())
 }
 
 /// Parameters for the contended replay: `connections` pipelined TCP
@@ -556,10 +485,11 @@ pub struct ContendedConfig {
     pub inflight: usize,
 }
 
-/// What one connection's replay produced, merged by [`run_contended`].
+/// What a replay (or one connection of a contended replay) produced.
 #[derive(Default)]
-struct ConnOutcome {
-    latencies: Vec<Vec<u64>>,
+struct ReplayOutcome {
+    /// Latencies in nanoseconds, one list per [`ServiceOp::ALL`] slot.
+    latencies: [Vec<u64>; ServiceOp::ALL.len()],
     issued: u64,
     op_errors: u64,
     protocol_errors: u64,
@@ -568,7 +498,100 @@ struct ConnOutcome {
     misinterpretations: u64,
 }
 
-/// Replay the mix over `cfg.connections` concurrent [`PipelinedClient`]s,
+impl ReplayOutcome {
+    /// Count one answered request of kind `op` and its latency.
+    fn record(&mut self, op: ServiceOp, req: &Request, resp: &Response, latency: Duration) {
+        match resp {
+            Response::Error { code, message: _ } => {
+                self.op_errors += 1;
+                self.errors.note_response(*code);
+                if *code == ErrorCode::Overloaded {
+                    self.shed += 1;
+                }
+            }
+            resp => {
+                if !response_matches(req, resp) {
+                    self.misinterpretations += 1;
+                }
+            }
+        }
+        self.issued += 1;
+        let slot = ServiceOp::ALL
+            .iter()
+            .position(|&o| o == op)
+            .expect("in ALL");
+        self.latencies[slot].push(latency.as_nanos() as u64);
+    }
+
+    fn transport_failure(&mut self, e: &ServiceError) {
+        self.protocol_errors += 1;
+        self.errors.note_transport(e);
+    }
+
+    fn merge(&mut self, other: ReplayOutcome) {
+        for (mine, theirs) in self.latencies.iter_mut().zip(other.latencies) {
+            mine.extend(theirs);
+        }
+        self.issued += other.issued;
+        self.op_errors += other.op_errors;
+        self.protocol_errors += other.protocol_errors;
+        self.errors.merge(&other.errors);
+        self.shed += other.shed;
+        self.misinterpretations += other.misinterpretations;
+    }
+
+    /// Turn the counts, the timed section's wall time and the server's
+    /// closing `Stats` answer into the run's [`LoadSummary`].
+    fn summarize(
+        mut self,
+        mix: &TrafficMix,
+        elapsed: Duration,
+        stats: Result<Response, ServiceError>,
+        retry: Option<RetryStats>,
+    ) -> LoadSummary {
+        let registry = match stats {
+            Ok(Response::Stats(s)) => s,
+            _ => StatsWire::default(),
+        };
+        let ratio = |part: u64, whole: u64| {
+            if whole == 0 {
+                0.0
+            } else {
+                part as f64 / whole as f64
+            }
+        };
+        let resolutions = registry.hits + registry.misses + registry.single_flight_waits;
+        let elapsed_nanos = elapsed.as_nanos() as u64;
+        let mut all: Vec<u64> = self.latencies.iter().flatten().copied().collect();
+        let per_op = ServiceOp::ALL
+            .iter()
+            .zip(self.latencies.iter_mut())
+            .map(|(&op, lat)| (op, digest(lat)))
+            .collect();
+        LoadSummary {
+            mix: mix.name().to_string(),
+            ops: self.issued,
+            elapsed_nanos,
+            qps: ratio(self.issued, elapsed_nanos) * 1e9,
+            hit_rate: ratio(registry.hits, resolutions),
+            plan_hit_rate: ratio(
+                registry.plan_hits,
+                registry.plan_hits + registry.plan_misses,
+            ),
+            protocol_errors: self.protocol_errors,
+            op_errors: self.op_errors,
+            errors: self.errors,
+            shed: self.shed,
+            misinterpretations: self.misinterpretations,
+            retry,
+            per_op,
+            registry,
+            overall_digest: digest(&mut all),
+        }
+    }
+}
+
+/// Replay the mix over `cfg.connections` concurrent [`Client`]s,
 /// each holding up to `cfg.inflight` requests in flight.
 ///
 /// Every pair is compiled once (untimed) before the timed section, so the
@@ -601,7 +624,7 @@ pub fn run_contended(
     }
 
     let t0 = Instant::now();
-    let outcomes: Vec<ConnOutcome> = std::thread::scope(|scope| {
+    let outcomes: Vec<ReplayOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.connections)
             .map(|conn| scope.spawn(move || drive_connection(addr, pairs, cfg, conn as u64)))
             .collect();
@@ -610,71 +633,14 @@ pub fn run_contended(
             .map(|h| h.join().expect("connection thread panicked"))
             .collect()
     });
-    let elapsed_nanos = t0.elapsed().as_nanos() as u64;
+    let elapsed = t0.elapsed();
 
-    let mut latencies: Vec<Vec<u64>> = vec![Vec::new(); ServiceOp::ALL.len()];
-    let mut issued = 0u64;
-    let mut op_errors = 0u64;
-    let mut protocol_errors = 0u64;
-    let mut errors = ErrorTaxonomy::default();
-    let mut shed = 0u64;
-    let mut misinterpretations = 0u64;
+    let mut merged = ReplayOutcome::default();
     for out in outcomes {
-        for (slot, lat) in out.latencies.into_iter().enumerate() {
-            latencies[slot].extend(lat);
-        }
-        issued += out.issued;
-        op_errors += out.op_errors;
-        protocol_errors += out.protocol_errors;
-        errors.merge(&out.errors);
-        shed += out.shed;
-        misinterpretations += out.misinterpretations;
+        merged.merge(out);
     }
-
-    let registry = match control.call(&Request::Stats) {
-        Ok(Response::Stats(s)) => s,
-        _ => StatsWire::default(),
-    };
-    let resolutions = registry.hits + registry.misses + registry.single_flight_waits;
-    let hit_rate = if resolutions == 0 {
-        0.0
-    } else {
-        registry.hits as f64 / resolutions as f64
-    };
-    let translations = registry.plan_hits + registry.plan_misses;
-    let plan_hit_rate = if translations == 0 {
-        0.0
-    } else {
-        registry.plan_hits as f64 / translations as f64
-    };
-
-    let mut all: Vec<u64> = latencies.iter().flatten().copied().collect();
-    let per_op = ServiceOp::ALL
-        .iter()
-        .zip(latencies.iter_mut())
-        .map(|(&op, lat)| (op, digest(lat)))
-        .collect();
-    Ok(LoadSummary {
-        mix: cfg.mix.name().to_string(),
-        ops: issued,
-        elapsed_nanos,
-        qps: if elapsed_nanos == 0 {
-            0.0
-        } else {
-            issued as f64 * 1e9 / elapsed_nanos as f64
-        },
-        hit_rate,
-        plan_hit_rate,
-        protocol_errors,
-        op_errors,
-        errors,
-        shed,
-        misinterpretations,
-        retry: None,
-        per_op,
-        registry,
-        overall_digest: digest(&mut all),
-    })
+    let registry = control.call(&Request::Stats);
+    Ok(merged.summarize(&cfg.mix, elapsed, registry, None))
 }
 
 fn drive_connection(
@@ -682,16 +648,12 @@ fn drive_connection(
     pairs: &[SchemaPair],
     cfg: &ContendedConfig,
     conn: u64,
-) -> ConnOutcome {
-    let mut out = ConnOutcome {
-        latencies: vec![Vec::new(); ServiceOp::ALL.len()],
-        ..ConnOutcome::default()
-    };
-    let mut client = match PipelinedClient::connect(addr) {
+) -> ReplayOutcome {
+    let mut out = ReplayOutcome::default();
+    let mut client = match Client::connect(addr) {
         Ok(c) => c,
         Err(e) => {
-            out.protocol_errors += 1;
-            out.errors.note_transport(&e);
+            out.transport_failure(&e);
             return out;
         }
     };
@@ -726,8 +688,7 @@ fn drive_connection(
                     continue;
                 }
                 Err(e) => {
-                    out.protocol_errors += 1;
-                    out.errors.note_transport(&e);
+                    out.transport_failure(&e);
                     break;
                 }
             }
@@ -738,32 +699,11 @@ fn drive_connection(
         match client.recv() {
             Ok((id, resp)) => {
                 let (idx, started) = pending.remove(&id).expect("recv validated the id");
-                let nanos = started.elapsed().as_nanos() as u64;
                 let (op, req) = &reqs[idx];
-                match resp {
-                    Response::Error { code, message: _ } => {
-                        out.op_errors += 1;
-                        out.errors.note_response(code);
-                        if code == ErrorCode::Overloaded {
-                            out.shed += 1;
-                        }
-                    }
-                    resp => {
-                        if !response_matches(req, &resp) {
-                            out.misinterpretations += 1;
-                        }
-                    }
-                }
-                out.issued += 1;
-                let slot = ServiceOp::ALL
-                    .iter()
-                    .position(|&o| o == *op)
-                    .expect("in ALL");
-                out.latencies[slot].push(nanos);
+                out.record(*op, req, &resp, started.elapsed());
             }
             Err(e) => {
-                out.protocol_errors += 1;
-                out.errors.note_transport(&e);
+                out.transport_failure(&e);
                 break;
             }
         }

@@ -13,9 +13,10 @@
 //! connection: the server echoes each request's id on its response frame,
 //! and pipelined responses may arrive **out of order** — the id is the
 //! only correlation. Id `0` is reserved for legacy unpipelined traffic:
-//! a client that sends id 0 for every request is served strictly
-//! in order, one at a time, exactly like the pre-pipelining protocol.
-//! Clients must not mix id-0 and nonzero-id requests on one connection.
+//! the server answers an id-0 request before it reads the next frame, so
+//! id-0 requests are served strictly in order, one at a time, exactly
+//! like the pre-pipelining protocol. On one connection, id-0 requests
+//! must not overlap nonzero-id ones.
 
 use std::io::{self, Read, Write};
 
@@ -332,8 +333,8 @@ pub fn write_frame(w: &mut impl Write, request_id: u32, payload: &[u8]) -> io::R
 /// [`MAX_FRAME_LEN`] cap is enforced *before* reading the body (the full
 /// 8-byte header is consumed first). An oversized announcement is
 /// answered by the server with an **id-0** error frame — the connection
-/// is closing, and id 0 on a pipelined connection marks exactly such
-/// connection-fatal errors. Clean closes ([`FrameError::Closed`]) are
+/// is closing, and an id-0 error frame nobody asked for marks exactly
+/// such connection-fatal errors. Clean closes ([`FrameError::Closed`]) are
 /// distinguished from mid-frame disconnects ([`FrameError::Truncated`])
 /// and read-deadline expiries ([`FrameError::TimedOut`]).
 pub fn read_frame(r: &mut impl Read) -> Result<(u32, Vec<u8>), FrameError> {

@@ -3,17 +3,19 @@
 //!
 //! Connections are accepted on a dedicated thread and pushed onto a
 //! `Mutex<VecDeque<TcpStream>>`; `workers` pool threads pop connections
-//! and run each one to completion (connection-per-worker). A connection
-//! that only ever sends request id 0 is served in the legacy strict
-//! request/response lockstep. The first nonzero request id switches the
-//! connection into **pipelined mode**: the worker becomes a frame reader
-//! feeding a bounded in-connection task queue, a small scoped executor
-//! pool ([`ServerConfig::pipeline_executors`]) handles requests
-//! concurrently, and responses are written — each tagged with its
-//! request's id — in **completion order**, not arrival order. The task
-//! queue is bounded at [`ServerConfig::max_inflight`]; when a client
-//! overruns it, the reader simply stops reading and TCP backpressure does
-//! the rest.
+//! and run each one to completion (connection-per-worker). Every
+//! connection is served by one leader/follower loop: the threads serving
+//! it share the read half and the write half, and whichever thread holds
+//! the reader reads the next frame. An id-0 frame is answered before that
+//! thread lets go of the reader, so the legacy lane is strict
+//! request/response lockstep. A nonzero id releases the reader first, so
+//! another thread reads on while the request runs and responses — each
+//! tagged with its request's id — go out in **completion order**. The
+//! second thread is spawned only when a tagged frame releases the reader
+//! and no thread is waiting for it, and a connection never has more than
+//! four threads, the pool worker included. A frame that no thread is free
+//! to read stays in the socket's receive buffer, so a client that
+//! overruns the connection is held back by TCP.
 //!
 //! Every accepted socket, served or shed, sets `TCP_NODELAY`, and every
 //! response goes out as one whole-frame write straight to the socket (no
@@ -43,9 +45,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use crate::proto::{read_frame, write_frame, ErrorCode, FrameError, Request, Response};
@@ -54,7 +56,9 @@ use crate::registry::EmbeddingRegistry;
 /// Server construction knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads serving connections (minimum 1).
+    /// Pool threads, each serving one connection at a time (minimum 1).
+    /// A connection that sends tagged requests gets up to three more
+    /// threads of its own while it lasts (see the module docs).
     pub workers: usize,
     /// Per-connection read deadline. A peer that sends nothing for this
     /// long is disconnected (silently when idle between requests, with a
@@ -76,14 +80,6 @@ pub struct ServerConfig {
     /// How long shutdown waits for in-flight connections to finish before
     /// force-closing their sockets.
     pub drain_deadline: Duration,
-    /// Executor threads spawned for a connection once it enters pipelined
-    /// mode (first nonzero request id). At least 2 are needed for
-    /// out-of-order completion to be observable; minimum 1.
-    pub pipeline_executors: usize,
-    /// Bound on a pipelined connection's queued-but-unstarted requests.
-    /// When full, the reader stops pulling frames until an executor
-    /// drains one — backpressure via TCP, never an unbounded buffer.
-    pub max_inflight: usize,
 }
 
 impl Default for ServerConfig {
@@ -95,8 +91,6 @@ impl Default for ServerConfig {
             request_budget: Some(Duration::from_secs(10)),
             max_queued: 64,
             drain_deadline: Duration::from_secs(2),
-            pipeline_executors: 4,
-            max_inflight: 32,
         }
     }
 }
@@ -353,9 +347,8 @@ fn shed_connection(conn: TcpStream, write_timeout: Option<Duration>, why: &'stat
     });
 }
 
-/// Decode, dispatch, and budget-check one request. `started` is the frame
-/// arrival time, so a pipelined request's queueing delay counts against
-/// its budget too.
+/// Decode, dispatch, and budget-check one request. `started` is when the
+/// frame was read: the budget covers everything the server does after it.
 fn process_request(payload: &[u8], started: Instant, ctx: &WorkerCtx) -> Response {
     let mut resp = match Request::decode(payload) {
         Ok(req) => crate::handle_request(&ctx.registry, &req),
@@ -385,10 +378,10 @@ fn process_request(payload: &[u8], started: Instant, ctx: &WorkerCtx) -> Respons
     resp
 }
 
-/// Answer a frame-read failure (best effort) and report whether the
-/// connection is over. Connection-level failures are tagged with id 0 —
-/// on a pipelined connection that marks them as fatal to the whole
-/// connection rather than to any one request.
+/// Answer a frame-read failure (best effort); the connection is over
+/// either way. Connection-level failures are tagged with id 0, which
+/// marks them as fatal to the whole connection rather than to any one
+/// request.
 fn answer_read_error(err: FrameError, writer: &mut impl Write) {
     match err {
         FrameError::Closed | FrameError::Truncated | FrameError::Io(_) => {}
@@ -416,11 +409,30 @@ fn answer_read_error(err: FrameError, writer: &mut impl Write) {
     }
 }
 
+/// Most threads that serve one connection at once, the pool worker
+/// included. A tagged frame that arrives while all of them are busy stays
+/// unread in the socket's receive buffer: backpressure comes from TCP.
+const CONN_THREADS: usize = 4;
+
+/// What the threads serving one connection share. Whichever thread holds
+/// `reader` reads the next frame; every response goes out whole through
+/// `writer`.
+struct ConnState {
+    reader: Mutex<BufReader<TcpStream>>,
+    writer: Mutex<TcpStream>,
+    /// Threads serving the connection, at most [`CONN_THREADS`].
+    threads: AtomicUsize,
+    /// Threads blocked waiting for the reader.
+    waiting: AtomicUsize,
+    /// Set when the connection is over (a read or write failed); each
+    /// thread exits the next time it takes the reader.
+    done: AtomicBool,
+}
+
 /// Run one connection to completion, bounded by the configured deadlines
-/// and the drain flag. Starts in the legacy strict request/response loop;
-/// the first nonzero request id hands the connection to
-/// [`serve_pipelined`] for out-of-order completion.
-fn serve_connection(mut conn: TcpStream, ctx: &WorkerCtx) {
+/// and the drain flag. The pool worker serves frames itself and brings in
+/// followers (see [`serve_frames`]) only when the peer pipelines.
+fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
     if conn.set_read_timeout(ctx.config.read_timeout).is_err()
         || conn.set_write_timeout(ctx.config.write_timeout).is_err()
     {
@@ -430,121 +442,96 @@ fn serve_connection(mut conn: TcpStream, ctx: &WorkerCtx) {
         return;
     };
     let id = ctx.tracker.register(&conn);
-    let mut reader = BufReader::new(read_half);
-    loop {
-        let (req_id, payload) = match read_frame(&mut reader) {
-            Ok(frame) => frame,
-            Err(e) => {
-                answer_read_error(e, &mut conn);
-                break;
-            }
-        };
-        let started = Instant::now();
-        if req_id != 0 {
-            // The peer pipelines. Hand the whole connection over, first
-            // frame included; serve_pipelined runs it to completion.
-            serve_pipelined((req_id, payload, started), reader, conn, ctx);
-            ctx.tracker.unregister(id);
-            return;
-        }
-        let resp = process_request(&payload, started, ctx);
-        if write_frame(&mut conn, 0, &resp.encode()).is_err() {
-            break;
-        }
-        // Draining: finish the in-flight request (just answered), then
-        // close instead of waiting for another.
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-    }
+    let state = ConnState {
+        reader: Mutex::new(BufReader::new(read_half)),
+        writer: Mutex::new(conn),
+        threads: AtomicUsize::new(1),
+        waiting: AtomicUsize::new(0),
+        done: AtomicBool::new(false),
+    };
+    std::thread::scope(|scope| serve_frames(scope, &state, ctx));
     ctx.tracker.unregister(id);
 }
 
-/// One queued pipelined frame: request id, payload, arrival instant
-/// (queue time counts against the request budget).
-type PipeTask = (u32, Vec<u8>, Instant);
-
-/// A pipelined connection's task queue: frames in arrival order, a done
-/// flag set when the reader stops, and two condvars — `ready` wakes
-/// executors, `space` wakes the reader when the bounded queue drains.
-struct PipeQueue {
-    tasks: Mutex<(VecDeque<PipeTask>, bool)>,
-    ready: Condvar,
-    space: Condvar,
+/// One thread of a connection's leader/follower group: take the reader,
+/// read a frame, serve it, repeat. An id-0 frame is served while this
+/// thread still holds the reader, so the legacy lane stays in strict
+/// lockstep. A nonzero id releases the reader first, so another thread
+/// reads on and tagged responses complete out of order.
+fn serve_frames<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    state: &'scope ConnState,
+    ctx: &'scope WorkerCtx,
+) {
+    loop {
+        state.waiting.fetch_add(1, Ordering::SeqCst);
+        let mut reader = state.reader.lock().unwrap();
+        state.waiting.fetch_sub(1, Ordering::SeqCst);
+        // Over or draining: requests already read still finish, but no
+        // new frame is read.
+        if state.done.load(Ordering::SeqCst) || ctx.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let (req_id, payload) = match read_frame(&mut *reader) {
+            Ok(frame) => frame,
+            Err(e) => {
+                state.done.store(true, Ordering::SeqCst);
+                answer_read_error(e, &mut *state.writer.lock().unwrap());
+                return;
+            }
+        };
+        let started = Instant::now();
+        // Id 0 keeps the reader until it is answered: strict lockstep. A
+        // tagged request lets go of it first, so the next frame is read
+        // while this one runs.
+        let _lockstep = if req_id == 0 {
+            Some(reader)
+        } else {
+            // While the reader is held no thread stops waiting for it, so
+            // zero means no thread is there to pick it up next.
+            let follow = state.waiting.load(Ordering::SeqCst) == 0 && reserve_thread(state);
+            drop(reader);
+            if follow {
+                spawn_follower(scope, state, ctx);
+            }
+            // Let the thread that takes the reader run now: it only takes
+            // it and blocks waiting for the next frame. Left to run later,
+            // it preempts this request midway; on one CPU that cost
+            // migrate-docs 16-19% at p90 (EXPERIMENTS.md).
+            std::thread::yield_now();
+            None
+        };
+        let resp = process_request(&payload, started, ctx);
+        if write_frame(&mut *state.writer.lock().unwrap(), req_id, &resp.encode()).is_err() {
+            state.done.store(true, Ordering::SeqCst);
+            return;
+        }
+    }
 }
 
-/// Pipelined mode: this thread keeps reading frames into a bounded queue
-/// while scoped executors dispatch them and write responses — tagged with
-/// their request ids — in completion order. An executor failing to write
-/// (peer gone) flips `dead` so the reader stops promptly.
-fn serve_pipelined(
-    first: PipeTask,
-    mut reader: BufReader<TcpStream>,
-    conn: TcpStream,
-    ctx: &WorkerCtx,
+/// Count one more thread for the connection, unless it is at
+/// [`CONN_THREADS`].
+fn reserve_thread(state: &ConnState) -> bool {
+    state
+        .threads
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+            (n < CONN_THREADS).then_some(n + 1)
+        })
+        .is_ok()
+}
+
+/// Start a follower for a slot taken with [`reserve_thread`], giving the
+/// slot back if the thread cannot be spawned.
+fn spawn_follower<'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    state: &'scope ConnState,
+    ctx: &'scope WorkerCtx,
 ) {
-    let queue = PipeQueue {
-        tasks: Mutex::new((VecDeque::from([first]), false)),
-        ready: Condvar::new(),
-        space: Condvar::new(),
-    };
-    let writer = Mutex::new(conn);
-    let dead = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..ctx.config.pipeline_executors.max(1) {
-            scope.spawn(|| loop {
-                let task = {
-                    let mut guard = queue.tasks.lock().unwrap();
-                    loop {
-                        if let Some(task) = guard.0.pop_front() {
-                            queue.space.notify_one();
-                            break Some(task);
-                        }
-                        if guard.1 {
-                            break None;
-                        }
-                        guard = queue.ready.wait(guard).unwrap();
-                    }
-                };
-                let Some((req_id, payload, started)) = task else {
-                    return;
-                };
-                let resp = process_request(&payload, started, ctx);
-                let mut w = writer.lock().unwrap();
-                if write_frame(&mut *w, req_id, &resp.encode()).is_err() {
-                    dead.store(true, Ordering::SeqCst);
-                    return;
-                }
-            });
-        }
-        // Reader loop (this thread). The first frame is already queued.
-        loop {
-            if dead.load(Ordering::SeqCst) || ctx.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let frame = read_frame(&mut reader);
-            match frame {
-                Ok((req_id, payload)) => {
-                    let started = Instant::now();
-                    let mut guard = queue.tasks.lock().unwrap();
-                    while guard.0.len() >= ctx.config.max_inflight.max(1) {
-                        guard = queue.space.wait(guard).unwrap();
-                    }
-                    guard.0.push_back((req_id, payload, started));
-                    drop(guard);
-                    queue.ready.notify_one();
-                }
-                Err(e) => {
-                    let mut w = writer.lock().unwrap();
-                    answer_read_error(e, &mut *w);
-                    break;
-                }
-            }
-        }
-        // No more frames: let executors drain the queue and exit.
-        queue.tasks.lock().unwrap().1 = true;
-        queue.ready.notify_all();
-    });
+    let spawned =
+        std::thread::Builder::new().spawn_scoped(scope, || serve_frames(scope, state, ctx));
+    if spawned.is_err() {
+        state.threads.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 #[cfg(test)]

@@ -1,9 +1,11 @@
 //! Pipelining end-to-end: request-id correlation under shuffled response
 //! ordering, per-request error isolation mid-pipeline, out-of-order
-//! completion on the real server, and legacy/pipelined coexistence.
+//! completion on the real server, the per-connection thread cap, strict
+//! lockstep on the id-0 lane, and legacy/pipelined coexistence.
 
 use std::io::{BufReader, BufWriter, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,7 +23,7 @@ fn wrap_pair() -> (String, String) {
     (s1.to_string(), s2.to_string())
 }
 
-fn spawn_server(workers: usize, executors: usize) -> ServerHandle {
+fn spawn_server(workers: usize) -> ServerHandle {
     Server::bind(
         ("127.0.0.1", 0),
         Arc::new(EmbeddingRegistry::new(RegistryConfig {
@@ -31,7 +33,6 @@ fn spawn_server(workers: usize, executors: usize) -> ServerHandle {
         })),
         ServerConfig {
             workers,
-            pipeline_executors: executors,
             ..ServerConfig::default()
         },
     )
@@ -174,7 +175,6 @@ fn unknown_response_id_is_a_protocol_error() {
 fn eight_in_flight_complete_out_of_order_on_the_real_server() {
     let server = spawn_slow_compile_server(ServerConfig {
         workers: 1,
-        pipeline_executors: 4,
         ..ServerConfig::default()
     });
     let (s, t) = wrap_pair();
@@ -221,7 +221,6 @@ fn eight_in_flight_complete_out_of_order_on_the_real_server() {
 fn mid_pipeline_timeout_fails_only_the_slow_request() {
     let server = spawn_slow_compile_server(ServerConfig {
         workers: 1,
-        pipeline_executors: 2,
         request_budget: Some(Duration::from_millis(40)),
         ..ServerConfig::default()
     });
@@ -269,7 +268,7 @@ fn mid_pipeline_timeout_fails_only_the_slow_request() {
 /// stays usable.
 #[test]
 fn mid_pipeline_bad_query_fails_only_its_own_request() {
-    let server = spawn_server(1, 2);
+    let server = spawn_server(1);
     let (s, t) = wrap_pair();
     let mut client = PipelinedClient::connect(server.addr()).unwrap();
 
@@ -328,7 +327,7 @@ fn mid_pipeline_bad_query_fails_only_its_own_request() {
 /// same server concurrently; each lane keeps its own semantics.
 #[test]
 fn legacy_and_pipelined_connections_coexist() {
-    let server = spawn_server(2, 2);
+    let server = spawn_server(2);
     let (s, t) = wrap_pair();
 
     let mut legacy = Client::connect(server.addr()).unwrap();
@@ -351,7 +350,7 @@ fn legacy_and_pipelined_connections_coexist() {
 /// traffic slice in request order, whatever the completion order was.
 #[test]
 fn call_pipelined_preserves_request_order_across_windows() {
-    let server = spawn_server(1, 4);
+    let server = spawn_server(1);
     let pairs = loadgen::build_pairs(2, 11);
     let mut client = PipelinedClient::connect(server.addr()).unwrap();
 
@@ -382,4 +381,118 @@ fn call_pipelined_preserves_request_order_across_windows() {
             "clean traffic must not error: {resp:?}"
         );
     }
+}
+
+/// The legacy lane is strict lockstep even when the peer does not wait:
+/// two id-0 frames written back to back on one raw socket — a compile
+/// whose similarity hook sleeps 150 ms, then `Stats` — are answered in
+/// submission order, both with id 0, and the `Stats` answer already
+/// counts the compile. Served concurrently, the `Stats` would overtake
+/// the sleeping compile and miss it.
+#[test]
+fn back_to_back_id0_frames_are_answered_in_lockstep() {
+    let server = spawn_slow_compile_server(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let (s, t) = wrap_pair();
+    let mut conn = TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let compile = Request::Compile {
+        source_dtd: s,
+        target_dtd: t,
+    };
+    write_frame(&mut conn, 0, &compile.encode()).unwrap();
+    write_frame(&mut conn, 0, &Request::Stats.encode()).unwrap();
+
+    let mut reader = BufReader::new(conn);
+    let (id, payload) = read_frame(&mut reader).unwrap();
+    assert_eq!(id, 0);
+    let first = Response::decode(&payload).unwrap();
+    assert!(matches!(first, Response::Compiled { .. }), "{first:?}");
+    let (id, payload) = read_frame(&mut reader).unwrap();
+    assert_eq!(id, 0);
+    match Response::decode(&payload).unwrap() {
+        Response::Stats(stats) => assert_eq!(stats.compiles, 1, "{stats:?}"),
+        other => panic!("second answer must be the stats: {other:?}"),
+    }
+}
+
+/// Calls of [`counting_sim`] running right now, and the most seen at once.
+static SIM_ACTIVE: AtomicUsize = AtomicUsize::new(0);
+static SIM_PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// A similarity hook that sleeps 100 ms and records how many calls
+/// overlapped. Only [`tagged_requests_run_concurrently_up_to_the_thread_cap`]
+/// uses it, so the statics see no other test's compiles.
+fn counting_sim(s: &xse_dtd::Dtd, t: &xse_dtd::Dtd) -> xse_core::SimilarityMatrix {
+    let now = SIM_ACTIVE.fetch_add(1, Ordering::SeqCst) + 1;
+    SIM_PEAK.fetch_max(now, Ordering::SeqCst);
+    std::thread::sleep(Duration::from_millis(100));
+    SIM_ACTIVE.fetch_sub(1, Ordering::SeqCst);
+    xse_service::registry::default_similarity(s, t)
+}
+
+/// Eight tagged compiles of distinct pairs on one connection run
+/// concurrently (out-of-order execution, not just out-of-order replies),
+/// but never on more than four threads: the per-connection cap, the
+/// pool worker included.
+#[test]
+fn tagged_requests_run_concurrently_up_to_the_thread_cap() {
+    let server = Server::bind(
+        ("127.0.0.1", 0),
+        Arc::new(EmbeddingRegistry::new(RegistryConfig {
+            capacity: 16,
+            discovery: loadgen_discovery(),
+            sim: counting_sim,
+            ..RegistryConfig::default()
+        })),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let mut client = PipelinedClient::connect(server.addr()).unwrap();
+    for i in 0..8 {
+        let dtd = format!("<!ELEMENT r{i} (a)>\n<!ELEMENT a (#PCDATA)>");
+        client
+            .submit(&Request::Compile {
+                source_dtd: dtd.clone(),
+                target_dtd: dtd,
+            })
+            .unwrap();
+    }
+    for _ in 0..8 {
+        let (_, resp) = client.recv().unwrap();
+        assert!(matches!(resp, Response::Compiled { .. }), "{resp:?}");
+    }
+    let peak = SIM_PEAK.load(Ordering::SeqCst);
+    assert!(
+        (2..=4).contains(&peak),
+        "peak of {peak} concurrent compiles on one connection"
+    );
+}
+
+/// An id-0 call must not overlap tagged requests on one connection: the
+/// client refuses it with a protocol error, and the tagged request it
+/// would have raced is still answered afterwards.
+#[test]
+fn call_is_refused_while_tagged_requests_are_in_flight() {
+    let server = spawn_server(1);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let id = client.submit(&Request::Stats).unwrap();
+    let err = client.call(&Request::Stats).unwrap_err();
+    assert!(
+        matches!(err, xse_service::ServiceError::Protocol(_)),
+        "{err:?}"
+    );
+    let (got, resp) = client.recv().unwrap();
+    assert_eq!(got, id);
+    assert!(matches!(resp, Response::Stats(_)), "{resp:?}");
+    assert!(matches!(
+        client.call(&Request::Stats),
+        Ok(Response::Stats(_))
+    ));
 }

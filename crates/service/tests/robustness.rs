@@ -88,7 +88,7 @@ fn idle_connection_expires_silently() {
     // Don't send anything else; the server should close cleanly (EOF at a
     // frame boundary → ServiceError::Closed), not send an error frame.
     std::thread::sleep(Duration::from_millis(400));
-    let err = client.read_response().unwrap_err();
+    let err = client.recv().unwrap_err();
     assert!(
         matches!(err, ServiceError::Closed),
         "expected clean close, got {err:?}"

@@ -188,14 +188,15 @@
 //! assert!(engine.apply(&parse_xml("<r><a>x</a></r>").unwrap()).is_ok());
 //! ```
 //!
-//! Every frame carries a u32 *request id*: id 0 is the legacy strictly
-//! in-order lane ([`Client`](crate::service::Client)), while a nonzero
-//! id opts the connection into pipelining —
-//! [`PipelinedClient`](crate::service::PipelinedClient) keeps a window
-//! of requests in flight and the server completes them out of order,
-//! matching responses to requests by id alone. `xse-loadgen
-//! --connections N --inflight K` measures the contended path
-//! (see `EXPERIMENTS.md`):
+//! Every frame carries a u32 *request id*. Id 0 is answered in lockstep:
+//! [`Client::call`](crate::service::Client::call) and the typed helpers
+//! send one id-0 request and read its answer. A nonzero id may complete
+//! out of order: [`Client::submit`](crate::service::Client::submit) and
+//! [`Client::recv`](crate::service::Client::recv) keep a window of
+//! tagged requests in flight on the same connection, and the server,
+//! which serves each connection with up to four threads, matches
+//! responses to requests by id alone. `xse-loadgen --connections N
+//! --inflight K` measures the contended path (see `EXPERIMENTS.md`):
 //!
 //! ```
 //! use std::sync::Arc;
@@ -205,7 +206,7 @@
 //! let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig::default()));
 //! let server = Server::bind(("127.0.0.1", 0), registry, ServerConfig::default()).unwrap();
 //!
-//! let mut client = PipelinedClient::connect(server.addr()).unwrap();
+//! let mut client = Client::connect(server.addr()).unwrap();
 //! let source = "<!ELEMENT r (a)>\n<!ELEMENT a (#PCDATA)>";
 //! // Two requests on the wire before either response is read.
 //! let first = client
@@ -303,9 +304,7 @@ pub use xse_xslt as xslt;
 ///
 /// The surface is panic-free by construction: embeddings are assembled with
 /// the fallible [`EmbeddingBuilder`](xse_core::EmbeddingBuilder) and every
-/// failure is an [`EmbeddingError`](xse_core::EmbeddingError). (The
-/// deprecated lifetime-bound `Embedding` shim is intentionally *not* here;
-/// reach it as `xse::core::Embedding` during migration.)
+/// failure is an [`EmbeddingError`](xse_core::EmbeddingError).
 pub mod prelude {
     pub use xse_anfa::EvalScratch;
     pub use xse_core::{
@@ -318,8 +317,8 @@ pub mod prelude {
     pub use xse_dtd::{Dtd, Production, TypeId};
     pub use xse_rxpath::{parse_query, XrQuery};
     pub use xse_service::{
-        Client, ClientConfig, EmbeddingRegistry, PipelinedClient, RegistryConfig, RetryPolicy,
-        RetryingClient, Server, ServerConfig,
+        Client, ClientConfig, EmbeddingRegistry, RegistryConfig, RetryPolicy, RetryingClient,
+        Server, ServerConfig,
     };
     pub use xse_xmltree::{parse_xml, IdMap, NodeId, TreeBuilder, XmlTree};
     pub use xse_xslt::{generate_forward, generate_inverse, Stylesheet, StylesheetGen};
