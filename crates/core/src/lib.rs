@@ -41,6 +41,7 @@
 
 mod embedding;
 mod error;
+mod evict;
 mod instmap;
 mod inverse;
 pub mod multi;
@@ -54,6 +55,7 @@ mod validity;
 
 pub use embedding::{CompiledEmbedding, EmbeddingBuilder, MappingOutput, PathMapping, TypeMapping};
 pub use error::EmbeddingError;
+pub use evict::trim_to_capacity;
 pub use resolve::{PathClass, ResolvedPath, ResolvedStep};
 pub use sim::SimilarityMatrix;
 pub use translate::{Lab, PlanCacheStats, TranslatePlan};

@@ -27,6 +27,7 @@
 //!   [`EmbeddingError::UnsupportedPosition`] instead of being silently
 //!   mistranslated.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -36,7 +37,7 @@ use xse_rxpath::{shape_key, Qualifier, XrQuery};
 use xse_xmltree::{NodeId, XmlTree};
 
 use crate::resolve::ResolvedPath;
-use crate::{CompiledEmbedding, EmbeddingError};
+use crate::{trim_to_capacity, CompiledEmbedding, EmbeddingError};
 
 /// What a final state's matches correspond to on the source side —
 /// the paper's `lab(f, M, A)`.
@@ -106,8 +107,9 @@ pub struct PlanCacheStats {
     pub entries: u64,
 }
 
-/// Plans cached beyond this per-embedding bound evict the least recently
-/// used entry.
+/// Per-embedding plan bound. An insert past it evicts the least recently
+/// used plan: the victim score is `Reverse(last_used)`, and the plan just
+/// inserted is never the victim.
 const PLAN_CACHE_CAP: usize = 256;
 
 /// Bounded per-embedding plan cache keyed by canonical query shape
@@ -157,16 +159,9 @@ impl PlanCache {
             return Arc::clone(existing);
         }
         inner.map.insert(key, (Arc::clone(&plan), tick));
-        if inner.map.len() > PLAN_CACHE_CAP {
-            if let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone())
-            {
-                inner.map.remove(&oldest);
-            }
-        }
+        trim_to_capacity(&mut inner.map, PLAN_CACHE_CAP, |_, &(_, used)| {
+            (used != tick).then_some(Reverse(used))
+        });
         plan
     }
 
@@ -990,6 +985,31 @@ mod tests {
         assert!(e.translate(&bad).is_err());
         let stats = e.plan_stats();
         assert_eq!((stats.misses, stats.entries), (3, 1));
+    }
+
+    #[test]
+    fn plan_cache_past_its_cap_evicts_the_least_recently_used_shape() {
+        let (s1, s2) = wrap();
+        let e = wrap_compiled(&s1, &s2);
+        let shape = |i: usize| parse_query(&format!("b/c[text() = '{i}']")).unwrap();
+        for i in 0..PLAN_CACHE_CAP {
+            e.translate(&shape(i)).unwrap();
+        }
+        // Touch shape 0, leaving shape 1 the least recently used.
+        e.translate(&shape(0)).unwrap();
+        e.translate(&shape(PLAN_CACHE_CAP)).unwrap();
+        let stats = e.plan_stats();
+        assert_eq!(stats.entries, PLAN_CACHE_CAP as u64);
+        assert_eq!(stats.misses, PLAN_CACHE_CAP as u64 + 1);
+        e.translate(&shape(0)).unwrap();
+        assert_eq!(e.plan_stats().misses, stats.misses, "recent shape must hit");
+        e.translate(&shape(1)).unwrap();
+        assert_eq!(
+            e.plan_stats().misses,
+            stats.misses + 1,
+            "LRU shape must miss"
+        );
+        assert_eq!(e.plan_stats().entries, PLAN_CACHE_CAP as u64);
     }
 
     #[test]

@@ -195,7 +195,8 @@ pub struct StatsWire {
     pub compiles: u64,
     /// Requests that waited on another request's in-flight compile.
     pub single_flight_waits: u64,
-    /// Entries dropped by LRU pressure or explicit evict.
+    /// Entries dropped by capacity pressure (compile-cost × recency) or
+    /// explicit evict.
     pub evictions: u64,
     /// Entries currently cached.
     pub entries: u64,

@@ -49,17 +49,19 @@
 //! The TTL keeps the verdict honest under config changes and similarity
 //! tweaks; explicit eviction also clears the pair's negative entry, and
 //! `negative_ttl: None` disables the cache entirely (every request
-//! re-runs discovery).
+//! re-runs discovery). The cache is bounded per shard; its victim score
+//! is `Reverse(expiry)`, so expired verdicts go first.
 //!
 //! # Weighted eviction
 //!
-//! Capacity is striped: each shard holds at most
-//! `⌈capacity / shards⌉` `Ready` entries. When a completed compile pushes
-//! a shard over that bound, the victim is chosen by **compile-cost ×
-//! recency**: entries are grouped into recency generations (the power-of-
-//! two bucket of their age in shard ticks), the stalest generation loses
-//! first, and within a generation the entry that was *cheapest to
-//! compile* is dropped — recompiling it costs the least. Pending
+//! Every bound here — the `Ready` table, the negative cache and the text
+//! memo — is enforced by [`xse_core::trim_to_capacity`]: after the insert
+//! that overflowed, it drops the entries with the highest victim score.
+//! Capacity is striped: each shard holds at most `⌈capacity / shards⌉`
+//! `Ready` entries, scored by **compile-cost × recency**: the stalest
+//! recency generation (the power-of-two bucket of the entry's age in
+//! shard ticks) loses first, and within a generation the entry that was
+//! *cheapest to compile* goes — recompiling it costs the least. Pending
 //! (in-flight) keys live outside the `Ready` table and are structurally
 //! impossible to evict. Explicit [`EmbeddingRegistry::evict`] uses the
 //! same accounting.
@@ -75,12 +77,13 @@
 //! [`EmbeddingRegistry::shard_stats`] exposes the unmerged per-shard
 //! snapshots.
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use xse_core::{CompiledEmbedding, PlanCacheStats, SimilarityMatrix};
+use xse_core::{trim_to_capacity, CompiledEmbedding, PlanCacheStats, SimilarityMatrix};
 use xse_discovery::{find_embedding, DiscoveryConfig};
 use xse_dtd::{Dtd, DtdHash};
 
@@ -241,14 +244,15 @@ struct FastEntry {
     compile_nanos: u64,
 }
 
-/// Cap on the text → hash memo; the memo is cleared wholesale when full
-/// (texts re-canonicalize on their next use), bounding memory against
-/// clients that stream never-repeating DTD texts.
+/// Cap on the text → hash memo, bounding memory against clients that
+/// stream never-repeating DTD texts. Every entry scores the same, so an
+/// overflowing insert drops arbitrary older texts (never the two just
+/// inserted); a dropped text re-canonicalizes on its next use.
 const TEXT_KEY_CAP: usize = 1024;
 
-/// Per-shard cap on the negative cache; when full, expired entries are
-/// purged and, if still full, the entry expiring soonest is dropped —
-/// failing discovery again is correct, just slower.
+/// Per-shard cap on the negative cache. Expired verdicts go first, then
+/// the one expiring soonest, never the one just recorded: failing
+/// discovery again is correct, just slower.
 const NEGATIVE_CAP: usize = 256;
 
 /// Shard state that needs the mutex: single-flight bookkeeping, the
@@ -269,30 +273,24 @@ struct ShardInner {
     evictions: u64,
     compile_nanos: u64,
     /// Plan-cache hit/miss totals of engines already evicted; folded in by
-    /// [`Shard::retire_locked`] so aggregate plan stats survive eviction.
+    /// [`ShardInner::retire`] so aggregate plan stats survive eviction.
     retired_plan_hits: u64,
     retired_plan_misses: u64,
 }
 
 impl ShardInner {
-    /// Record a failed-discovery verdict, bounding the negative cache at
-    /// [`NEGATIVE_CAP`].
-    fn note_failure(&mut self, key: PairKey, expiry: Instant) {
-        if self.negative.len() >= NEGATIVE_CAP && !self.negative.contains_key(&key) {
-            let now = Instant::now();
-            self.negative.retain(|_, e| *e > now);
-            if self.negative.len() >= NEGATIVE_CAP {
-                let soonest = self
-                    .negative
-                    .iter()
-                    .min_by_key(|&(_, e)| *e)
-                    .map(|(k, _)| *k);
-                if let Some(k) = soonest {
-                    self.negative.remove(&k);
-                }
-            }
-        }
-        self.negative.insert(key, expiry);
+    /// Account for an entry just removed from the `Ready` table: fold its
+    /// plan counters into the retired accumulators and count the
+    /// eviction. Callers remove the entry and retire it in one
+    /// `inner`-locked critical section, so a concurrent `stats()` (which
+    /// also holds `inner`) can never observe the engine both live in the
+    /// table and already folded. That ordering is what keeps merged plan
+    /// totals monotone when two shards evict at the same time.
+    fn retire(&mut self, entry: &FastEntry) {
+        let plan = entry.engine.plan_stats();
+        self.retired_plan_hits += plan.hits;
+        self.retired_plan_misses += plan.misses;
+        self.evictions += 1;
     }
 }
 
@@ -331,64 +329,6 @@ impl Shard {
         }
     }
 
-    /// Remove `key` from the `Ready` table, folding the entry's plan
-    /// counters into the retired accumulators. Returns whether an entry
-    /// was actually removed — the eviction counter moves **only** in that
-    /// case, and the fold happens in the same `inner`-locked critical
-    /// section as the removal, so a concurrent `stats()` (which also
-    /// holds `inner`) can never observe the engine both live in the table
-    /// and already folded. That ordering is what keeps merged plan totals
-    /// monotone when two shards evict at the same time.
-    fn retire_locked(&self, inner: &mut ShardInner, key: PairKey) -> bool {
-        let removed = self.fast.write().unwrap().remove(&key);
-        match removed {
-            Some(e) => {
-                let plan = e.engine.plan_stats();
-                inner.retired_plan_hits += plan.hits;
-                inner.retired_plan_misses += plan.misses;
-                inner.evictions += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Evict entries (never `keep`) until at most `capacity` remain,
-    /// choosing victims by compile-cost × recency (see [`more_evictable`]).
-    /// Caller holds `inner`.
-    fn enforce_capacity(&self, inner: &mut ShardInner, capacity: usize, keep: PairKey) {
-        loop {
-            let victim = {
-                let fast = self.fast.read().unwrap();
-                if fast.len() <= capacity {
-                    return;
-                }
-                let now = self.tick.load(Ordering::Relaxed);
-                let mut best: Option<(PairKey, u64, u64)> = None;
-                for (k, e) in fast.iter() {
-                    if *k == keep {
-                        continue;
-                    }
-                    let age = now.saturating_sub(e.last_used.load(Ordering::Relaxed));
-                    let cost = e.compile_nanos.max(1);
-                    let cand = (*k, age, cost);
-                    best = Some(match best {
-                        Some(b) if !more_evictable((cand.1, cand.2, cand.0), (b.1, b.2, b.0)) => b,
-                        _ => cand,
-                    });
-                }
-                best.map(|(k, _, _)| k)
-            };
-            match victim {
-                Some(k) => {
-                    self.retire_locked(inner, k);
-                }
-                // Only `keep` is left; nothing evictable.
-                None => return,
-            }
-        }
-    }
-
     /// One shard's snapshot, taken under its mutex so retire folds can't
     /// be half-observed.
     fn stats(&self) -> RegistryStats {
@@ -419,25 +359,23 @@ impl Shard {
     }
 }
 
-/// The eviction order: is candidate `a` a better victim than `b`?
+/// The `Ready` table's victim score for an entry `age` shard ticks old
+/// whose compile took `cost` nanoseconds; the highest score is evicted
+/// first.
 ///
-/// Both are `(age_in_ticks, compile_cost_nanos, key)`. Ages are grouped
-/// into power-of-two *recency generations*; a staler generation always
-/// loses first, and within a generation the entry that was cheapest to
-/// compile goes (its loss costs the least to undo). The key is a final
-/// deterministic tiebreak so eviction is a pure function of observable
-/// entry state.
-fn more_evictable(a: (u64, u64, PairKey), b: (u64, u64, PairKey)) -> bool {
-    fn generation(age: u64) -> u32 {
-        // floor(log2(age + 1)): 0 is "just used", each generation doubles.
-        63 - age.saturating_add(1).leading_zeros().min(63)
-    }
-    fn key_bits(k: PairKey) -> (u128, u128) {
-        (k.source.as_u128(), k.target.as_u128())
-    }
-    let ga = generation(a.0);
-    let gb = generation(b.0);
-    (ga, std::cmp::Reverse(a.1), key_bits(a.2)) > (gb, std::cmp::Reverse(b.1), key_bits(b.2))
+/// Ages are grouped into power-of-two *recency generations*; a staler
+/// generation always loses first, and within a generation the entry that
+/// was cheapest to compile goes (its loss costs the least to undo). The
+/// key is a final deterministic tiebreak so eviction is a pure function
+/// of observable entry state.
+fn victim_score(age: u64, cost: u64, key: PairKey) -> (u32, Reverse<u64>, (u128, u128)) {
+    // floor(log2(age + 1)): 0 is "just used", each generation doubles.
+    let generation = 63 - age.saturating_add(1).leading_zeros().min(63);
+    (
+        generation,
+        Reverse(cost.max(1)),
+        (key.source.as_u128(), key.target.as_u128()),
+    )
 }
 
 /// Concurrent map from DTD pairs to compiled embeddings, with lock-striped
@@ -547,38 +485,7 @@ impl EmbeddingRegistry {
         source_dtd: &str,
         target_dtd: &str,
     ) -> Result<(PairKey, Arc<CompiledEmbedding>), ServiceError> {
-        // Resolve texts to the canonical key via the memo when possible;
-        // `parsed` stays None on the memoized path and is only needed if
-        // this request ends up compiling.
-        let memo_key = {
-            let memo = self.text_keys.read().unwrap();
-            match (memo.get(source_dtd), memo.get(target_dtd)) {
-                (Some(&s), Some(&t)) => Some(PairKey {
-                    source: s,
-                    target: t,
-                }),
-                _ => None,
-            }
-        };
-        let (key, mut parsed) = match memo_key {
-            Some(key) => (key, None),
-            None => {
-                let source = parse_dtd(source_dtd, "source")?;
-                let target = parse_dtd(target_dtd, "target")?;
-                let key = PairKey {
-                    source: source.content_hash(),
-                    target: target.content_hash(),
-                };
-                let mut memo = self.text_keys.write().unwrap();
-                if memo.len() + 2 > TEXT_KEY_CAP {
-                    memo.clear();
-                }
-                memo.insert(source_dtd.to_string(), key.source);
-                memo.insert(target_dtd.to_string(), key.target);
-                drop(memo);
-                (key, Some((source, target)))
-            }
-        };
+        let (key, mut parsed) = self.resolve(source_dtd, target_dtd)?;
         let shard = self.shard(key);
 
         // The warm fast path: a shared read lock, an Arc clone, and a few
@@ -650,7 +557,10 @@ impl EmbeddingRegistry {
             // negative entry instead of racing into their own searches.
             if let Some(ttl) = self.config.negative_ttl {
                 let mut inner = shard.inner.lock().unwrap();
-                inner.note_failure(key, Instant::now() + ttl);
+                inner.negative.insert(key, Instant::now() + ttl);
+                trim_to_capacity(&mut inner.negative, NEGATIVE_CAP, |k, &expiry| {
+                    (*k != key).then_some(Reverse(expiry))
+                });
             }
             return Err(ServiceError::NoEmbedding);
         };
@@ -662,16 +572,26 @@ impl EmbeddingRegistry {
         inner.compiles += 1;
         inner.compile_nanos += nanos;
         inner.pending.remove(&key);
-        shard.fast.write().unwrap().insert(
-            key,
-            Arc::new(FastEntry {
-                engine: Arc::clone(&engine),
-                hits: AtomicU64::new(0),
-                last_used: AtomicU64::new(tick),
-                compile_nanos: nanos,
-            }),
-        );
-        shard.enforce_capacity(&mut inner, self.shard_capacity, key);
+        let victims = {
+            let mut fast = shard.fast.write().unwrap();
+            fast.insert(
+                key,
+                Arc::new(FastEntry {
+                    engine: Arc::clone(&engine),
+                    hits: AtomicU64::new(0),
+                    last_used: AtomicU64::new(tick),
+                    compile_nanos: nanos,
+                }),
+            );
+            let now = shard.tick.load(Ordering::Relaxed);
+            trim_to_capacity(&mut fast, self.shard_capacity, |k, e| {
+                let age = now.saturating_sub(e.last_used.load(Ordering::Relaxed));
+                (*k != key).then(|| victim_score(age, e.compile_nanos, *k))
+            })
+        };
+        for (_, victim) in &victims {
+            inner.retire(victim);
+        }
         drop(inner);
         shard.compiled.notify_all();
         Ok((key, engine))
@@ -685,7 +605,7 @@ impl EmbeddingRegistry {
     /// # Errors
     /// [`ServiceError::BadDtd`] when either text fails to parse.
     pub fn evict(&self, source_dtd: &str, target_dtd: &str) -> Result<bool, ServiceError> {
-        let key = Self::key_for(source_dtd, target_dtd)?;
+        let (key, _) = self.resolve(source_dtd, target_dtd)?;
         Ok(self.evict_key(key))
     }
 
@@ -694,7 +614,42 @@ impl EmbeddingRegistry {
         let shard = self.shard(key);
         let mut inner = shard.inner.lock().unwrap();
         inner.negative.remove(&key);
-        shard.retire_locked(&mut inner, key)
+        let removed = shard.fast.write().unwrap().remove(&key);
+        if let Some(entry) = &removed {
+            inner.retire(entry);
+        }
+        removed.is_some()
+    }
+
+    /// Resolve both texts to the pair's key through the text memo. A memo
+    /// hit parses nothing and returns `None` for the parsed pair; a miss
+    /// parses both texts (so a bad text is always [`ServiceError::BadDtd`]
+    /// and never enters the memo), memoizes their hashes and returns the
+    /// parsed DTDs for a compile to reuse.
+    fn resolve(
+        &self,
+        source_dtd: &str,
+        target_dtd: &str,
+    ) -> Result<(PairKey, Option<(Dtd, Dtd)>), ServiceError> {
+        {
+            let memo = self.text_keys.read().unwrap();
+            if let (Some(&source), Some(&target)) = (memo.get(source_dtd), memo.get(target_dtd)) {
+                return Ok((PairKey { source, target }, None));
+            }
+        }
+        let source = parse_dtd(source_dtd, "source")?;
+        let target = parse_dtd(target_dtd, "target")?;
+        let key = PairKey {
+            source: source.content_hash(),
+            target: target.content_hash(),
+        };
+        let mut memo = self.text_keys.write().unwrap();
+        memo.insert(source_dtd.to_string(), key.source);
+        memo.insert(target_dtd.to_string(), key.target);
+        trim_to_capacity(&mut memo, TEXT_KEY_CAP, |text, _| {
+            (text != source_dtd && text != target_dtd).then_some(())
+        });
+        Ok((key, Some((source, target))))
     }
 
     /// Point-in-time aggregate counters: the field-wise sum of every
@@ -886,6 +841,93 @@ mod tests {
     }
 
     #[test]
+    fn negative_cache_past_its_cap_drops_expired_verdicts_first() {
+        // New verdicts outlive every synthetic one below.
+        let reg = small_registry_ttl(4, Some(Duration::from_secs(3600)));
+        let synthetic = |i: usize| {
+            let dtd = format!("<!ELEMENT r (n{i})>\n<!ELEMENT n{i} (#PCDATA)>");
+            EmbeddingRegistry::key_for(&dtd, &dtd).unwrap()
+        };
+        let now = Instant::now();
+        let expired = synthetic(0);
+        let unexpired: Vec<PairKey> = (1..NEGATIVE_CAP).map(synthetic).collect();
+        {
+            let mut inner = reg.shards[0].inner.lock().unwrap();
+            inner.negative.insert(expired, now);
+            for (i, k) in unexpired.iter().enumerate() {
+                inner
+                    .negative
+                    .insert(*k, now + Duration::from_secs(60 + i as u64));
+            }
+        }
+        let negative_keys = || -> HashSet<PairKey> {
+            let inner = reg.shards[0].inner.lock().unwrap();
+            inner.negative.keys().copied().collect()
+        };
+
+        // Full with one expired verdict: recording a new one drops it.
+        let (s, t) = impossible_pair();
+        reg.get_or_compile(s, t).unwrap_err();
+        let first = EmbeddingRegistry::key_for(s, t).unwrap();
+        let keys = negative_keys();
+        assert_eq!(keys.len(), NEGATIVE_CAP);
+        assert!(!keys.contains(&expired));
+        assert!(keys.contains(&first));
+        assert!(unexpired.iter().all(|k| keys.contains(k)));
+
+        // Full with none expired: the verdict expiring soonest goes.
+        let (s, t) = (
+            "<!ELEMENT r (a, b, c)>\n<!ELEMENT a (#PCDATA)>\n<!ELEMENT b (#PCDATA)>\n<!ELEMENT c (#PCDATA)>",
+            "<!ELEMENT r (#PCDATA)>",
+        );
+        reg.get_or_compile(s, t).unwrap_err();
+        let second = EmbeddingRegistry::key_for(s, t).unwrap();
+        let keys = negative_keys();
+        assert_eq!(keys.len(), NEGATIVE_CAP);
+        assert!(!keys.contains(&unexpired[0]));
+        assert!(keys.contains(&first) && keys.contains(&second));
+        assert!(unexpired[1..].iter().all(|k| keys.contains(k)));
+        assert_eq!(reg.stats().misses, 2);
+    }
+
+    #[test]
+    fn text_memo_past_its_cap_keeps_resolving_pairs() {
+        let reg = small_registry(4);
+        let (s, t) = wrap_pair();
+        let (key, engine) = reg.get_or_compile(&s, &t).unwrap();
+        // Trailing blanks make a new text with the same canonical hash.
+        for i in 1..=TEXT_KEY_CAP + 64 {
+            let s_i = format!("{s}{}", " ".repeat(i));
+            let (k, e) = reg.get_or_compile(&s_i, &t).unwrap();
+            assert_eq!(k, key);
+            assert!(Arc::ptr_eq(&e, &engine));
+            let memo = reg.text_keys.read().unwrap();
+            assert!(memo.len() <= TEXT_KEY_CAP, "memo grew to {}", memo.len());
+            assert!(memo.contains_key(&s_i) && memo.contains_key(&t));
+        }
+        // An overflow drops single texts; the memo is never cleared.
+        assert_eq!(reg.text_keys.read().unwrap().len(), TEXT_KEY_CAP);
+        let (k, e) = reg.get_or_compile(&s, &t).unwrap();
+        assert_eq!(k, key);
+        assert!(Arc::ptr_eq(&e, &engine));
+        assert!(reg.evict(&s, &t).unwrap());
+        assert!(!reg.evict(&s, &t).unwrap());
+        let st = reg.stats();
+        assert_eq!((st.misses, st.compiles, st.evictions), (1, 1, 1), "{st:?}");
+        assert_eq!(st.hits, TEXT_KEY_CAP as u64 + 65, "{st:?}");
+    }
+
+    #[test]
+    fn evict_reports_bad_dtd_text() {
+        let reg = small_registry(4);
+        let (s, t) = wrap_pair();
+        reg.get_or_compile(&s, &t).unwrap();
+        let err = reg.evict(&s, "<!ELEMENT").unwrap_err();
+        assert!(matches!(err, ServiceError::BadDtd(_)), "{err:?}");
+        assert_eq!(reg.stats().entries, 1);
+    }
+
+    #[test]
     fn eviction_prefers_stale_entries() {
         let reg = small_registry(2);
         // Three distinct identity pairs (a schema always embeds into
@@ -929,15 +971,15 @@ mod tests {
         )
         .unwrap();
         // A whole generation staler always loses, even when far costlier.
-        assert!(more_evictable((7, 1_000_000, ka), (2, 10, kb)));
-        assert!(!more_evictable((2, 10, kb), (7, 1_000_000, ka)));
+        assert!(victim_score(7, 1_000_000, ka) > victim_score(2, 10, kb));
+        assert!(victim_score(2, 10, kb) <= victim_score(7, 1_000_000, ka));
         // Same generation (ages 4..=6 share floor(log2(age+1)) == 2):
         // the cheaper compile is the better victim.
-        assert!(more_evictable((4, 10, ka), (6, 1_000_000, kb)));
-        assert!(!more_evictable((6, 1_000_000, kb), (4, 10, ka)));
+        assert!(victim_score(4, 10, ka) > victim_score(6, 1_000_000, kb));
+        assert!(victim_score(6, 1_000_000, kb) <= victim_score(4, 10, ka));
         // Full tie: broken deterministically by key bits, antisymmetric.
-        let by_key = more_evictable((3, 50, ka), (3, 50, kb));
-        assert_ne!(by_key, more_evictable((3, 50, kb), (3, 50, ka)));
+        let by_key = victim_score(3, 50, ka) > victim_score(3, 50, kb);
+        assert_ne!(by_key, victim_score(3, 50, kb) > victim_score(3, 50, ka));
     }
 
     #[test]
