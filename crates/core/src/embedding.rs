@@ -486,15 +486,7 @@ impl CompiledEmbedding {
         }
         // Disjunction distinguishability (needs all paths resolved).
         let plans = target.mindef_plans();
-        for a in source.types() {
-            crate::validity::check_disjunction_distinguishability(
-                &source,
-                &target,
-                a,
-                &resolved[a.index()],
-                &plans,
-            )?;
-        }
+        crate::validity::check_disjunction_distinguishability(&source, &target, &resolved, &plans)?;
         let chains = crate::translate::chain_tables(&target, &resolved);
         Ok(CompiledEmbedding {
             source,

@@ -81,7 +81,11 @@ impl SimilarityMatrix {
             .map(|b| (b, self.get(a, b)))
             .filter(|&(_, v)| v > 0.0)
             .collect();
-        out.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        // The row is scanned in declaration order, so a stable sort by
+        // weight alone keeps ties in that order. Stable on purpose: a name
+        // matcher's row is one or two runs of equal weights, which a stable
+        // sort merges in linear time.
+        out.sort_by(|x, y| y.1.total_cmp(&x.1));
         out
     }
 

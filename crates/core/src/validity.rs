@@ -199,65 +199,90 @@ impl crate::resolve::PathClass {
     }
 }
 
-/// Distinguishability of disjunction alternatives (DESIGN.md §3): for each
-/// alternative `j` (and for the `ε` choice), build the *static* fragment it
-/// produces — its chain plus minimum-default completion, with the hot leaf
-/// opaque — and verify no *other* alternative's path navigates inside it.
-/// Without this, default padding could alias a choice and `σd⁻¹` / `Tr`
-/// would mis-resolve disjunctions (the paper's conditions leave this corner
-/// open; rejecting such embeddings is conservative).
-pub(crate) fn check_disjunction_distinguishability(
-    source: &Dtd,
-    target: &Dtd,
-    a: TypeId,
-    paths: &[crate::resolve::ResolvedPath],
-    plans: &[xse_dtd::MindefPlan],
-) -> Result<(), EmbeddingError> {
-    use crate::pfrag::{materialize, Emitter, Fragment, Terminal};
-    let Production::Disjunction { alts, allows_empty } = source.production(a) else {
-        return Ok(());
-    };
-    if paths.is_empty() {
-        return Ok(());
-    }
-    let origin = paths[0].origin;
-    let mut scenarios: Vec<Option<usize>> = (0..alts.len()).map(Some).collect();
-    if *allows_empty {
-        scenarios.push(None);
-    }
-    for &scn in &scenarios {
-        let mut frag = Fragment::new(origin);
-        if let Some(j) = scn {
-            frag.add_chain(&paths[j], Terminal::Opaque);
-        }
-        let mut tree = xse_xmltree::XmlTree::new(target.name(origin));
-        let tags: Vec<xse_xmltree::TagId> = target
+/// The tree the static fragments of [`check_disjunction_distinguishability`]
+/// are materialized into, with every target type's tag interned.
+struct ScenarioTree {
+    tree: xse_xmltree::XmlTree,
+    /// `tags[ty.index()]` is target type `ty`'s tag in `tree`.
+    tags: Vec<xse_xmltree::TagId>,
+}
+
+impl ScenarioTree {
+    fn new(target: &Dtd) -> Self {
+        // Navigation never reads the root's tag, so one root serves every
+        // origin type.
+        let mut tree = xse_xmltree::XmlTree::new(target.name(target.root()));
+        let tags = target
             .types()
             .map(|ty| tree.intern_tag(target.name(ty)))
             .collect();
+        ScenarioTree { tree, tags }
+    }
+}
+
+/// Distinguishability of disjunction alternatives (DESIGN.md §3): for each
+/// disjunction type and each alternative `j` (and the `ε` choice), build the
+/// *static* fragment it produces — its chain plus minimum-default
+/// completion, with the hot leaf opaque — and verify no *other*
+/// alternative's path navigates inside it. Without this, default padding
+/// could alias a choice and `σd⁻¹` / `Tr` would mis-resolve disjunctions
+/// (the paper's conditions leave this corner open; rejecting such
+/// embeddings is conservative). `resolved` holds every source type's paths.
+pub(crate) fn check_disjunction_distinguishability(
+    source: &Dtd,
+    target: &Dtd,
+    resolved: &[Vec<crate::resolve::ResolvedPath>],
+    plans: &[xse_dtd::MindefPlan],
+) -> Result<(), EmbeddingError> {
+    use crate::pfrag::{materialize, Emitter, Fragment, Terminal};
+    // Every scenario of every type materializes into one tree, built on
+    // first use and reset to its root in between, so the target's tags are
+    // interned once per compile.
+    let mut scratch: Option<ScenarioTree> = None;
+    for a in source.types() {
+        let Production::Disjunction { alts, allows_empty } = source.production(a) else {
+            continue;
+        };
+        let paths = &resolved[a.index()];
+        if paths.is_empty() {
+            continue;
+        }
+        let origin = paths[0].origin;
+        let mut scenarios: Vec<Option<usize>> = (0..alts.len()).map(Some).collect();
+        if *allows_empty {
+            scenarios.push(None);
+        }
+        let ScenarioTree { tree, tags } = scratch.get_or_insert_with(|| ScenarioTree::new(target));
         let em = Emitter {
             target,
             plans,
-            tags: &tags,
+            tags,
             // Static fragments carry no instance values.
             src: None,
         };
-        let root = tree.root();
-        let (mut hot, mut texts) = (Vec::new(), Vec::new());
-        materialize(frag, &em, &mut tree, root, &mut hot, &mut texts);
-        for (i, p) in paths.iter().enumerate() {
-            if scn == Some(i) {
-                continue;
+        for &scn in &scenarios {
+            let mut frag = Fragment::new(origin);
+            if let Some(j) = scn {
+                frag.add_chain(&paths[j], Terminal::Opaque);
             }
-            if crate::inverse::navigate(target, &tree, root, &p.steps).is_some() {
-                return Err(EmbeddingError::AlternativeAliased {
-                    ty: source.name(a).to_string(),
-                    probe: p.display(target),
-                    scenario: match scn {
-                        Some(j) => source.name(alts[j]).to_string(),
-                        None => "ε".into(),
-                    },
-                });
+            tree.reset_to_root();
+            let root = tree.root();
+            let (mut hot, mut texts) = (Vec::new(), Vec::new());
+            materialize(frag, &em, tree, root, &mut hot, &mut texts);
+            for (i, p) in paths.iter().enumerate() {
+                if scn == Some(i) {
+                    continue;
+                }
+                if crate::inverse::navigate(target, tree, root, &p.steps).is_some() {
+                    return Err(EmbeddingError::AlternativeAliased {
+                        ty: source.name(a).to_string(),
+                        probe: p.display(target),
+                        scenario: match scn {
+                            Some(j) => source.name(alts[j]).to_string(),
+                            None => "ε".into(),
+                        },
+                    });
+                }
             }
         }
     }
@@ -529,6 +554,102 @@ mod tests {
         let rp = e.path(s1.root(), 0);
         assert_eq!(rp.steps[0].pos, None);
         assert_eq!(rp.steps[1].pos, Some(1));
+    }
+
+    #[test]
+    fn epsilon_scenario_mindef_aliasing_an_alternative_is_rejected() {
+        // Source: A → (B + C + ε). Target: A' → X, X → (B' + C'). Both
+        // alternatives route through X, so an A element whose choice is ε
+        // still gets X — completed with its minimum default, the first
+        // alternative B' — and that static fragment contains path(A, B).
+        let s1 = Dtd::builder("A")
+            .disjunction_opt("A", &["B", "C"])
+            .empty("B")
+            .empty("C")
+            .build()
+            .unwrap();
+        let s2 = Dtd::builder("A")
+            .concat("A", &["X"])
+            .disjunction("X", &["B", "C"])
+            .empty("B")
+            .empty("C")
+            .build()
+            .unwrap();
+        let lambda = TypeMapping::by_same_name(&s1, &s2).unwrap();
+        let e = try_embed(&s1, &s2, lambda, &[("A", "B", "X/B"), ("A", "C", "X/C")]).unwrap_err();
+        match e {
+            EmbeddingError::AlternativeAliased {
+                ty,
+                probe,
+                scenario,
+            } => {
+                assert_eq!(ty, "A");
+                assert_eq!(probe, "X[position() = 1]/B[position() = 1]");
+                assert_eq!(scenario, "ε");
+            }
+            other => panic!("expected AlternativeAliased, got {other}"),
+        }
+    }
+
+    /// Target for the scenario-isolation cases: two disjunctions under
+    /// the root, `P → (B + C)` and `Q → (E + F)`.
+    fn two_disjunction_target() -> Dtd {
+        Dtd::builder("R")
+            .concat("R", &["P", "Q"])
+            .disjunction("P", &["B", "C"])
+            .disjunction("Q", &["E", "F"])
+            .empty("B")
+            .empty("C")
+            .empty("E")
+            .empty("F")
+            .build()
+            .unwrap()
+    }
+
+    /// Compile `R → D1, …, Dn` into [`two_disjunction_target`]: each
+    /// `(D, image, [X, Y])` is a source disjunction `D → (X + Y)` mapped to
+    /// `image`, its alternatives to the same-named target types.
+    fn verdict(types: &[(&str, &str, [&str; 2])]) -> Result<usize, EmbeddingError> {
+        let s2 = two_disjunction_target();
+        let names: Vec<&str> = types.iter().map(|t| t.0).collect();
+        let mut b = Dtd::builder("R").concat("R", &names);
+        for (d, _, alts) in types {
+            b = b.disjunction(d, alts);
+        }
+        for (_, _, alts) in types {
+            for leaf in alts {
+                b = b.empty(leaf);
+            }
+        }
+        let s1 = b.build().unwrap();
+        let mut pairs = vec![("R", "R")];
+        let mut edges = Vec::new();
+        for (d, image, alts) in types {
+            pairs.push((d, image));
+            edges.push(("R", *d, *image));
+            for leaf in alts {
+                pairs.push((leaf, leaf));
+                edges.push((*d, *leaf, *leaf));
+            }
+        }
+        let lambda = TypeMapping::by_name_pairs(&s1, &s2, &pairs).unwrap();
+        try_embed(&s1, &s2, lambda, &edges)
+    }
+
+    #[test]
+    fn disjunction_scenarios_are_checked_in_isolation() {
+        // Each disjunction type is distinguishable alone; checking both in
+        // one compile (one scenario tree, reset between scenarios) must
+        // reach the same verdict: nothing from one scenario may linger
+        // into the next.
+        let d1 = ("D1", "P", ["B", "C"]);
+        let d2 = ("D2", "Q", ["E", "F"]);
+        let alone_1 = verdict(&[d1]);
+        let alone_2 = verdict(&[d2]);
+        let both = verdict(&[d1, d2]);
+        assert_eq!(alone_1.as_ref().ok(), Some(&3), "{alone_1:?}");
+        assert_eq!(alone_2.as_ref().ok(), Some(&3), "{alone_2:?}");
+        assert_eq!(both.as_ref().ok(), Some(&6), "{both:?}");
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! The path search needs to answer, per candidate extension, "can this node
 //! still reach the required endpoint through a path of the required kind?"
 //! — four closures over the (node × flag) product graphs, each computed by
-//! one BFS per node, `O(|E2|·(|E2|+edges))` overall.
+//! one BFS per node, `O(|E2|·(|E2|+edges))` overall — and "which extensions
+//! are there?", the expansion table. Both are built once per discovery.
+
+use std::sync::Arc;
 
 use xse_dtd::{Dtd, EdgeKind, EdgeTarget, Production, SchemaGraph, TypeId};
 
@@ -37,7 +40,79 @@ impl ReachMatrix {
     }
 }
 
-/// The four per-kind closures plus the `str`-reach vector.
+/// One way the path search can extend a path at a target type: a step to
+/// `child` over an edge of kind `kind`, at position `pos`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Expansion {
+    /// The child type stepped to.
+    pub(crate) child: TypeId,
+    /// The kind of the edge crossed.
+    pub(crate) kind: EdgeKind,
+    /// `Some(k)` for the `k`-th of a concatenation's repeated children and
+    /// `Some(1)` (the canonical pin) for a star edge; `None` otherwise.
+    pub(crate) pos: Option<usize>,
+}
+
+/// Per target type, its [`Expansion`]s in production order, plus one shared
+/// step label per type.
+pub(crate) struct ExpansionTable {
+    /// `edges[spans[t] .. spans[t + 1]]` are type `t`'s expansions.
+    spans: Vec<usize>,
+    edges: Vec<Expansion>,
+    labels: Vec<Arc<str>>,
+}
+
+impl ExpansionTable {
+    /// Build the table for `target`.
+    pub(crate) fn new(target: &Dtd, graph: &SchemaGraph) -> Self {
+        let mut spans = Vec::with_capacity(target.type_count() + 1);
+        let mut edges = Vec::new();
+        for t in target.types() {
+            spans.push(edges.len());
+            let out = graph.edges_from(t);
+            for e in out {
+                let EdgeTarget::Type(child) = e.target else {
+                    continue;
+                };
+                let pos = match e.kind {
+                    EdgeKind::And { occurrence } => {
+                        let repeated = out.iter().any(|f| {
+                            f.target == e.target && f.kind == EdgeKind::And { occurrence: 2 }
+                        });
+                        repeated.then_some(occurrence as usize)
+                    }
+                    EdgeKind::Or => None,
+                    EdgeKind::Star => Some(1),
+                };
+                edges.push(Expansion {
+                    child,
+                    kind: e.kind,
+                    pos,
+                });
+            }
+        }
+        spans.push(edges.len());
+        let labels = target.types().map(|t| target.name(t).into()).collect();
+        ExpansionTable {
+            spans,
+            edges,
+            labels,
+        }
+    }
+
+    /// `t`'s expansions, in production order.
+    pub(crate) fn of(&self, t: TypeId) -> &[Expansion] {
+        &self.edges[self.spans[t.index()]..self.spans[t.index() + 1]]
+    }
+
+    /// The step label of type `t`, shared by every path that steps to it.
+    pub(crate) fn label(&self, t: TypeId) -> &Arc<str> {
+        &self.labels[t.index()]
+    }
+}
+
+/// The four per-kind closures, the `str`-reach vector and the expansion
+/// table.
 pub struct ReachIndex {
     /// Reachable via nonempty solid-only (AND/STAR) paths.
     pub solid: ReachMatrix,
@@ -50,6 +125,8 @@ pub struct ReachIndex {
     /// Node can reach (or is) a type with a `str` production through a
     /// solid-only (possibly empty) path — feasibility of `path(A, str)`.
     pub str_solid: Vec<bool>,
+    /// Each type's outgoing steps, for the path search's DFS.
+    pub(crate) expansions: ExpansionTable,
 }
 
 impl ReachIndex {
@@ -120,6 +197,7 @@ impl ReachIndex {
             any,
             with_or,
             str_solid,
+            expansions: ExpansionTable::new(target, graph),
         }
     }
 }

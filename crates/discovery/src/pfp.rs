@@ -17,13 +17,15 @@
 //! how two fixed source children land in repetitions 1 and 2 of one target
 //! star, the Figure 3(c) pattern generalized).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use xse_dtd::{Dtd, EdgeKind, EdgeTarget, Production, SchemaGraph, TypeId};
 use xse_rxpath::{PathStep, XrPath};
 
-use crate::index::ReachIndex;
+use crate::index::{Expansion, ReachIndex};
 
 /// The kind of path an edge requires.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -91,6 +93,9 @@ pub fn solve(
         idx,
         cfg,
         rng,
+        visited: vec![false; target.type_count() * 4],
+        steps: Vec::new(),
+        pending: Vec::new(),
     };
     // Candidate lists per requirement.
     let mut candidates: Vec<Vec<XrPath>> = Vec::with_capacity(reqs.len());
@@ -296,17 +301,24 @@ fn bump_star(path: &XrPath, i: usize) -> Option<XrPath> {
     Some(out)
 }
 
-/// DFS candidate enumeration.
+/// DFS candidate enumeration. The buffers are reused across requirements.
 struct Enumerator<'a> {
     target: &'a Dtd,
     idx: &'a ReachIndex,
     cfg: &'a PfpConfig,
     rng: Option<&'a mut StdRng>,
+    /// `(type, star, or)` states on the current path; all `false` between
+    /// requirements.
+    visited: Vec<bool>,
+    /// The current path.
+    steps: Vec<PathStep>,
+    /// The expansions of every node on the current path, each node's in
+    /// one slice, shuffled in place.
+    pending: Vec<Expansion>,
 }
 
 impl<'a> Enumerator<'a> {
     fn enumerate(&mut self, origin: TypeId, req: PathReq) -> Vec<XrPath> {
-        let n = self.target.type_count();
         let mut out: Vec<XrPath> = Vec::new();
         let mut budget = self.cfg.expansion_budget;
 
@@ -314,33 +326,16 @@ impl<'a> Enumerator<'a> {
         if req.kind == ReqKind::Text && matches!(self.target.production(origin), Production::Str) {
             out.push(XrPath::with_text(Vec::new()));
         }
-
-        // Stack frames: (type, star_seen, or_seen, steps-so-far).
-        // visited guards (type, star, or) states along the current path.
-        let mut steps: Vec<PathStep> = Vec::new();
-        let mut visited = vec![false; n * 4];
-        self.dfs(
-            origin,
-            false,
-            false,
-            req,
-            &mut steps,
-            &mut visited,
-            &mut out,
-            &mut budget,
-        );
+        self.dfs(origin, false, false, req, &mut out, &mut budget);
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn dfs(
         &mut self,
         at: TypeId,
         star: bool,
         or: bool,
         req: PathReq,
-        steps: &mut Vec<PathStep>,
-        visited: &mut Vec<bool>,
         out: &mut Vec<XrPath>,
         budget: &mut usize,
     ) {
@@ -349,13 +344,13 @@ impl<'a> Enumerator<'a> {
         }
         *budget -= 1;
         let state = at.index() * 4 + usize::from(star) * 2 + usize::from(or);
-        if visited[state] {
+        if self.visited[state] {
             return;
         }
-        visited[state] = true;
+        self.visited[state] = true;
 
         // Emit if the requirement is satisfied here.
-        if !steps.is_empty() {
+        if !self.steps.is_empty() {
             let emit = match req.kind {
                 ReqKind::And => at == req.endpoint && !or,
                 ReqKind::Or => at == req.endpoint && or,
@@ -363,7 +358,7 @@ impl<'a> Enumerator<'a> {
                 ReqKind::Text => !or && matches!(self.target.production(at), Production::Str),
             };
             if emit {
-                let mut p = XrPath::new(steps.clone());
+                let mut p = XrPath::new(self.steps.clone());
                 if req.kind == ReqKind::Text {
                     p.text_tail = true;
                 }
@@ -371,57 +366,16 @@ impl<'a> Enumerator<'a> {
             }
         }
 
-        // Expansion, pruned by feasibility.
-        let mut edges: Vec<(TypeId, EdgeKind, Option<usize>)> = Vec::new();
-        match self.target.production(at) {
-            Production::Concat(cs) => {
-                let mut occ: std::collections::HashMap<TypeId, usize> =
-                    std::collections::HashMap::new();
-                let repeated: std::collections::HashSet<TypeId> = {
-                    let mut seen = std::collections::HashSet::new();
-                    let mut rep = std::collections::HashSet::new();
-                    for &c in cs {
-                        if !seen.insert(c) {
-                            rep.insert(c);
-                        }
-                    }
-                    rep
-                };
-                for &c in cs {
-                    let k = occ.entry(c).or_insert(0);
-                    *k += 1;
-                    let pos = repeated.contains(&c).then_some(*k);
-                    edges.push((
-                        c,
-                        EdgeKind::And {
-                            occurrence: *k as u32,
-                        },
-                        pos,
-                    ));
-                }
-            }
-            Production::Disjunction { alts, .. } => {
-                for &c in alts {
-                    edges.push((c, EdgeKind::Or, None));
-                }
-            }
-            Production::Star(b) => {
-                // Positions: canonical pin to 1 — except the *first* star
-                // crossing of a STAR requirement, which is the multiplicity
-                // point and must stay open.
-                let pos = if req.kind == ReqKind::Star && !star {
-                    None
-                } else {
-                    Some(1)
-                };
-                edges.push((*b, EdgeKind::Star, pos));
-            }
-            Production::Str | Production::Empty => {}
-        }
+        // Expansion, pruned by feasibility. Deeper nodes push their
+        // expansions after this node's slice and truncate back to it.
+        let start = self.pending.len();
+        self.pending.extend_from_slice(self.idx.expansions.of(at));
+        let end = self.pending.len();
         if let Some(rng) = self.rng.as_deref_mut() {
-            edges.shuffle(rng);
+            self.pending[start..].shuffle(rng);
         }
-        for (child, kind, pos) in edges {
+        for i in start..end {
+            let Expansion { child, kind, pos } = self.pending[i];
             if kind.is_or() && !matches!(req.kind, ReqKind::Or) {
                 continue; // AND/STAR/Text paths are solid-only
             }
@@ -430,14 +384,23 @@ impl<'a> Enumerator<'a> {
             if !self.feasible(child, nstar, nor, req) {
                 continue;
             }
-            steps.push(PathStep {
-                label: self.target.name(child).into(),
+            // The first star crossing of a STAR requirement is the
+            // multiplicity point and stays open; every other star step
+            // keeps the canonical pin.
+            let pos = if kind.is_star() && req.kind == ReqKind::Star && !star {
+                None
+            } else {
+                pos
+            };
+            self.steps.push(PathStep {
+                label: Arc::clone(self.idx.expansions.label(child)),
                 pos,
             });
-            self.dfs(child, nstar, nor, req, steps, visited, out, budget);
-            steps.pop();
+            self.dfs(child, nstar, nor, req, out, budget);
+            self.steps.pop();
         }
-        visited[state] = false;
+        self.pending.truncate(start);
+        self.visited[state] = false;
     }
 
     /// Can the requirement still complete from `at` with the given flags

@@ -246,6 +246,85 @@ pub fn find_embedding_with_stats(
     (winner, stats)
 }
 
+/// One unmapped child's candidate targets in strategy order, sorted only as
+/// far as the combination loop reads it. The loop usually tries entry 0
+/// alone, while a row of the registry's similarity matrix holds every
+/// target type.
+struct CandidateOrder {
+    /// `(key, rank, target)`: `rank` is the candidate's index in
+    /// [`SimilarityMatrix::candidates`] order. `keyed[..sorted]` is final;
+    /// the rest is in no particular order.
+    keyed: Vec<(f64, u32, TypeId)>,
+    sorted: usize,
+}
+
+/// Descending key, ties by rank: a total order, so an unstable sort gives
+/// exactly the order a stable sort by key alone gives. `total_cmp`: a NaN
+/// weight (possible only through a buggy upstream matrix) must never panic
+/// the search.
+fn by_key_then_rank(x: &(f64, u32, TypeId), y: &(f64, u32, TypeId)) -> std::cmp::Ordering {
+    y.0.total_cmp(&x.0).then(x.1.cmp(&y.1))
+}
+
+impl CandidateOrder {
+    /// `cands` in [`SimilarityMatrix::candidates`] order. With
+    /// `shuffle = Some((rng, bias))`, each candidate is keyed
+    /// `random() · bias + att` — one draw per candidate, in `cands` order —
+    /// and the order is by descending key; without, it is `cands`' order.
+    fn new(cands: Vec<(TypeId, f64)>, shuffle: Option<(&mut StdRng, f64)>) -> Self {
+        let ranked = cands.into_iter().enumerate();
+        match shuffle {
+            Some((rng, bias)) => CandidateOrder {
+                keyed: ranked
+                    .map(|(r, (t, w))| (rng.random::<f64>() * bias + w, r as u32, t))
+                    .collect(),
+                sorted: 0,
+            },
+            None => {
+                let keyed: Vec<_> = ranked.map(|(r, (t, w))| (w, r as u32, t)).collect();
+                CandidateOrder {
+                    sorted: keyed.len(),
+                    keyed,
+                }
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keyed.len()
+    }
+
+    /// Move `want` (if it is a candidate) to the front, keeping the order
+    /// of the others.
+    fn promote(&mut self, want: TypeId) {
+        if let Some(p) = self.keyed.iter().position(|&(_, _, t)| t == want) {
+            self.keyed[..=p].rotate_right(1);
+            if p >= self.sorted {
+                // `want` was not in the final prefix, which therefore holds
+                // the first entries of the others' order: keep it, after
+                // `want`.
+                self.sorted += 1;
+            }
+        }
+    }
+
+    /// The `i`-th candidate.
+    fn get(&mut self, i: usize) -> TypeId {
+        if i >= self.sorted {
+            // Grow the final prefix at least geometrically, so reading the
+            // whole list costs O(n log n), like one full sort.
+            let rest = &mut self.keyed[self.sorted..];
+            let take = (i + 1 - self.sorted).max(self.sorted).min(rest.len());
+            if take < rest.len() {
+                rest.select_nth_unstable_by(take - 1, by_key_then_rank);
+            }
+            rest[..take].sort_unstable_by(by_key_then_rank);
+            self.sorted += take;
+        }
+        self.keyed[i].2
+    }
+}
+
 struct Env<'e> {
     source: &'e Dtd,
     target: &'e Dtd,
@@ -412,9 +491,12 @@ impl<'e> Env<'e> {
             }
         }
         // Candidate lists per unmapped child, strategy-ordered.
-        let mut cand_lists: Vec<Vec<TypeId>> = Vec::with_capacity(unmapped.len());
+        let mut cand_lists: Vec<CandidateOrder> = Vec::with_capacity(unmapped.len());
         for &c in &unmapped {
-            let mut cands: Vec<(TypeId, f64)> = self.att.candidates(c);
+            let cands: Vec<(TypeId, f64)> = self.att.candidates(c);
+            if cands.is_empty() {
+                return false;
+            }
             // Greedy assembly has no cross-type backtracking; restarts must
             // therefore explore *different* orders. The first attempt of the
             // deterministic strategies is pure; later restarts perturb the
@@ -425,31 +507,15 @@ impl<'e> Env<'e> {
                 self.cfg.strategy,
                 Strategy::QualityOrdered | Strategy::IndependentSet
             ) && attempt == 0;
-            if !pure {
-                let bias = match self.cfg.strategy {
-                    Strategy::Random => 0.25,
-                    _ => 1.0, // stay strongly quality-biased on restarts
-                };
-                let mut keyed: Vec<(f64, TypeId)> = cands
-                    .iter()
-                    .map(|&(t, w)| (rng.random::<f64>() * bias + w, t))
-                    .collect();
-                // total_cmp: a NaN weight (possible only through a buggy
-                // upstream matrix) must never panic the search.
-                keyed.sort_by(|x, y| y.0.total_cmp(&x.0));
-                cands = keyed.into_iter().map(|(w, t)| (t, w)).collect();
-            }
-            if cands.is_empty() {
-                return false;
-            }
-            let mut list: Vec<TypeId> = cands.into_iter().map(|(t, _)| t).collect();
+            let bias = match self.cfg.strategy {
+                Strategy::Random => 0.25,
+                _ => 1.0, // stay strongly quality-biased on restarts
+            };
+            let mut list = CandidateOrder::new(cands, (!pure).then_some((&mut *rng, bias)));
             // Promote the Independent-Set suggestion (when present) to the
             // front of the candidate list: tried first, repaired by search.
             if let Some(want) = seed_lambda.and_then(|s| s[c.index()]) {
-                if let Some(p) = list.iter().position(|&t| t == want) {
-                    list.remove(p);
-                    list.insert(0, want);
-                }
+                list.promote(want);
             }
             cand_lists.push(list);
         }
@@ -459,7 +525,7 @@ impl<'e> Env<'e> {
         for _ in 0..self.cfg.max_combos.max(1) {
             // Tentatively assign.
             for (i, &c) in unmapped.iter().enumerate() {
-                lambda[c.index()] = Some(cand_lists[i][combo[i]]);
+                lambda[c.index()] = Some(cand_lists[i].get(combo[i]));
             }
             stats.local_solves += 1;
             if let Some(solved) = self.try_paths(rng, a, la, lambda) {
@@ -618,6 +684,36 @@ mod tests {
             .build()
             .unwrap();
         (s1, s2)
+    }
+
+    #[test]
+    fn candidate_order_matches_a_full_stable_sort() {
+        // Weights with ties, as a name matcher's row has them.
+        let cands: Vec<(TypeId, f64)> = (0..40)
+            .map(|i| (TypeId::from_index(i), [1.0, 0.25, 0.25, 0.5][i % 4]))
+            .collect();
+        for (bias, promote) in [(0.25, None), (1.0, Some(17)), (0.0, Some(3))] {
+            // The reference: one draw per candidate, then a stable sort by
+            // key, then the promoted target moved to the front.
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut keyed: Vec<(f64, TypeId)> = cands
+                .iter()
+                .map(|&(t, w)| (rng.random::<f64>() * bias + w, t))
+                .collect();
+            keyed.sort_by(|x, y| y.0.total_cmp(&x.0));
+            let mut want: Vec<TypeId> = keyed.into_iter().map(|(_, t)| t).collect();
+            if let Some(p) = promote.and_then(|i| want.iter().position(|t| t.index() == i)) {
+                let t = want.remove(p);
+                want.insert(0, t);
+            }
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut order = CandidateOrder::new(cands.clone(), Some((&mut rng, bias)));
+            if let Some(i) = promote {
+                order.promote(TypeId::from_index(i));
+            }
+            let got: Vec<TypeId> = (0..order.len()).map(|i| order.get(i)).collect();
+            assert_eq!(got, want, "bias {bias}, promote {promote:?}");
+        }
     }
 
     #[test]

@@ -108,7 +108,8 @@ const SMALL_FANOUT: usize = 16;
 ///
 /// The tree always has a root element (created by [`XmlTree::new`]). Nodes
 /// are appended with [`XmlTree::add_element`] / [`XmlTree::add_text`] and are
-/// never removed, so every [`NodeId`] stays valid. Appends maintain cheap
+/// never removed one by one, so every [`NodeId`] stays valid until
+/// [`XmlTree::reset_to_root`] drops them all. Appends maintain cheap
 /// intrusive sibling links; the first traversal after a batch of mutations
 /// compacts them into CSR spans ([`XmlTree::freeze`]), after which
 /// [`XmlTree::children`] is a contiguous slice.
@@ -159,6 +160,21 @@ impl XmlTree {
     pub fn reserve(&mut self, nodes: usize, text_bytes: usize) {
         self.nodes.reserve(nodes);
         self.text.reserve(text_bytes);
+    }
+
+    /// Drop every node except the root, and all text, keeping the root's
+    /// tag, the symbol table and the arena's allocations. Every interned
+    /// [`TagId`] stays valid; every other [`NodeId`] does not. A tree
+    /// rebuilt many times over (one per check, say) is reset instead of
+    /// reallocated and re-interned.
+    pub fn reset_to_root(&mut self) {
+        self.invalidate();
+        self.nodes.truncate(1);
+        let root = &mut self.nodes[0];
+        root.first_child = NIL;
+        root.last_child = NIL;
+        root.child_count = 0;
+        self.text.clear();
     }
 
     /// The root node id.
@@ -1026,6 +1042,33 @@ mod tests {
                 NodeKind::Text("CS331"),
             ]
         );
+    }
+
+    #[test]
+    fn reset_to_root_keeps_root_and_tags_only() {
+        let (mut t, class, _) = school();
+        let _ = t.children(class); // build the CSR before the reset
+        let class_tag = t.tag_id("class").unwrap();
+        t.reset_to_root();
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.tag(t.root()), Some("db"));
+        assert_eq!(t.text_bytes(), 0);
+        assert!(t.children(t.root()).is_empty());
+        assert_eq!(t.child_count(t.root()), 0);
+        // Interned tags survive, with the same ids.
+        assert_eq!(t.tag_id("class"), Some(class_tag));
+        assert!(t.tag_id("cno").is_some());
+        // Rebuilt from the root, the tree equals a fresh one.
+        let a = t.add_element_tag(t.root(), class_tag);
+        let b = t.add_element(t.root(), "title");
+        t.add_text(b, "x");
+        assert_eq!(t.children(t.root()), &[a, b]);
+        assert!(t.children(a).is_empty());
+        let mut fresh = XmlTree::new("db");
+        fresh.add_element(fresh.root(), "class");
+        let fb = fresh.add_element(fresh.root(), "title");
+        fresh.add_text(fb, "x");
+        assert!(t.equals(&fresh));
     }
 
     #[test]
