@@ -390,6 +390,8 @@ pub struct CompiledEmbedding {
     pub(crate) target: Arc<Dtd>,
     pub(crate) src_graph: SchemaGraph,
     pub(crate) lambda: TypeMapping,
+    /// The syntactic path function the engine was validated from.
+    pub(crate) paths: PathMapping,
     /// Resolved, normalized paths per `(source type, edge slot)`.
     pub(crate) resolved: Vec<Vec<ResolvedPath>>,
     /// The target's minimum-default plans (one `mindef_plans()` call ever).
@@ -493,6 +495,7 @@ impl CompiledEmbedding {
             target,
             src_graph,
             lambda,
+            paths,
             resolved,
             plans,
             chains,
@@ -543,6 +546,19 @@ impl CompiledEmbedding {
     /// `λ(a)`.
     pub fn lambda(&self, a: TypeId) -> TypeId {
         self.lambda.get(a)
+    }
+
+    /// The whole type mapping `λ` the engine was validated from.
+    pub fn type_mapping(&self) -> &TypeMapping {
+        &self.lambda
+    }
+
+    /// The path function exactly as it was given, before resolution and
+    /// normalization. Passed back to [`CompiledEmbedding::new`] with
+    /// [`type_mapping`](Self::type_mapping) and the two DTDs, it rebuilds
+    /// this engine without searching for it again.
+    pub fn path_mapping(&self) -> &PathMapping {
+        &self.paths
     }
 
     /// The resolved path of edge `slot` of source type `a`.
@@ -664,6 +680,28 @@ pub(crate) mod tests {
             "{desc}"
         );
         assert!(desc.contains("path(b, c) = c2/c[position() = 1]"), "{desc}");
+    }
+
+    #[test]
+    fn kept_mappings_rebuild_the_same_engine() {
+        let (s1, s2) = wrap();
+        let e = wrap_compiled(&s1, &s2);
+        let rebuilt = CompiledEmbedding::new(
+            e.source_arc(),
+            e.target_arc(),
+            e.type_mapping().clone(),
+            e.path_mapping().clone(),
+        )
+        .unwrap();
+        assert_eq!(rebuilt.describe(), e.describe());
+        assert_eq!(rebuilt.size(), e.size());
+        // The kept paths are the given ones, not their normalized forms.
+        let r = s1.type_id("r").unwrap();
+        assert_eq!(e.path_mapping().get(r, 0).to_string(), "x/a");
+        assert_eq!(
+            e.path(r, 0).display(&s2),
+            "x[position() = 1]/a[position() = 1]"
+        );
     }
 
     #[test]

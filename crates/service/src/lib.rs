@@ -76,6 +76,11 @@
 //! | `0x05` | `stats`     | —                       |
 //! | `0x06` | `evict`     | `s`, `t`                |
 //!
+//! `evict` drops the pair's cached engine and any failed-discovery
+//! verdict. A found embedding's `(λ, path)` stays, so the next request
+//! rebuilds the same engine without searching again (see the
+//! [`registry`] docs).
+//!
 //! Response opcodes (server → client):
 //!
 //! | opcode | name         | fields                                        |

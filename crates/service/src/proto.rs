@@ -191,7 +191,8 @@ pub struct StatsWire {
     pub hits: u64,
     /// Cache misses that triggered a compile.
     pub misses: u64,
-    /// Completed compilations.
+    /// Engines built, by discovery or by a rebuild from a kept discovery
+    /// verdict.
     pub compiles: u64,
     /// Requests that waited on another request's in-flight compile.
     pub single_flight_waits: u64,
@@ -200,7 +201,8 @@ pub struct StatsWire {
     pub evictions: u64,
     /// Entries currently cached.
     pub entries: u64,
-    /// Total nanoseconds spent compiling.
+    /// Total nanoseconds spent building engines: discovery, including
+    /// failed runs, or rebuild.
     pub compile_nanos: u64,
     /// Translation-plan cache hits, aggregated across all engines the
     /// registry ever held (evicted engines' counters are retained).
@@ -209,8 +211,9 @@ pub struct StatsWire {
     pub plan_misses: u64,
     /// Plans currently cached across live engines.
     pub plan_entries: u64,
-    /// Requests short-circuited by the negative cache (a recent discovery
-    /// failure for the same pair answered without re-running discovery).
+    /// Requests short-circuited by an `Unembeddable` discovery verdict (a
+    /// recent discovery failure for the same pair answered without
+    /// re-running discovery).
     pub negative_hits: u64,
 }
 

@@ -13,8 +13,8 @@
 //! The registry is **lock-striped**: entries are distributed over
 //! [`RegistryConfig::shards`] independent shards by a stable mix of the
 //! pair's two content hashes. Each shard owns its own mutex, condvar,
-//! single-flight set, and negative cache, so a compile or eviction on one
-//! shard never blocks requests routed to another. `shards: 1` restores
+//! single-flight set, and discovery verdicts, so a compile or eviction on
+//! one shard never blocks requests routed to another. `shards: 1` restores
 //! the seed's single-lock behavior exactly.
 //!
 //! # The warm fast path
@@ -29,32 +29,46 @@
 //!
 //! # Single-flight compilation
 //!
-//! Discovery is the expensive operation the cache exists to amortize, so
-//! each shard guarantees that N concurrent requests for the same uncached
-//! pair trigger exactly **one** `find_embedding` run: the first request
-//! installs the key in the shard's pending set and compiles outside the
+//! Building an engine is the expensive operation the cache exists to
+//! amortize, so each shard guarantees that N concurrent requests for the
+//! same uncached pair trigger exactly **one** build: the first request
+//! installs the key in the shard's pending set and builds outside the
 //! lock; the rest block on the shard condvar and are counted as
-//! [`RegistryStats::single_flight_waits`]. A failed or panicked compile
+//! [`RegistryStats::single_flight_waits`]. A failed or panicked build
 //! removes the pending mark and wakes all waiters, so a transient
 //! failure never wedges the key.
 //!
-//! # Negative cache
+//! # Discovery verdicts
 //!
-//! Discovery failing is as expensive as discovery succeeding — the search
-//! exhausts its restarts either way — so a pair that found no embedding is
-//! remembered in a TTL-bounded *negative cache*
-//! ([`RegistryConfig::negative_ttl`]): until the entry expires, identical
-//! requests fail fast with `NoEmbedding` (counted as
-//! [`RegistryStats::negative_hits`]) instead of re-running the search.
-//! The TTL keeps the verdict honest under config changes and similarity
-//! tweaks; explicit eviction also clears the pair's negative entry, and
-//! `negative_ttl: None` disables the cache entirely (every request
-//! re-runs discovery). The cache is bounded per shard; its victim score
-//! is `Reverse(expiry)`, so expired verdicts go first.
+//! Finding an embedding is the NP-complete step (the paper's Thm 5.1);
+//! checking and compiling a known `(λ, path)` is polynomial. Each shard
+//! therefore keeps what discovery concluded for a pair in one bounded
+//! verdict map that outlives the engines:
+//!
+//! * `Found` holds the discovered engine's two DTDs, its `λ` and its
+//!   syntactic path function. A miss on such a pair *rebuilds* the engine
+//!   with [`CompiledEmbedding::new`], which re-runs every §4.1 check but
+//!   skips text parsing, the similarity matrix and `find_embedding`. The
+//!   DTDs are the discovered engine's own, so a request with a permuted
+//!   DTD text rebuilds exactly the embedding first discovered. Discovery
+//!   is deterministic per pair and [`DiscoveryConfig`], so a rebuild
+//!   answers every request byte for byte as a fresh search would.
+//! * `Unembeddable` remembers a failed search for
+//!   [`RegistryConfig::negative_ttl`]. Failing is as expensive as
+//!   succeeding (the search exhausts its restarts), so until the verdict
+//!   expires identical requests fail fast with `NoEmbedding` (counted as
+//!   [`RegistryStats::negative_hits`]). The TTL keeps the verdict honest
+//!   under config changes and similarity tweaks; `negative_ttl: None`
+//!   records no such verdict (every request re-runs discovery).
+//!
+//! Explicit eviction drops the engine and any `Unembeddable` verdict but
+//! keeps `Found`. The map is bounded per shard; its victim score drops
+//! `Unembeddable` verdicts first (expired, then soonest-expiring) and
+//! then the least recently built `Found` one.
 //!
 //! # Weighted eviction
 //!
-//! Every bound here — the `Ready` table, the negative cache and the text
+//! Every bound here — the `Ready` table, the verdict map and the text
 //! memo — is enforced by [`xse_core::trim_to_capacity`]: after the insert
 //! that overflowed, it drops the entries with the highest victim score.
 //! Capacity is striped: each shard holds at most `⌈capacity / shards⌉`
@@ -83,7 +97,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use xse_core::{trim_to_capacity, CompiledEmbedding, PlanCacheStats, SimilarityMatrix};
+use xse_core::{
+    trim_to_capacity, CompiledEmbedding, PathMapping, PlanCacheStats, SimilarityMatrix, TypeMapping,
+};
 use xse_discovery::{find_embedding, DiscoveryConfig};
 use xse_dtd::{Dtd, DtdHash};
 
@@ -124,9 +140,10 @@ pub struct RegistryConfig {
     /// Builds the similarity matrix `att` for each compile (default:
     /// [`default_similarity`]).
     pub sim: fn(&Dtd, &Dtd) -> SimilarityMatrix,
-    /// How long a failed discovery verdict is remembered: until it
-    /// expires, identical requests return `NoEmbedding` without re-running
-    /// the search. `None` disables negative caching.
+    /// How long an `Unembeddable` verdict (a failed discovery) is
+    /// remembered: until it expires, identical requests return
+    /// `NoEmbedding` without re-running the search. `None` records no
+    /// such verdict. `Found` verdicts have no TTL.
     pub negative_ttl: Option<Duration>,
 }
 
@@ -149,7 +166,8 @@ pub struct RegistryStats {
     pub hits: u64,
     /// Requests that found no entry and started a compile.
     pub misses: u64,
-    /// Compiles that completed successfully.
+    /// Engines built, by discovery or by a rebuild from a `Found`
+    /// verdict.
     pub compiles: u64,
     /// Requests that blocked on another request's in-flight compile
     /// (neither a hit nor a miss).
@@ -158,7 +176,8 @@ pub struct RegistryStats {
     pub evictions: u64,
     /// `Ready` entries currently cached.
     pub entries: u64,
-    /// Total wall-clock nanoseconds spent inside `find_embedding`.
+    /// Total wall-clock nanoseconds spent building engines: discovery,
+    /// including failed runs, or rebuild.
     pub compile_nanos: u64,
     /// Translation-plan cache hits summed over live engines *plus* every
     /// engine evicted so far (plan counters are folded into a retired
@@ -170,8 +189,8 @@ pub struct RegistryStats {
     /// Plans currently cached across live engines (evicting an engine
     /// drops its plans, so this *does* shrink on eviction).
     pub plan_entries: u64,
-    /// Requests answered `NoEmbedding` from an unexpired negative-cache
-    /// entry (the full discovery search was skipped).
+    /// Requests answered `NoEmbedding` from an unexpired `Unembeddable`
+    /// verdict (the full discovery search was skipped).
     pub negative_hits: u64,
 }
 
@@ -226,7 +245,7 @@ impl std::ops::Add for RegistryStats {
 pub struct EntryStats {
     /// Times this entry served a request after its compile.
     pub hits: u64,
-    /// Wall-clock nanoseconds its compile took.
+    /// Wall-clock nanoseconds its build (discovery or rebuild) took.
     pub compile_nanos: u64,
     /// Shard tick of the most recent use (higher = more recent).
     pub last_used: u64,
@@ -250,25 +269,79 @@ struct FastEntry {
 /// inserted); a dropped text re-canonicalizes on its next use.
 const TEXT_KEY_CAP: usize = 1024;
 
-/// Per-shard cap on the negative cache. Expired verdicts go first, then
-/// the one expiring soonest, never the one just recorded: failing
-/// discovery again is correct, just slower.
-const NEGATIVE_CAP: usize = 256;
+/// Per-shard cap on the verdict map. The verdict just recorded is never
+/// dropped; a dropped one only costs speed, as the pair's next miss
+/// searches again.
+const VERDICT_CAP: usize = 256;
+
+/// What a `Found` verdict rebuilds its engine from: the discovered
+/// engine's own DTDs, `λ` and syntactic path function.
+struct Recipe {
+    source: Arc<Dtd>,
+    target: Arc<Dtd>,
+    lambda: TypeMapping,
+    paths: PathMapping,
+}
+
+impl Recipe {
+    fn of(engine: &CompiledEmbedding) -> Recipe {
+        Recipe {
+            source: engine.source_arc(),
+            target: engine.target_arc(),
+            lambda: engine.type_mapping().clone(),
+            paths: engine.path_mapping().clone(),
+        }
+    }
+
+    /// Re-run the §4.1 checks and compile. `None` would mean the recipe no
+    /// longer validates; the caller then searches again.
+    fn rebuild(&self) -> Option<CompiledEmbedding> {
+        CompiledEmbedding::new(
+            Arc::clone(&self.source),
+            Arc::clone(&self.target),
+            self.lambda.clone(),
+            self.paths.clone(),
+        )
+        .ok()
+    }
+}
+
+/// What discovery concluded for a pair (see the module docs).
+enum Verdict {
+    /// An embedding was found. `built` is the shard tick of the pair's
+    /// latest engine build: the recency `Found` verdicts are dropped by.
+    Found { recipe: Arc<Recipe>, built: u64 },
+    /// No embedding was found; the verdict holds until this instant.
+    Unembeddable(Instant),
+}
+
+/// The verdict map's victim score; the highest is dropped first. The
+/// variant order puts every `Unembeddable` verdict above every `Found`
+/// one: expired and soonest-expiring first, then the least recently
+/// built `Found`.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum VerdictVictim {
+    Found(Reverse<u64>),
+    Unembeddable(Reverse<Instant>),
+}
 
 /// Shard state that needs the mutex: single-flight bookkeeping, the
-/// negative cache, and the monotone counters that aren't hot enough to
+/// discovery verdicts, and the monotone counters that aren't hot enough to
 /// justify atomics.
 #[derive(Default)]
 struct ShardInner {
-    /// Keys with a compile in flight; waiters sleep on the shard condvar.
+    /// Keys with a build in flight; waiters sleep on the shard condvar.
     /// Pending keys are *not* in the `Ready` table, so eviction can never
     /// select one.
     pending: HashSet<PairKey>,
-    /// Pairs whose discovery failed, mapped to the verdict's expiry.
-    negative: HashMap<PairKey, Instant>,
+    /// What discovery concluded, per pair. Outlives the engines.
+    verdicts: HashMap<PairKey, Verdict>,
     negative_hits: u64,
     misses: u64,
-    compiles: u64,
+    /// Engines built by a successful `find_embedding` run.
+    discovered: u64,
+    /// Engines rebuilt from a `Found` verdict.
+    rebuilt: u64,
     single_flight_waits: u64,
     evictions: u64,
     compile_nanos: u64,
@@ -279,6 +352,18 @@ struct ShardInner {
 }
 
 impl ShardInner {
+    /// Record `verdict` for `key` and trim the map to [`VERDICT_CAP`],
+    /// never dropping `key` itself.
+    fn record(&mut self, key: PairKey, verdict: Verdict) {
+        self.verdicts.insert(key, verdict);
+        trim_to_capacity(&mut self.verdicts, VERDICT_CAP, |k, v| {
+            (*k != key).then_some(match v {
+                Verdict::Found { built, .. } => VerdictVictim::Found(Reverse(*built)),
+                Verdict::Unembeddable(expiry) => VerdictVictim::Unembeddable(Reverse(*expiry)),
+            })
+        });
+    }
+
     /// Account for an entry just removed from the `Ready` table: fold its
     /// plan counters into the retired accumulators and count the
     /// eviction. Callers remove the entry and retire it in one
@@ -346,7 +431,7 @@ impl Shard {
         RegistryStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: inner.misses,
-            compiles: inner.compiles,
+            compiles: inner.discovered + inner.rebuilt,
             single_flight_waits: inner.single_flight_waits,
             evictions: inner.evictions,
             entries: fast.len() as u64,
@@ -472,13 +557,14 @@ impl EmbeddingRegistry {
     }
 
     /// Resolve the pair to a compiled embedding: cache hit, single-flight
-    /// wait, or a fresh `find_embedding` run.
+    /// wait, a rebuild from the pair's `Found` verdict, or a fresh
+    /// `find_embedding` run.
     ///
     /// # Errors
     /// [`ServiceError::BadDtd`] when either text fails to parse,
     /// [`ServiceError::NoEmbedding`] when discovery exhausts its restarts
-    /// without finding an information-preserving embedding — remembered in
-    /// the negative cache for [`RegistryConfig::negative_ttl`], after
+    /// without finding an information-preserving embedding — remembered as
+    /// an `Unembeddable` verdict for [`RegistryConfig::negative_ttl`], after
     /// which an identical request re-runs the search.
     pub fn get_or_compile(
         &self,
@@ -497,7 +583,7 @@ impl EmbeddingRegistry {
         }
 
         let mut waited = false;
-        {
+        let recipe = {
             let mut inner = shard.inner.lock().unwrap();
             loop {
                 // Re-check under the mutex: inserts happen with `inner`
@@ -514,63 +600,86 @@ impl EmbeddingRegistry {
                     }
                     inner = shard.compiled.wait(inner).unwrap();
                 } else {
-                    // Absent: consult the negative cache before paying for
-                    // a doomed search.
-                    if let Some(&expiry) = inner.negative.get(&key) {
-                        if Instant::now() < expiry {
+                    // Absent: consult the verdict before paying for a
+                    // search.
+                    let recipe = match inner.verdicts.get(&key) {
+                        Some(Verdict::Found { recipe, .. }) => Some(Arc::clone(recipe)),
+                        Some(Verdict::Unembeddable(expiry)) if Instant::now() < *expiry => {
                             inner.negative_hits += 1;
                             return Err(ServiceError::NoEmbedding);
                         }
-                        inner.negative.remove(&key);
-                    }
+                        Some(Verdict::Unembeddable(_)) => {
+                            inner.verdicts.remove(&key);
+                            None
+                        }
+                        None => None,
+                    };
                     inner.misses += 1;
                     inner.pending.insert(key);
-                    break;
+                    break recipe;
                 }
             }
-        }
+        };
 
-        // We own the pending mark; compile outside every lock. The
-        // memoized path skipped parsing — do it now (both texts parsed
-        // successfully when they entered the memo, but propagate errors
-        // regardless).
+        // We own the pending mark; build outside every lock. A recipe
+        // skips parsing, the similarity matrix and the search. The memoized
+        // path skipped parsing too, so discovery may have to do it now
+        // (both texts parsed when they entered the memo, but propagate
+        // errors regardless).
         let mut guard = PendingGuard {
             shard,
             key,
             armed: true,
         };
-        let (source, target) = match parsed.take() {
-            Some(pair) => pair,
-            None => (
-                parse_dtd(source_dtd, "source")?,
-                parse_dtd(target_dtd, "target")?,
-            ),
-        };
-        let att = (self.config.sim)(&source, &target);
         let t0 = Instant::now();
-        let found = find_embedding(&source, &target, &att, &self.config.discovery);
-        let nanos = t0.elapsed().as_nanos() as u64;
+        let mut found = recipe.as_deref().and_then(Recipe::rebuild);
+        let rebuilt = found.is_some();
+        let mut nanos = t0.elapsed().as_nanos() as u64;
+        if !rebuilt {
+            let (source, target) = match parsed.take() {
+                Some(pair) => pair,
+                None => (
+                    parse_dtd(source_dtd, "source")?,
+                    parse_dtd(target_dtd, "target")?,
+                ),
+            };
+            let att = (self.config.sim)(&source, &target);
+            let t0 = Instant::now();
+            found = find_embedding(&source, &target, &att, &self.config.discovery);
+            nanos += t0.elapsed().as_nanos() as u64;
+        }
 
-        let Some(embedding) = found else {
+        let mut inner = shard.inner.lock().unwrap();
+        inner.compile_nanos += nanos;
+        let Some(engine) = found else {
             // Record the verdict *before* the guard's Drop removes the
-            // pending mark and wakes waiters, so woken threads observe the
-            // negative entry instead of racing into their own searches.
+            // pending mark and wakes waiters, so woken threads observe it
+            // instead of racing into their own searches.
             if let Some(ttl) = self.config.negative_ttl {
-                let mut inner = shard.inner.lock().unwrap();
-                inner.negative.insert(key, Instant::now() + ttl);
-                trim_to_capacity(&mut inner.negative, NEGATIVE_CAP, |k, &expiry| {
-                    (*k != key).then_some(Reverse(expiry))
-                });
+                inner.record(key, Verdict::Unembeddable(Instant::now() + ttl));
             }
+            drop(inner);
             return Err(ServiceError::NoEmbedding);
         };
         guard.armed = false;
 
-        let engine = Arc::new(embedding);
-        let mut inner = shard.inner.lock().unwrap();
+        let engine = Arc::new(engine);
         let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        inner.compiles += 1;
-        inner.compile_nanos += nanos;
+        if rebuilt {
+            inner.rebuilt += 1;
+        } else {
+            inner.discovered += 1;
+        }
+        let recipe = recipe
+            .filter(|_| rebuilt)
+            .unwrap_or_else(|| Arc::new(Recipe::of(&engine)));
+        inner.record(
+            key,
+            Verdict::Found {
+                recipe,
+                built: tick,
+            },
+        );
         inner.pending.remove(&key);
         let victims = {
             let mut fast = shard.fast.write().unwrap();
@@ -597,10 +706,12 @@ impl EmbeddingRegistry {
         Ok((key, engine))
     }
 
-    /// Drop the pair's cached embedding — and its negative-cache entry, so
-    /// eviction always forces a fresh discovery run. Returns whether a
-    /// *compiled* entry existed (in-flight compiles are left alone and
-    /// reported as absent, as is a purely negative entry).
+    /// Drop the pair's cached engine and any `Unembeddable` verdict, so a
+    /// failed pair is searched again. A `Found` verdict stays: the next
+    /// request rebuilds the same engine without a search, so an eviction
+    /// never changes an answer. Returns whether a *compiled* entry existed
+    /// (in-flight compiles are left alone and reported as absent, as is a
+    /// pair that only has a verdict).
     ///
     /// # Errors
     /// [`ServiceError::BadDtd`] when either text fails to parse.
@@ -613,14 +724,15 @@ impl EmbeddingRegistry {
     pub fn evict_key(&self, key: PairKey) -> bool {
         let shard = self.shard(key);
         let mut inner = shard.inner.lock().unwrap();
-        inner.negative.remove(&key);
+        if matches!(inner.verdicts.get(&key), Some(Verdict::Unembeddable(_))) {
+            inner.verdicts.remove(&key);
+        }
         let removed = shard.fast.write().unwrap().remove(&key);
         if let Some(entry) = &removed {
             inner.retire(entry);
         }
         removed.is_some()
     }
-
     /// Resolve both texts to the pair's key through the text memo. A memo
     /// hit parses nothing and returns `None` for the parsed pair; a miss
     /// parses both texts (so a bad text is always [`ServiceError::BadDtd`]
@@ -743,6 +855,33 @@ mod tests {
         )
     }
 
+    /// The key of a one-leaf identity pair, for filling maps with verdicts
+    /// no request ever made.
+    fn synthetic_key(i: usize) -> PairKey {
+        let dtd = format!("<!ELEMENT r (n{i})>\n<!ELEMENT n{i} (#PCDATA)>");
+        EmbeddingRegistry::key_for(&dtd, &dtd).unwrap()
+    }
+
+    /// The shard's (discovered, rebuilt) engine counts for `key`.
+    fn build_counts(reg: &EmbeddingRegistry, key: PairKey) -> (u64, u64) {
+        let inner = reg.shard(key).inner.lock().unwrap();
+        (inner.discovered, inner.rebuilt)
+    }
+
+    /// What a `wrap_pair` engine answers: its description, `σd` of a fixed
+    /// document, and the `(size, states)` of a translated query.
+    fn wrap_answers(engine: &CompiledEmbedding) -> (String, String, (usize, usize)) {
+        let doc = xse_xmltree::parse_xml("<r><a>x</a><b><c>1</c><c>2</c></b></r>").unwrap();
+        let plan = engine
+            .translate(&xse_rxpath::parse_query("b/c").unwrap())
+            .unwrap();
+        (
+            engine.describe(),
+            engine.apply(&doc).unwrap().tree.to_xml(),
+            (plan.size(), plan.anfa.state_count()),
+        )
+    }
+
     #[test]
     fn hit_after_miss_shares_the_arc() {
         let reg = small_registry(4);
@@ -844,25 +983,20 @@ mod tests {
     fn negative_cache_past_its_cap_drops_expired_verdicts_first() {
         // New verdicts outlive every synthetic one below.
         let reg = small_registry_ttl(4, Some(Duration::from_secs(3600)));
-        let synthetic = |i: usize| {
-            let dtd = format!("<!ELEMENT r (n{i})>\n<!ELEMENT n{i} (#PCDATA)>");
-            EmbeddingRegistry::key_for(&dtd, &dtd).unwrap()
-        };
         let now = Instant::now();
-        let expired = synthetic(0);
-        let unexpired: Vec<PairKey> = (1..NEGATIVE_CAP).map(synthetic).collect();
+        let expired = synthetic_key(0);
+        let unexpired: Vec<PairKey> = (1..VERDICT_CAP).map(synthetic_key).collect();
         {
             let mut inner = reg.shards[0].inner.lock().unwrap();
-            inner.negative.insert(expired, now);
+            inner.verdicts.insert(expired, Verdict::Unembeddable(now));
             for (i, k) in unexpired.iter().enumerate() {
-                inner
-                    .negative
-                    .insert(*k, now + Duration::from_secs(60 + i as u64));
+                let expiry = now + Duration::from_secs(60 + i as u64);
+                inner.verdicts.insert(*k, Verdict::Unembeddable(expiry));
             }
         }
         let negative_keys = || -> HashSet<PairKey> {
             let inner = reg.shards[0].inner.lock().unwrap();
-            inner.negative.keys().copied().collect()
+            inner.verdicts.keys().copied().collect()
         };
 
         // Full with one expired verdict: recording a new one drops it.
@@ -870,7 +1004,7 @@ mod tests {
         reg.get_or_compile(s, t).unwrap_err();
         let first = EmbeddingRegistry::key_for(s, t).unwrap();
         let keys = negative_keys();
-        assert_eq!(keys.len(), NEGATIVE_CAP);
+        assert_eq!(keys.len(), VERDICT_CAP);
         assert!(!keys.contains(&expired));
         assert!(keys.contains(&first));
         assert!(unexpired.iter().all(|k| keys.contains(k)));
@@ -883,11 +1017,139 @@ mod tests {
         reg.get_or_compile(s, t).unwrap_err();
         let second = EmbeddingRegistry::key_for(s, t).unwrap();
         let keys = negative_keys();
-        assert_eq!(keys.len(), NEGATIVE_CAP);
+        assert_eq!(keys.len(), VERDICT_CAP);
         assert!(!keys.contains(&unexpired[0]));
         assert!(keys.contains(&first) && keys.contains(&second));
         assert!(unexpired[1..].iter().all(|k| keys.contains(k)));
         assert_eq!(reg.stats().misses, 2);
+    }
+
+    #[test]
+    fn evicted_engines_rebuild_byte_identical_without_discovery() {
+        let reg = small_registry(1);
+        let (s, t) = wrap_pair();
+        let (key, discovered) = reg.get_or_compile(&s, &t).unwrap();
+        let expected = wrap_answers(&discovered);
+
+        // Capacity eviction: another pair takes the only slot.
+        let other = "<!ELEMENT r (a)>\n<!ELEMENT a (#PCDATA)>";
+        reg.get_or_compile(other, other).unwrap();
+        assert_eq!(reg.stats().evictions, 1);
+        let (discoveries, _) = build_counts(&reg, key);
+        let (_, rebuilt) = reg.get_or_compile(&s, &t).unwrap();
+        assert!(!Arc::ptr_eq(&discovered, &rebuilt));
+        assert_eq!(wrap_answers(&rebuilt), expected);
+        assert_eq!(build_counts(&reg, key), (discoveries, 1));
+
+        // Explicit eviction keeps the `Found` verdict too.
+        assert!(reg.evict(&s, &t).unwrap());
+        let (_, rebuilt) = reg.get_or_compile(&s, &t).unwrap();
+        assert_eq!(wrap_answers(&rebuilt), expected);
+        assert_eq!(build_counts(&reg, key), (discoveries, 2));
+
+        let st = reg.stats();
+        assert_eq!((st.misses, st.compiles, st.evictions), (4, 4, 3), "{st:?}");
+        assert_eq!(st.compiles, st.entries + st.evictions);
+    }
+
+    #[test]
+    fn permuted_text_after_eviction_rebuilds_the_discovered_embedding() {
+        let reg = small_registry(4);
+        let (s, t) = wrap_pair();
+        let s_permuted =
+            "<!ELEMENT r (a, b)>\n<!ELEMENT b (c*)>\n<!ELEMENT c (#PCDATA)>\n<!ELEMENT a (#PCDATA)>";
+        let (key, discovered) = reg.get_or_compile(&s, &t).unwrap();
+        assert!(reg.evict(&s, &t).unwrap());
+        let (k, rebuilt) = reg.get_or_compile(s_permuted, &t).unwrap();
+        assert_eq!(k, key);
+        assert_eq!(rebuilt.describe(), discovered.describe());
+        assert_eq!(build_counts(&reg, key), (1, 1));
+
+        // A search on the permuted text numbers the source types in its
+        // own order, so only the kept DTDs reproduce the first description.
+        let source = Dtd::parse(s_permuted).unwrap();
+        let target = Dtd::parse(&t).unwrap();
+        let att = default_similarity(&source, &target);
+        let searched = find_embedding(&source, &target, &att, &reg.config.discovery).unwrap();
+        assert_ne!(searched.describe(), discovered.describe());
+    }
+
+    #[test]
+    fn sixteen_concurrent_requests_rebuild_once() {
+        let reg = small_registry(4);
+        let (s, t) = wrap_pair();
+        let (key, _) = reg.get_or_compile(&s, &t).unwrap();
+        assert!(reg.evict(&s, &t).unwrap());
+        let go = std::sync::Barrier::new(16);
+        let engines: Vec<Arc<CompiledEmbedding>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..16)
+                .map(|_| {
+                    let (reg, s, t, go) = (&reg, &s, &t, &go);
+                    scope.spawn(move || {
+                        go.wait();
+                        reg.get_or_compile(s, t).unwrap().1
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(build_counts(&reg, key), (1, 1));
+        let st = reg.stats();
+        assert_eq!((st.misses, st.compiles), (2, 2), "{st:?}");
+        assert_eq!(st.hits + st.single_flight_waits, 15, "{st:?}");
+        for e in &engines[1..] {
+            assert!(Arc::ptr_eq(&engines[0], e));
+        }
+    }
+
+    #[test]
+    fn verdicts_past_their_cap_drop_the_least_recently_built_found_first() {
+        let reg = small_registry(4);
+        let (s, t) = wrap_pair();
+        let recipe = Arc::new(Recipe::of(
+            &small_registry(4).get_or_compile(&s, &t).unwrap().1,
+        ));
+        let filler: Vec<PairKey> = (0..VERDICT_CAP).map(synthetic_key).collect();
+        {
+            // Every filler verdict was built after anything the registry
+            // builds below, whose shard ticks start at 1.
+            let mut inner = reg.shards[0].inner.lock().unwrap();
+            for (i, k) in filler.iter().enumerate() {
+                let recipe = Arc::clone(&recipe);
+                let built = 1000 + i as u64;
+                inner.verdicts.insert(*k, Verdict::Found { recipe, built });
+            }
+        }
+        let verdict_keys = || -> HashSet<PairKey> {
+            let inner = reg.shards[0].inner.lock().unwrap();
+            inner.verdicts.keys().copied().collect()
+        };
+
+        // The new verdict is the least recently built, but it is the one
+        // just recorded: the oldest filler goes instead.
+        let a = "<!ELEMENT r (a)>\n<!ELEMENT a (#PCDATA)>";
+        let (first, _) = reg.get_or_compile(a, a).unwrap();
+        let keys = verdict_keys();
+        assert_eq!(keys.len(), VERDICT_CAP);
+        assert!(keys.contains(&first) && !keys.contains(&filler[0]));
+        assert!(filler[1..].iter().all(|k| keys.contains(k)));
+
+        // An unexpired `Unembeddable` verdict still goes before any
+        // `Found`, even the least recently built one.
+        let expiry = Instant::now() + Duration::from_secs(3600);
+        reg.shards[0]
+            .inner
+            .lock()
+            .unwrap()
+            .verdicts
+            .insert(filler[1], Verdict::Unembeddable(expiry));
+        let b = "<!ELEMENT r (b)>\n<!ELEMENT b (#PCDATA)>";
+        let (second, _) = reg.get_or_compile(b, b).unwrap();
+        let keys = verdict_keys();
+        assert_eq!(keys.len(), VERDICT_CAP);
+        assert!(keys.contains(&first) && keys.contains(&second));
+        assert!(!keys.contains(&filler[1]));
+        assert!(filler[2..].iter().all(|k| keys.contains(k)));
     }
 
     #[test]

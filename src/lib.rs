@@ -155,11 +155,14 @@
 //! ([`DtdHash`](crate::dtd::DtdHash)) of the reduced DTD pair — permuted
 //! but equivalent DTD texts share one entry — with single-flight
 //! compilation (N concurrent requests for an uncached pair compile once)
-//! and weighted (compile-cost × recency) eviction. The registry is
-//! lock-striped across
+//! and weighted (compile-cost × recency) eviction. Eviction drops an
+//! engine but not what discovery found: each shard keeps a bounded map of
+//! discovery verdicts, so the pair's next miss rebuilds the engine from
+//! its `(λ, path)` (the polynomial §4.1 checks) instead of re-running the
+//! NP-complete search. The registry is lock-striped across
 //! [`RegistryConfig::shards`](crate::service::RegistryConfig) independent shards
 //! (default 8) keyed by the pair hash: each shard has its own mutex,
-//! single-flight table and negative cache, and warm hits resolve through
+//! single-flight table and verdict map, and warm hits resolve through
 //! a read-locked fast table without ever touching a shard mutex — a hot
 //! `Arc` clone never blocks behind another pair's compile. `shards: 1`
 //! reproduces single-mutex behavior exactly; aggregate
@@ -243,8 +246,11 @@
 //! [`RetryingClient`](crate::service::RetryingClient) packages that
 //! policy with exponential backoff and deterministic seeded jitter
 //! ([`RetryPolicy`](crate::service::RetryPolicy)); registries remember
-//! repeatedly failing DTD pairs in a TTL-bounded negative cache
-//! ([`RegistryConfig::negative_ttl`](crate::service::RegistryConfig));
+//! what discovery concluded for each DTD pair, so a failing pair fails
+//! fast until its verdict's TTL
+//! ([`RegistryConfig::negative_ttl`](crate::service::RegistryConfig))
+//! runs out and an evicted engine is rebuilt from its kept `(λ, path)`
+//! without searching again;
 //! and a deterministic in-process chaos proxy
 //! ([`service::fault::FaultProxy`])
 //! injects delays, resets, truncations and opcode corruption on a seeded
