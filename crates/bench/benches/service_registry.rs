@@ -9,7 +9,6 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use xse_service::loadgen::loadgen_discovery;
 use xse_service::{handle_request, EmbeddingRegistry, RegistryConfig, Request, Response};
 
 fn wrap_pair() -> (String, String) {
@@ -20,16 +19,12 @@ fn wrap_pair() -> (String, String) {
 }
 
 fn registry() -> Arc<EmbeddingRegistry> {
-    Arc::new(EmbeddingRegistry::new(RegistryConfig {
-        discovery: loadgen_discovery(),
-        ..RegistryConfig::default()
-    }))
+    Arc::new(EmbeddingRegistry::new(RegistryConfig::default()))
 }
 
 fn registry_with_shards(shards: usize) -> Arc<EmbeddingRegistry> {
     Arc::new(EmbeddingRegistry::new(RegistryConfig {
         shards,
-        discovery: loadgen_discovery(),
         ..RegistryConfig::default()
     }))
 }

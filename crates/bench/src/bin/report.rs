@@ -1,6 +1,6 @@
 //! Regenerate every table and figure of EXPERIMENTS.md.
 //!
-//! Usage: `report [all|exp-a|exp-b|exp-c|exp-p|tab-1|tab-2|tab-3|tab-4|fig-t|exp-e|abl-1|fig1]`
+//! Usage: `report [all|exp-a|exp-b|exp-c|exp-p|exp-t|tab-1|tab-2|tab-3|tab-4|fig-t|exp-e|abl-1|fig1]`
 
 use xse_bench::experiments as x;
 use xse_bench::pct;
@@ -22,6 +22,9 @@ fn main() {
     }
     if all || what == "exp-p" {
         exp_p();
+    }
+    if all || what == "exp-t" {
+        exp_t();
     }
     if all || what == "tab-1" {
         tab1();
@@ -107,6 +110,24 @@ fn exp_p() {
         println!(
             "| {} | {} | {:.1} | {} | {} | {:.2}× |",
             r.size, r.threads, r.millis, r.found, r.attempts, r.speedup
+        );
+    }
+    println!();
+}
+
+fn exp_t() {
+    println!("## EXP-T: sequential vs. two-worker discovery by pair (24 restarts, best of 200)\n");
+    println!("| pair | found | t1 attempts | t1 ms | t2 ms | t1/t2 |");
+    println!("|---|---|---|---|---|---|");
+    for r in x::exp_t(200) {
+        println!(
+            "| {} | {} | {} | {:.3} | {:.3} | {:.2}× |",
+            r.label,
+            r.found,
+            r.attempts,
+            r.t1_millis,
+            r.t2_millis,
+            r.t1_millis / r.t2_millis
         );
     }
     println!();

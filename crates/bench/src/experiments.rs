@@ -266,6 +266,82 @@ pub fn exp_p(sizes: &[usize], thread_counts: &[usize]) -> Vec<ParallelRow> {
     rows
 }
 
+/// One row of EXP-T: sequential vs. two-worker discovery on one pair.
+pub struct ThreadRow {
+    /// Pair label.
+    pub label: String,
+    /// Whether an embedding was found.
+    pub found: bool,
+    /// Restart attempts the sequential engine ran (the winning attempt's
+    /// index + 1, or every restart when none won).
+    pub attempts: usize,
+    /// Best sequential (`threads = 1`) wall time (ms).
+    pub t1_millis: f64,
+    /// Best two-worker (`threads = 2`) wall time (ms).
+    pub t2_millis: f64,
+}
+
+/// EXP-T: which pairs the parallel restart engine speeds up. Each pair is
+/// discovered with the default config at `threads` 1 and 2, best of
+/// `reps` runs each; the embedding is asserted identical. Pairs: the
+/// corpus at noise 0.3 under the registry's name similarity (won in the
+/// first attempts), random pairs whose target is too small to embed the
+/// source (every restart fails), and a 120-type random schema under an
+/// ambiguity-6 `att` (several restarts fail before one wins).
+pub fn exp_t(reps: usize) -> Vec<ThreadRow> {
+    let mut pairs: Vec<(String, Dtd, Dtd, SimilarityMatrix)> = Vec::new();
+    for (i, (name, source)) in corpus::corpus().into_iter().enumerate() {
+        let copy = noised_copy(&source, NoiseConfig::level(0.3), (0x5eed + i as u64) * 31);
+        let att = SimilarityMatrix::by_name(&source, &copy.target, 0.25);
+        pairs.push((format!("{name}@0.3"), source, copy.target, att));
+    }
+    for (c, n) in [16usize, 20, 24, 160].into_iter().enumerate() {
+        let source = scale::random_schema(n, 0x5eed ^ (0xfa11 + c as u64));
+        let target = scale::random_schema(n / 2, 0x5eed_u64.rotate_left(17) ^ (0x0bad + c as u64));
+        let att = SimilarityMatrix::by_name(&source, &target, 0.25);
+        pairs.push((format!("failing-{n}"), source, target, att));
+    }
+    let source = scale::random_schema(120, 120);
+    let copy = noised_copy(&source, NoiseConfig::level(0.3), 17);
+    let sim = SimConfig {
+        accuracy: 1.0,
+        ambiguity: 6.0,
+    };
+    let att = ambiguous(&source, &copy, sim, 120 ^ 0x5EED);
+    pairs.push(("ambiguity-6 n120".into(), source, copy.target, att));
+
+    pairs
+        .into_iter()
+        .map(|(label, source, target, att)| {
+            let best = |threads: usize| {
+                let cfg = DiscoveryConfig {
+                    threads,
+                    ..DiscoveryConfig::default()
+                };
+                let mut best = f64::INFINITY;
+                let mut last = None;
+                for _ in 0..reps {
+                    let t0 = Instant::now();
+                    let (e, stats) = find_embedding_with_stats(&source, &target, &att, &cfg);
+                    best = best.min(t0.elapsed().as_secs_f64() * 1000.0);
+                    last = Some((e.map(|e| e.describe()), stats.attempts));
+                }
+                (best, last.expect("reps >= 1"))
+            };
+            let (t1_millis, (describe, attempts)) = best(1);
+            let (t2_millis, (describe2, _)) = best(2);
+            assert_eq!(describe, describe2, "{label}: threads=2 diverged");
+            ThreadRow {
+                label,
+                found: describe.is_some(),
+                attempts,
+                t1_millis,
+                t2_millis,
+            }
+        })
+        .collect()
+}
+
 /// One row of TAB-1: per-schema discovery on a noised copy.
 pub struct CorpusRow {
     pub name: &'static str,

@@ -26,8 +26,8 @@
 //!   negatives. [`find_embedding`] hands back the owned, `Send + Sync`
 //!   compiled engine, ready to be shared across threads.
 //!
-//! Restart attempts are embarrassingly parallel and run on a scoped-thread
-//! engine ([`DiscoveryConfig::threads`]): every attempt seeds its RNG from
+//! Restart attempts run sequentially by default; [`DiscoveryConfig::threads`]
+//! opts into a scoped-thread engine. Every attempt seeds its RNG from
 //! `(seed, attempt_index)` alone and the lowest successful attempt index
 //! wins, so the discovered embedding is byte-identical for every thread
 //! count.

@@ -57,9 +57,12 @@ pub struct DiscoveryConfig {
     pub pfp: PfpConfig,
     /// Pool size per source type for the Independent-Set strategy.
     pub pool_per_type: usize,
-    /// Worker threads for the restart engine: `0` (the default) spawns one
-    /// worker per available core, `1` runs fully sequentially on the
-    /// caller's thread. Restart attempts are embarrassingly parallel —
+    /// Worker threads for the restart engine: `1` (the default) runs fully
+    /// sequentially on the caller's thread, `0` spawns one worker per
+    /// available core. Extra workers lose on pairs won in the first few
+    /// attempts and win only on pairs where many restarts fail; no served
+    /// workload has been measured to need them (EXPERIMENTS.md, EXP-T).
+    /// Restart attempts are embarrassingly parallel —
     /// every attempt index derives its RNG from `(seed, index)` alone, and
     /// the engine returns the success with the **lowest attempt index** —
     /// so the discovered embedding is byte-identical for every thread
@@ -77,7 +80,7 @@ impl Default for DiscoveryConfig {
             max_combos: 64,
             pfp: PfpConfig::default(),
             pool_per_type: 6,
-            threads: 0,
+            threads: 1,
         }
     }
 }

@@ -13,16 +13,24 @@
 //!   `apply-heavy`, `mixed`, or `cold-cache-adversarial`.
 //! * `--addr` targets a running server; `--spawn-server` starts one on an
 //!   ephemeral port and drives it over TCP; the default is in-process.
+//! * `--capacity` — registry capacity for the spawned/in-process registry
+//!   (default 64). The bound is per shard: each shard holds
+//!   `⌈capacity / shards⌉` engines, so a capacity below `--shards` still
+//!   caches one engine per shard.
 //! * `--shards` — registry shard count for the spawned/in-process
 //!   registry (default 8).
 //! * `--cold` evicts (untimed) before every timed op.
-//! * `--connections N --inflight K` — contended mode: N concurrent
-//!   pipelined connections each keeping K requests in flight (`--ops` is
-//!   per connection). Pairs are prewarmed untimed, so the digests are
-//!   warm-path latency under contention. Requires a TCP endpoint
-//!   (`--spawn-server` or `--addr`); incompatible with `--chaos` and
-//!   `--cold`. A spawned server gets `max(--workers, N)` workers so every
-//!   connection is served concurrently.
+//! * `--connections N` — endpoints: N TCP connections replay at once, one
+//!   thread each, each issuing `--ops` requests from its own seeded
+//!   stream (connection 0 replays the single-connection stream).
+//! * `--inflight K` — window: each connection keeps up to K tagged
+//!   requests in flight (default 1, one request at a time).
+//!
+//!   With N or K above 1, every pair is first compiled once (untimed), so
+//!   the digests are warm-path latency under contention. That needs a TCP
+//!   endpoint (`--spawn-server` or `--addr`) and conflicts with `--chaos`
+//!   and `--cold`. A spawned server gets `max(--workers, N)` workers so
+//!   every connection is served concurrently.
 //! * `--chaos` (requires `--spawn-server`) interposes a [`FaultProxy`]
 //!   running [`FaultPlan::standard`]`(--fault-seed)` between a retrying
 //!   client and the server: frames are delayed, reset, truncated and
@@ -42,7 +50,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use xse_service::fault::{FaultPlan, FaultProxy};
-use xse_service::loadgen::{self, ContendedConfig, Endpoint, LoadConfig};
+use xse_service::loadgen::{self, Endpoint, LoadConfig};
 use xse_service::{
     Client, ClientConfig, EmbeddingRegistry, RegistryConfig, RetryPolicy, RetryingClient, Server,
     ServerConfig,
@@ -165,21 +173,15 @@ fn main() -> ExitCode {
     );
     let pairs = loadgen::build_pairs(args.pairs, args.seed);
 
-    let contended = args.connections > 1 || args.inflight > 1;
     let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig {
         capacity: args.capacity,
         shards: args.shards,
-        discovery: loadgen::loadgen_discovery(),
         ..RegistryConfig::default()
     }));
     let server_config = ServerConfig {
-        // Contended runs hold one worker per connection for the whole
-        // replay; anything less serializes whole connections.
-        workers: if contended {
-            args.workers.max(args.connections)
-        } else {
-            args.workers
-        },
+        // Each connection holds a worker for the whole replay; fewer
+        // workers than connections would serialize whole connections.
+        workers: args.workers.max(args.connections),
         // Chaos runs stall connections on purpose; shorter deadlines keep
         // workers circulating through the injected faults.
         read_timeout: Some(if args.chaos {
@@ -190,7 +192,7 @@ fn main() -> ExitCode {
         ..ServerConfig::default()
     };
 
-    // `server` / `_proxy` must outlive the endpoint; dropping them joins
+    // `server` / `proxy` must outlive the endpoints; dropping them joins
     // their threads.
     let server = if args.spawn_server {
         match Server::bind(("127.0.0.1", 0), Arc::clone(&registry), server_config) {
@@ -206,75 +208,30 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    let mut _proxy = None;
-
-    if contended {
-        let target = match (&args.addr, &server) {
-            (_, Some(handle)) => handle.addr(),
-            (Some(addr), None) => {
-                use std::net::ToSocketAddrs;
-                match addr.to_socket_addrs().ok().and_then(|mut it| it.next()) {
-                    Some(a) => a,
-                    None => {
-                        eprintln!("xse-loadgen: cannot resolve {addr}");
-                        return ExitCode::from(2);
-                    }
+    let proxy = match (&server, args.chaos) {
+        (Some(handle), true) => {
+            match FaultProxy::spawn(handle.addr(), FaultPlan::standard(args.fault_seed)) {
+                Ok(p) => {
+                    eprintln!(
+                        "xse-loadgen: chaos proxy on {} (fault seed {})",
+                        p.addr(),
+                        args.fault_seed
+                    );
+                    Some(p)
                 }
-            }
-            (None, None) => unreachable!("parse_args requires a TCP endpoint"),
-        };
-        eprintln!(
-            "xse-loadgen: {} shards, {} connections x {} in flight",
-            args.shards, args.connections, args.inflight
-        );
-        let summary = match loadgen::run_contended(
-            target,
-            &pairs,
-            &ContendedConfig {
-                mix: args.mix.clone(),
-                ops_per_connection: args.ops,
-                seed: args.seed,
-                connections: args.connections,
-                inflight: args.inflight,
-            },
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("xse-loadgen: contended run: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        println!("{}", summary.to_json());
-        return check_summary(&args, &summary);
-    }
-
-    let mut endpoint = if let Some(addr) = &args.addr {
-        match Client::connect(addr.as_str()) {
-            Ok(c) => Endpoint::Tcp(c),
-            Err(e) => {
-                eprintln!("xse-loadgen: connect {addr}: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else if let Some(handle) = &server {
-        let server_addr = handle.addr();
-        if args.chaos {
-            let plan = FaultPlan::standard(args.fault_seed);
-            let proxy = match FaultProxy::spawn(server_addr, plan) {
-                Ok(p) => p,
                 Err(e) => {
                     eprintln!("xse-loadgen: fault proxy: {e}");
                     return ExitCode::from(2);
                 }
-            };
-            let proxy_addr = proxy.addr();
-            eprintln!(
-                "xse-loadgen: chaos proxy on {proxy_addr} (fault seed {})",
-                args.fault_seed
-            );
-            _proxy = Some(proxy);
+            }
+        }
+        _ => None,
+    };
+
+    let connect = || -> Result<Endpoint, String> {
+        if let Some(proxy) = &proxy {
             let client = RetryingClient::new(
-                proxy_addr,
+                proxy.addr(),
                 ClientConfig {
                     connect_timeout: Some(Duration::from_secs(1)),
                     read_timeout: Some(Duration::from_secs(5)),
@@ -285,38 +242,50 @@ fn main() -> ExitCode {
                     ..RetryPolicy::default()
                 },
             );
-            match client {
-                Ok(c) => Endpoint::Retry(c),
-                Err(e) => {
-                    eprintln!("xse-loadgen: retry client: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            match Client::connect(server_addr) {
-                Ok(c) => Endpoint::Tcp(c),
-                Err(e) => {
-                    eprintln!("xse-loadgen: connect {server_addr}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            return client
+                .map(Endpoint::Retry)
+                .map_err(|e| format!("retry client: {e}"));
         }
-    } else {
-        Endpoint::InProcess(registry)
+        let addr = match (&args.addr, &server) {
+            (Some(addr), _) => addr.clone(),
+            (None, Some(handle)) => handle.addr().to_string(),
+            (None, None) => return Ok(Endpoint::InProcess(Arc::clone(&registry))),
+        };
+        Client::connect(addr.as_str())
+            .map(Endpoint::Tcp)
+            .map_err(|e| format!("connect {addr}: {e}"))
     };
+    let mut endpoints: Vec<Endpoint> = match (0..args.connections).map(|_| connect()).collect() {
+        Ok(endpoints) => endpoints,
+        Err(e) => {
+            eprintln!("xse-loadgen: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if args.connections > 1 || args.inflight > 1 {
+        eprintln!(
+            "xse-loadgen: {} shards, {} connections x {} in flight",
+            args.shards, args.connections, args.inflight
+        );
+        if let Err(e) = loadgen::prewarm(&mut endpoints[0], &pairs) {
+            eprintln!("xse-loadgen: prewarm: {e}");
+            return ExitCode::from(2);
+        }
+    }
 
     let summary = loadgen::run(
-        &mut endpoint,
+        &mut endpoints,
         &pairs,
         &LoadConfig {
             mix: args.mix.clone(),
             ops: args.ops,
             seed: args.seed,
             cold: args.cold,
+            inflight: args.inflight,
         },
     );
     println!("{}", summary.to_json());
-    if let Some(proxy) = &_proxy {
+    if let Some(proxy) = &proxy {
         let counts = proxy.fault_counts();
         eprintln!(
             "xse-loadgen: injected faults: {} resets, {} truncations, {} corruptions, {} delays; \

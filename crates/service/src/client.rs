@@ -12,10 +12,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::proto::{
-    self, read_frame, write_frame, ErrorCode, FrameError, Request, Response, StatsWire,
-};
-use crate::ServiceError;
+use crate::proto::{self, read_frame, write_frame, ErrorCode, FrameError, Request, Response};
+use crate::{RegistryStats, ServiceError};
 
 /// Typed `translate` response: automaton metrics plus the serving
 /// engine's cumulative plan-cache counters at the time of the call.
@@ -310,7 +308,7 @@ impl Client {
     ///
     /// # Errors
     /// As in [`Client::compile`].
-    pub fn stats(&mut self) -> Result<StatsWire, ServiceError> {
+    pub fn stats(&mut self) -> Result<RegistryStats, ServiceError> {
         match self.call(&Request::Stats)? {
             Response::Stats(s) => Ok(s),
             other => Err(unexpected(other)),

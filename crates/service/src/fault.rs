@@ -364,12 +364,12 @@ fn pump(shared: &Shared, dir: Direction, conn: u64, ends: PumpEnds) {
         // correlation survives corruption). Header and payload share one
         // buffer so whatever is forwarded goes out in a single write.
         let mut buf = vec![0u8; 8];
-        if read_exactly(&mut src, &mut buf).is_err() {
+        if src.read_exact(&mut buf).is_err() {
             break;
         }
         let len = u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize;
         buf.resize(8 + len, 0);
-        if read_exactly(&mut src, &mut buf[8..]).is_err() {
+        if src.read_exact(&mut buf[8..]).is_err() {
             break;
         }
         let action = shared.plan.decide(dir, conn, frame);
@@ -408,22 +408,6 @@ fn pump(shared: &Shared, dir: Direction, conn: u64, ends: PumpEnds) {
     if let Some(o) = other {
         let _ = o.shutdown(Shutdown::Both);
     }
-}
-
-/// `read_exact` that treats any shortfall (EOF, reset, shutdown) as an
-/// error — the pump only ever forwards whole frames or truncates on
-/// purpose.
-fn read_exactly(src: &mut TcpStream, buf: &mut [u8]) -> io::Result<()> {
-    let mut got = 0;
-    while got < buf.len() {
-        match src.read(&mut buf[got..]) {
-            Ok(0) => return Err(io::Error::from(io::ErrorKind::UnexpectedEof)),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -18,11 +18,12 @@
 //!   [`Client::recv`]): up to K in flight, responses matched by id and
 //!   possibly out of order (see *Wire format*).
 //! * [`loadgen`] — replays [`TrafficMix`](xse_workloads::traffic) request
-//!   mixes built from the workloads corpora against an in-process registry
-//!   or a TCP endpoint, and reports per-op latency percentiles, QPS and
-//!   hit rates. Its `--chaos` mode routes the replay through the fault
-//!   proxy with a retrying client and reports shed/retry counts plus an
-//!   error taxonomy.
+//!   mixes built from the workloads corpora against one or more endpoints
+//!   (in-process, TCP connections with a pipelining window, or retrying
+//!   clients), one thread each, and reports per-op latency percentiles,
+//!   QPS and hit rates. Its `--chaos` mode routes the replay through the
+//!   fault proxy with a retrying client and reports shed/retry counts plus
+//!   an error taxonomy.
 //! * [`fault`] — [`FaultProxy`], an in-process chaos TCP proxy driven by a
 //!   seeded, deterministic [`FaultPlan`] (delay, reset, truncate
 //!   mid-frame, corrupt a byte), for exercising every failure path above
@@ -88,7 +89,7 @@
 //! | `0x81` | `compiled`   | `source_hash`, `target_hash`, `size: u64`     |
 //! | `0x82` | `document`   | `xml`                                         |
 //! | `0x83` | `translated` | `size`, `states`, `plan_hits`, `plan_misses` (`u64` each) |
-//! | `0x84` | `stats`      | 11 × `u64` (see [`proto::StatsWire`])         |
+//! | `0x84` | `stats`      | `hits`, `misses`, `compiles`, `single_flight_waits`, `evictions`, `entries`, `compile_nanos`, `plan_hits`, `plan_misses`, `plan_entries`, `negative_hits` (`u64` each, the [`RegistryStats`] fields in order) |
 //! | `0x85` | `evicted`    | `existed: u8`                                 |
 //! | `0xFF` | `error`      | `code: u8`, `message`                         |
 //!
@@ -310,22 +311,7 @@ fn try_handle(registry: &EmbeddingRegistry, req: &Request) -> Result<Response, S
                 plan_misses: plan.misses,
             })
         }
-        Request::Stats => {
-            let s = registry.stats();
-            Ok(Response::Stats(proto::StatsWire {
-                hits: s.hits,
-                misses: s.misses,
-                compiles: s.compiles,
-                single_flight_waits: s.single_flight_waits,
-                evictions: s.evictions,
-                entries: s.entries,
-                compile_nanos: s.compile_nanos,
-                plan_hits: s.plan_hits,
-                plan_misses: s.plan_misses,
-                plan_entries: s.plan_entries,
-                negative_hits: s.negative_hits,
-            }))
-        }
+        Request::Stats => Ok(Response::Stats(registry.stats())),
         Request::Evict {
             source_dtd,
             target_dtd,
@@ -351,15 +337,10 @@ fn engine_error(e: EmbeddingError) -> ServiceError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xse_discovery::DiscoveryConfig;
 
     fn registry() -> EmbeddingRegistry {
         EmbeddingRegistry::new(RegistryConfig {
             capacity: 8,
-            discovery: DiscoveryConfig {
-                threads: 1,
-                ..DiscoveryConfig::default()
-            },
             ..RegistryConfig::default()
         })
     }

@@ -1,5 +1,6 @@
-//! Load generator: replays [`TrafficMix`] request streams against an
-//! in-process registry or a TCP endpoint.
+//! Load generator: replays [`TrafficMix`] request streams against one or
+//! more endpoints — an in-process registry, TCP connections, or retrying
+//! clients behind a fault proxy.
 //!
 //! Fixtures are *embeddable by construction*: each [`SchemaPair`] takes a
 //! corpus (or synthetic) DTD as the source and a
@@ -10,14 +11,18 @@
 //! traffic), and translatable queries, all serialized to text exactly as a
 //! remote client would hold them.
 //!
-//! The replay itself is deterministic per `(mix, seed, pairs)`: op kinds,
-//! pair choices and payload choices all come from one seeded
-//! [`StdRng`]. `cold` mode issues an **untimed** evict for the chosen pair
-//! before every timed op, forcing each request to pay the compile path —
-//! the baseline against which the warm cache's speedup is measured.
+//! [`run`] drives every endpoint on its own scoped thread. Each endpoint
+//! replays a request stream sampled as it goes from its own seeded
+//! [`StdRng`] (endpoint `i` seeds `seed ^ i·φ`, so endpoint 0 replays the
+//! same stream whatever the endpoint count): op kinds, pair choices and
+//! payload choices are deterministic per `(mix, seed, pairs)`. A TCP
+//! endpoint keeps up to [`LoadConfig::inflight`] tagged requests in
+//! flight; every other endpoint answers one request at a time. `cold`
+//! mode issues an **untimed** evict for the chosen pair before every
+//! timed op, forcing each request to pay the compile path — the baseline
+//! against which the warm cache's speedup is measured.
 
 use std::collections::HashMap;
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,8 +36,8 @@ use xse_workloads::querygen::{random_queries, QueryConfig};
 use xse_workloads::scale;
 use xse_workloads::traffic::{ServiceOp, TrafficMix};
 
-use crate::proto::{ErrorCode, Request, Response, StatsWire};
-use crate::registry::{default_similarity, EmbeddingRegistry};
+use crate::proto::{ErrorCode, Request, Response};
+use crate::registry::{default_similarity, EmbeddingRegistry, RegistryStats};
 use crate::{Client, RetryStats, RetryingClient, ServiceError};
 
 /// One source/target schema pair with pre-generated request payloads.
@@ -50,17 +55,6 @@ pub struct SchemaPair {
     pub target_docs: Vec<String>,
     /// Source-side XR queries that translate successfully.
     pub queries: Vec<String>,
-}
-
-/// The discovery configuration the generator (and any server replaying
-/// its fixtures) should use: single-threaded restarts keep per-request
-/// compile cost predictable under concurrent load, and discovery results
-/// are identical for every thread count anyway.
-pub fn loadgen_discovery() -> DiscoveryConfig {
-    DiscoveryConfig {
-        threads: 1,
-        ..DiscoveryConfig::default()
-    }
 }
 
 /// Build `count` embeddable schema pairs: the workloads corpus first,
@@ -89,10 +83,10 @@ pub fn build_pairs(count: usize, seed: u64) -> Vec<SchemaPair> {
 }
 
 fn build_pair(name: String, source: &Dtd, seed: u64) -> SchemaPair {
-    let cfg = loadgen_discovery();
+    let cfg = DiscoveryConfig::default();
     let mut chosen: Option<(Dtd, xse_core::CompiledEmbedding)> = None;
     // Setup must predict the registry's verdict exactly, so verification
-    // uses the registry's own similarity heuristic and discovery config
+    // uses the registry's default similarity heuristic and discovery config
     // (discovery is deterministic per seed, independent of thread count).
     'search: for (attempt, level) in [
         (0u64, 0.3),
@@ -205,13 +199,18 @@ impl Endpoint {
 pub struct LoadConfig {
     /// The traffic mix to sample.
     pub mix: TrafficMix,
-    /// Timed operations to issue.
+    /// Timed operations each endpoint issues.
     pub ops: usize,
-    /// RNG seed (the whole replay is deterministic per seed).
+    /// RNG seed: endpoint `i` samples its stream from `seed ^ i·φ`.
     pub seed: u64,
     /// Evict the chosen pair (untimed) before every timed op, forcing the
-    /// cold compile path.
+    /// cold compile path. A cold replay answers one request at a time,
+    /// whatever `inflight` says.
     pub cold: bool,
+    /// Requests an [`Endpoint::Tcp`] keeps in flight: above 1 it
+    /// pipelines tagged requests, at 1 it calls on the id-0 lane. Other
+    /// endpoints always answer one request at a time.
+    pub inflight: usize,
 }
 
 /// Latency digest for one op kind.
@@ -294,11 +293,11 @@ pub struct LoadSummary {
     pub elapsed_nanos: u64,
     /// Timed operations per second.
     pub qps: f64,
-    /// Registry hit rate at the end of the run (hits / resolutions).
+    /// Registry hit rate at the end of the run
+    /// ([`RegistryStats::hit_rate`]).
     pub hit_rate: f64,
     /// Translation-plan cache hit rate at the end of the run
-    /// (`plan_hits / (plan_hits + plan_misses)`; `0.0` when no
-    /// translations ran).
+    /// ([`RegistryStats::plan_hit_rate`]).
     pub plan_hit_rate: f64,
     /// Transport-level failures (socket errors, undecodable frames).
     pub protocol_errors: u64,
@@ -314,13 +313,14 @@ pub struct LoadSummary {
     /// included: corruption is designed to be undecodable, never silently
     /// misread.
     pub misinterpretations: u64,
-    /// Retry counters, when the endpoint was [`Endpoint::Retry`].
+    /// Retry counters summed over the [`Endpoint::Retry`] endpoints;
+    /// `None` when there were none.
     pub retry: Option<RetryStats>,
     /// Per-op latency digests, in [`ServiceOp::ALL`] order, `None` when
     /// the op never ran.
     pub per_op: Vec<(ServiceOp, Option<OpDigest>)>,
     /// Registry counters after the run.
-    pub registry: StatsWire,
+    pub registry: RegistryStats,
     /// Latency digest across *all* timed ops (the warm/cold comparison
     /// metric).
     pub overall_digest: Option<OpDigest>,
@@ -414,46 +414,114 @@ pub fn response_matches(req: &Request, resp: &Response) -> bool {
     )
 }
 
-/// Replay `cfg.ops` sampled operations against `endpoint`.
+/// Compile every pair once through `endpoint` (untimed), so a following
+/// replay measures the warm path — cache reads racing across endpoints,
+/// plus wire queueing — rather than compile storms.
 ///
-/// Transport failures are counted; on a plain [`Endpoint::Tcp`] they also
-/// abort the replay early (a broken TCP connection cannot carry further
-/// requests), while the retrying and in-process endpoints press on.
+/// # Errors
+/// The first transport failure.
+pub fn prewarm(endpoint: &mut Endpoint, pairs: &[SchemaPair]) -> Result<(), ServiceError> {
+    for pair in pairs {
+        endpoint.exec(&compile_request(pair))?;
+    }
+    Ok(())
+}
+
+/// Replay `cfg.ops` sampled operations on every endpoint at once, one
+/// scoped thread per endpoint, and merge what they measured.
+///
 /// Structured error responses are counted and the replay continues.
-pub fn run(endpoint: &mut Endpoint, pairs: &[SchemaPair], cfg: &LoadConfig) -> LoadSummary {
+/// Transport failures are counted; on a plain [`Endpoint::Tcp`] they also
+/// end that endpoint's stream (a broken connection cannot carry further
+/// requests), while the retrying and in-process endpoints press on. The
+/// closing `Stats` request goes to the endpoints in order until one
+/// answers; if none does, the summary's registry counters read zero.
+pub fn run(endpoints: &mut [Endpoint], pairs: &[SchemaPair], cfg: &LoadConfig) -> LoadSummary {
     assert!(!pairs.is_empty(), "load generation needs at least one pair");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut out = ReplayOutcome::default();
+    assert!(!endpoints.is_empty(), "load generation needs an endpoint");
 
     let t0 = Instant::now();
-    for _ in 0..cfg.ops {
+    let mut out = ReplayOutcome::default();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = endpoints
+            .iter_mut()
+            .enumerate()
+            .map(|(i, endpoint)| {
+                scope.spawn(move || replay(endpoint, sample_stream(pairs, cfg, i as u64), cfg))
+            })
+            .collect();
+        for handle in handles {
+            out.merge(handle.join().expect("replay thread panicked"));
+        }
+    });
+    let elapsed = t0.elapsed();
+
+    let retry = endpoints
+        .iter()
+        .filter_map(Endpoint::retry_stats)
+        .reduce(|a, b| RetryStats {
+            attempts: a.attempts + b.attempts,
+            retries: a.retries + b.retries,
+            reconnects: a.reconnects + b.reconnects,
+        });
+    let registry = endpoints
+        .iter_mut()
+        .find_map(|endpoint| match endpoint.exec(&Request::Stats) {
+            Ok(Response::Stats(s)) => Some(s),
+            _ => None,
+        })
+        .unwrap_or_default();
+    out.summarize(&cfg.mix, elapsed, registry, retry)
+}
+
+/// One sampled request: its op kind, its pair and the request itself.
+type Sampled<'p> = (ServiceOp, &'p SchemaPair, Request);
+
+/// Endpoint `index`'s request stream, sampled one request at a time as
+/// the replay pulls it, so only the requests in flight are held.
+fn sample_stream<'a>(
+    pairs: &'a [SchemaPair],
+    cfg: &'a LoadConfig,
+    index: u64,
+) -> impl Iterator<Item = Sampled<'a>> + 'a {
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    (0..cfg.ops).map(move |_| {
         let pair = &pairs[rng.random_range(0..pairs.len())];
         let op = cfg.mix.sample(&mut rng);
-        let req = match build_request(pair, op, &mut rng, cfg.mix.zipf_queries()) {
-            Some(r) => r,
-            // A pair can lack payloads for this op (e.g. no translatable
-            // queries survived setup); degrade to a cache touch.
-            None => Request::Compile {
-                source_dtd: pair.source_text.clone(),
-                target_dtd: pair.target_text.clone(),
-            },
-        };
-        if cfg.cold {
-            // Untimed: drop the entry so the timed op compiles.
-            let evict = Request::Evict {
-                source_dtd: pair.source_text.clone(),
-                target_dtd: pair.target_text.clone(),
-            };
-            if let Err(e) = endpoint.exec(&evict) {
-                out.transport_failure(&e);
-                if !endpoint.survives_transport_errors() {
-                    break;
-                }
-                continue;
-            }
+        // A pair can lack payloads for this op (e.g. no translatable
+        // queries survived setup); degrade to a cache touch.
+        let req = build_request(pair, op, &mut rng, cfg.mix.zipf_queries())
+            .unwrap_or_else(|| compile_request(pair));
+        (op, pair, req)
+    })
+}
+
+/// Replay one endpoint's stream.
+fn replay<'p>(
+    endpoint: &mut Endpoint,
+    stream: impl Iterator<Item = Sampled<'p>>,
+    cfg: &LoadConfig,
+) -> ReplayOutcome {
+    if let Endpoint::Tcp(client) = endpoint {
+        if cfg.inflight > 1 && !cfg.cold {
+            return pipeline(client, stream, cfg.inflight);
         }
+    }
+    let mut out = ReplayOutcome::default();
+    for (op, pair, req) in stream {
+        // Untimed: drop the entry so the timed op compiles.
+        let evicted = if cfg.cold {
+            endpoint
+                .exec(&Request::Evict {
+                    source_dtd: pair.source_text.clone(),
+                    target_dtd: pair.target_text.clone(),
+                })
+                .map(drop)
+        } else {
+            Ok(())
+        };
         let start = Instant::now();
-        match endpoint.exec(&req) {
+        match evicted.and_then(|()| endpoint.exec(&req)) {
             Ok(resp) => out.record(op, &req, &resp, start.elapsed()),
             Err(e) => {
                 out.transport_failure(&e);
@@ -463,29 +531,55 @@ pub fn run(endpoint: &mut Endpoint, pairs: &[SchemaPair], cfg: &LoadConfig) -> L
             }
         }
     }
-    let elapsed = t0.elapsed();
-    let registry = endpoint.exec(&Request::Stats);
-    out.summarize(&cfg.mix, elapsed, registry, endpoint.retry_stats())
+    out
 }
 
-/// Parameters for the contended replay: `connections` pipelined TCP
-/// connections, each keeping up to `inflight` requests in flight.
-#[derive(Clone, Debug)]
-pub struct ContendedConfig {
-    /// The traffic mix every connection samples (independently seeded).
-    pub mix: TrafficMix,
-    /// Timed operations issued *per connection*.
-    pub ops_per_connection: usize,
-    /// Base RNG seed; connection `i` derives its own stream from it.
-    pub seed: u64,
-    /// Concurrent TCP connections.
-    pub connections: usize,
-    /// Per-connection pipelining window (1 = lockstep, still pipelined
-    /// framing).
-    pub inflight: usize,
+/// Replay `stream` on one connection, keeping up to `window` tagged
+/// requests in flight. Latency is submit→receive, so under a deep window
+/// it includes time spent queued behind the connection's other requests:
+/// the latency a pipelined caller observes.
+fn pipeline<'p>(
+    client: &mut Client,
+    mut stream: impl Iterator<Item = Sampled<'p>>,
+    window: usize,
+) -> ReplayOutcome {
+    let mut out = ReplayOutcome::default();
+    let mut pending: HashMap<u32, (ServiceOp, Request, Instant)> = HashMap::new();
+    loop {
+        // Fill the window first, then block on one completion.
+        if pending.len() < window {
+            if let Some((op, _, req)) = stream.next() {
+                let started = Instant::now();
+                match client.submit(&req) {
+                    Ok(id) => {
+                        pending.insert(id, (op, req, started));
+                        continue;
+                    }
+                    Err(e) => {
+                        out.transport_failure(&e);
+                        break;
+                    }
+                }
+            }
+        }
+        if pending.is_empty() {
+            break;
+        }
+        match client.recv() {
+            Ok((id, resp)) => {
+                let (op, req, started) = pending.remove(&id).expect("recv validated the id");
+                out.record(op, &req, &resp, started.elapsed());
+            }
+            Err(e) => {
+                out.transport_failure(&e);
+                break;
+            }
+        }
+    }
+    out
 }
 
-/// What a replay (or one connection of a contended replay) produced.
+/// What a replay (or one endpoint's share of it) produced.
 #[derive(Default)]
 struct ReplayOutcome {
     /// Latencies in nanoseconds, one list per [`ServiceOp::ALL`] slot.
@@ -541,26 +635,14 @@ impl ReplayOutcome {
     }
 
     /// Turn the counts, the timed section's wall time and the server's
-    /// closing `Stats` answer into the run's [`LoadSummary`].
+    /// closing counters into the run's [`LoadSummary`].
     fn summarize(
         mut self,
         mix: &TrafficMix,
         elapsed: Duration,
-        stats: Result<Response, ServiceError>,
+        registry: RegistryStats,
         retry: Option<RetryStats>,
     ) -> LoadSummary {
-        let registry = match stats {
-            Ok(Response::Stats(s)) => s,
-            _ => StatsWire::default(),
-        };
-        let ratio = |part: u64, whole: u64| {
-            if whole == 0 {
-                0.0
-            } else {
-                part as f64 / whole as f64
-            }
-        };
-        let resolutions = registry.hits + registry.misses + registry.single_flight_waits;
         let elapsed_nanos = elapsed.as_nanos() as u64;
         let mut all: Vec<u64> = self.latencies.iter().flatten().copied().collect();
         let per_op = ServiceOp::ALL
@@ -572,12 +654,13 @@ impl ReplayOutcome {
             mix: mix.name().to_string(),
             ops: self.issued,
             elapsed_nanos,
-            qps: ratio(self.issued, elapsed_nanos) * 1e9,
-            hit_rate: ratio(registry.hits, resolutions),
-            plan_hit_rate: ratio(
-                registry.plan_hits,
-                registry.plan_hits + registry.plan_misses,
-            ),
+            qps: if elapsed_nanos == 0 {
+                0.0
+            } else {
+                self.issued as f64 * 1e9 / elapsed_nanos as f64
+            },
+            hit_rate: registry.hit_rate(),
+            plan_hit_rate: registry.plan_hit_rate(),
             protocol_errors: self.protocol_errors,
             op_errors: self.op_errors,
             errors: self.errors,
@@ -591,126 +674,6 @@ impl ReplayOutcome {
     }
 }
 
-/// Replay the mix over `cfg.connections` concurrent [`Client`]s,
-/// each holding up to `cfg.inflight` requests in flight.
-///
-/// Every pair is compiled once (untimed) before the timed section, so the
-/// digests measure the *warm* path under contention — registry fast-path
-/// reads racing across connections plus wire queueing — rather than
-/// compile storms. Latency is submit→receive per request, which under a
-/// deep window deliberately includes time spent queued behind the
-/// connection's other in-flight requests: that is the latency a pipelined
-/// caller observes.
-///
-/// Fails only if the prewarm client cannot be set up; per-connection
-/// transport failures end that connection's stream and are counted in the
-/// merged taxonomy.
-pub fn run_contended(
-    addr: SocketAddr,
-    pairs: &[SchemaPair],
-    cfg: &ContendedConfig,
-) -> Result<LoadSummary, ServiceError> {
-    assert!(!pairs.is_empty(), "load generation needs at least one pair");
-    assert!(cfg.connections >= 1, "need at least one connection");
-    assert!(cfg.inflight >= 1, "need a window of at least one");
-
-    // Prewarm (untimed): every pair compiles exactly once up front.
-    let mut control = Client::connect(addr)?;
-    for p in pairs {
-        control.call(&Request::Compile {
-            source_dtd: p.source_text.clone(),
-            target_dtd: p.target_text.clone(),
-        })?;
-    }
-
-    let t0 = Instant::now();
-    let outcomes: Vec<ReplayOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.connections)
-            .map(|conn| scope.spawn(move || drive_connection(addr, pairs, cfg, conn as u64)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("connection thread panicked"))
-            .collect()
-    });
-    let elapsed = t0.elapsed();
-
-    let mut merged = ReplayOutcome::default();
-    for out in outcomes {
-        merged.merge(out);
-    }
-    let registry = control.call(&Request::Stats);
-    Ok(merged.summarize(&cfg.mix, elapsed, registry, None))
-}
-
-fn drive_connection(
-    addr: SocketAddr,
-    pairs: &[SchemaPair],
-    cfg: &ContendedConfig,
-    conn: u64,
-) -> ReplayOutcome {
-    let mut out = ReplayOutcome::default();
-    let mut client = match Client::connect(addr) {
-        Ok(c) => c,
-        Err(e) => {
-            out.transport_failure(&e);
-            return out;
-        }
-    };
-    // Pre-sample the whole stream so the timed loop does no generation
-    // work; each connection gets an independent deterministic stream.
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ conn.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let reqs: Vec<(ServiceOp, Request)> = (0..cfg.ops_per_connection)
-        .map(|_| {
-            let pair = &pairs[rng.random_range(0..pairs.len())];
-            let op = cfg.mix.sample(&mut rng);
-            let req =
-                build_request(pair, op, &mut rng, cfg.mix.zipf_queries()).unwrap_or_else(|| {
-                    Request::Compile {
-                        source_dtd: pair.source_text.clone(),
-                        target_dtd: pair.target_text.clone(),
-                    }
-                });
-            (op, req)
-        })
-        .collect();
-
-    let mut pending: HashMap<u32, (usize, Instant)> = HashMap::new();
-    let mut next = 0usize;
-    loop {
-        // Fill the window first, then block on one completion.
-        if next < reqs.len() && pending.len() < cfg.inflight {
-            let started = Instant::now();
-            match client.submit(&reqs[next].1) {
-                Ok(id) => {
-                    pending.insert(id, (next, started));
-                    next += 1;
-                    continue;
-                }
-                Err(e) => {
-                    out.transport_failure(&e);
-                    break;
-                }
-            }
-        }
-        if pending.is_empty() {
-            break;
-        }
-        match client.recv() {
-            Ok((id, resp)) => {
-                let (idx, started) = pending.remove(&id).expect("recv validated the id");
-                let (op, req) = &reqs[idx];
-                out.record(*op, req, &resp, started.elapsed());
-            }
-            Err(e) => {
-                out.transport_failure(&e);
-                break;
-            }
-        }
-    }
-    out
-}
-
 fn digest(lat: &mut [u64]) -> Option<OpDigest> {
     if lat.is_empty() {
         return None;
@@ -722,6 +685,13 @@ fn digest(lat: &mut [u64]) -> Option<OpDigest> {
         p50_nanos: pick(0.50),
         p99_nanos: pick(0.99),
     })
+}
+
+fn compile_request(pair: &SchemaPair) -> Request {
+    Request::Compile {
+        source_dtd: pair.source_text.clone(),
+        target_dtd: pair.target_text.clone(),
+    }
 }
 
 fn build_request(
@@ -794,6 +764,7 @@ fn pick_zipf<'a, T>(items: &'a [T], rng: &mut StdRng) -> Option<&'a T> {
 mod tests {
     use super::*;
     use crate::registry::RegistryConfig;
+    use crate::{Server, ServerConfig};
 
     #[test]
     fn pairs_are_embeddable_with_payloads() {
@@ -805,7 +776,6 @@ mod tests {
             // Each pair must compile through the registry path too.
             let reg = EmbeddingRegistry::new(RegistryConfig {
                 capacity: 2,
-                discovery: loadgen_discovery(),
                 ..RegistryConfig::default()
             });
             reg.get_or_compile(&p.source_text, &p.target_text)
@@ -818,7 +788,6 @@ mod tests {
         let pairs = build_pairs(2, 11);
         let reg = Arc::new(EmbeddingRegistry::new(RegistryConfig {
             capacity: 8,
-            discovery: loadgen_discovery(),
             ..RegistryConfig::default()
         }));
         let cfg = LoadConfig {
@@ -826,9 +795,9 @@ mod tests {
             ops: 60,
             seed: 5,
             cold: false,
+            inflight: 1,
         };
-        let mut ep = Endpoint::InProcess(Arc::clone(&reg));
-        let summary = run(&mut ep, &pairs, &cfg);
+        let summary = run(&mut [Endpoint::InProcess(Arc::clone(&reg))], &pairs, &cfg);
         assert_eq!(summary.ops, 60);
         assert_eq!(summary.protocol_errors, 0);
         assert_eq!(summary.op_errors, 0, "{}", summary.to_json());
@@ -875,7 +844,6 @@ mod tests {
         let pairs = build_pairs(2, 11);
         let reg = Arc::new(EmbeddingRegistry::new(RegistryConfig {
             capacity: 8,
-            discovery: loadgen_discovery(),
             ..RegistryConfig::default()
         }));
         let cfg = LoadConfig {
@@ -883,8 +851,9 @@ mod tests {
             ops: 300,
             seed: 5,
             cold: false,
+            inflight: 1,
         };
-        let summary = run(&mut Endpoint::InProcess(Arc::clone(&reg)), &pairs, &cfg);
+        let summary = run(&mut [Endpoint::InProcess(Arc::clone(&reg))], &pairs, &cfg);
         assert_eq!(summary.protocol_errors + summary.op_errors, 0);
         // Two pairs hold at most 12 distinct queries between them, so with
         // ~280 translates nearly all land on cached plans.
@@ -895,5 +864,40 @@ mod tests {
             summary.to_json()
         );
         assert!(summary.registry.plan_hits > summary.registry.plan_misses * 5);
+    }
+
+    #[test]
+    fn pipelined_replay_over_several_connections_is_clean() {
+        let pairs = build_pairs(2, 11);
+        let reg = Arc::new(EmbeddingRegistry::new(RegistryConfig::default()));
+        let connections = 3;
+        let server = Server::bind(
+            ("127.0.0.1", 0),
+            reg,
+            ServerConfig {
+                workers: connections,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let mut endpoints: Vec<Endpoint> = (0..connections)
+            .map(|_| Endpoint::Tcp(Client::connect(server.addr()).expect("connect")))
+            .collect();
+        prewarm(&mut endpoints[0], &pairs).expect("prewarm");
+        let cfg = LoadConfig {
+            mix: TrafficMix::translate_heavy(),
+            ops: 80,
+            seed: 5,
+            cold: false,
+            inflight: 4,
+        };
+        let summary = run(&mut endpoints, &pairs, &cfg);
+        assert_eq!(summary.ops, (connections * cfg.ops) as u64);
+        assert_eq!(summary.protocol_errors, 0, "{}", summary.to_json());
+        assert_eq!(summary.misinterpretations, 0, "{}", summary.to_json());
+        assert_eq!(summary.op_errors, 0, "{}", summary.to_json());
+        // Prewarmed and never evicted: only the prewarm compiles missed.
+        assert_eq!(summary.registry.misses, pairs.len() as u64);
+        assert!(summary.retry.is_none());
     }
 }

@@ -20,6 +20,8 @@
 
 use std::io::{self, Read, Write};
 
+use crate::registry::RegistryStats;
+
 /// Hard cap on a frame's payload length (16 MiB). A peer announcing more
 /// is answered with [`ErrorCode::FrameTooLarge`] and disconnected — the
 /// declared bytes are never read, so a hostile header cannot make the
@@ -184,39 +186,6 @@ pub enum Request {
     },
 }
 
-/// Registry counters as they travel on the wire (eleven `u64`s, BE).
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct StatsWire {
-    /// Cache hits.
-    pub hits: u64,
-    /// Cache misses that triggered a compile.
-    pub misses: u64,
-    /// Engines built, by discovery or by a rebuild from a kept discovery
-    /// verdict.
-    pub compiles: u64,
-    /// Requests that waited on another request's in-flight compile.
-    pub single_flight_waits: u64,
-    /// Entries dropped by capacity pressure (compile-cost × recency) or
-    /// explicit evict.
-    pub evictions: u64,
-    /// Entries currently cached.
-    pub entries: u64,
-    /// Total nanoseconds spent building engines: discovery, including
-    /// failed runs, or rebuild.
-    pub compile_nanos: u64,
-    /// Translation-plan cache hits, aggregated across all engines the
-    /// registry ever held (evicted engines' counters are retained).
-    pub plan_hits: u64,
-    /// Translation-plan cache misses, aggregated the same way.
-    pub plan_misses: u64,
-    /// Plans currently cached across live engines.
-    pub plan_entries: u64,
-    /// Requests short-circuited by an `Unembeddable` discovery verdict (a
-    /// recent discovery failure for the same pair answered without
-    /// re-running discovery).
-    pub negative_hits: u64,
-}
-
 /// A decoded server response.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Response {
@@ -237,8 +206,9 @@ pub enum Response {
         plan_hits: u64,
         plan_misses: u64,
     },
-    /// Registry statistics.
-    Stats(StatsWire),
+    /// Registry statistics: the eleven [`RegistryStats`] counters, each a
+    /// `u64` (BE) in field order.
+    Stats(RegistryStats),
     /// Eviction acknowledgement (`existed` = whether the pair was cached).
     Evicted { existed: bool },
     /// Structured failure.
@@ -613,7 +583,7 @@ impl Response {
                 plan_hits: c.u64()?,
                 plan_misses: c.u64()?,
             },
-            resp::STATS => Response::Stats(StatsWire {
+            resp::STATS => Response::Stats(RegistryStats {
                 hits: c.u64()?,
                 misses: c.u64()?,
                 compiles: c.u64()?,
@@ -697,7 +667,7 @@ mod tests {
             plan_hits: 9,
             plan_misses: 1,
         });
-        roundtrip_resp(Response::Stats(StatsWire {
+        roundtrip_resp(Response::Stats(RegistryStats {
             hits: 1,
             misses: 2,
             compiles: 3,
@@ -715,6 +685,34 @@ mod tests {
             code: ErrorCode::BadDtd,
             message: "nope".into(),
         });
+    }
+
+    #[test]
+    fn stats_payload_bytes_are_pinned() {
+        // Distinct values with a high and a low byte set, so a swapped
+        // field, a dropped field or a little-endian write all change the
+        // bytes.
+        let v = |i: u64| (i << 56) | i;
+        let stats = RegistryStats {
+            hits: v(1),
+            misses: v(2),
+            compiles: v(3),
+            single_flight_waits: v(4),
+            evictions: v(5),
+            entries: v(6),
+            compile_nanos: v(7),
+            plan_hits: v(8),
+            plan_misses: v(9),
+            plan_entries: v(10),
+            negative_hits: v(11),
+        };
+        let mut expected = vec![0x84];
+        for i in 1..=11 {
+            expected.extend_from_slice(&v(i).to_be_bytes());
+        }
+        assert_eq!(expected.len(), 1 + 11 * 8);
+        assert_eq!(Response::Stats(stats).encode(), expected);
+        assert_eq!(Response::decode(&expected), Some(Response::Stats(stats)));
     }
 
     #[test]

@@ -826,10 +826,6 @@ mod tests {
         EmbeddingRegistry::new(RegistryConfig {
             capacity,
             shards,
-            discovery: DiscoveryConfig {
-                threads: 1,
-                ..DiscoveryConfig::default()
-            },
             negative_ttl,
             ..RegistryConfig::default()
         })

@@ -26,7 +26,6 @@ fn spawn_server() -> ServerHandle {
         ("127.0.0.1", 0),
         Arc::new(EmbeddingRegistry::new(RegistryConfig {
             capacity: 8,
-            discovery: loadgen::loadgen_discovery(),
             ..RegistryConfig::default()
         })),
         ServerConfig {
@@ -173,7 +172,7 @@ fn chaos_soak_is_deterministic_and_never_misdecodes() {
     for round in 0..2 {
         let server = spawn_server();
         let proxy = FaultProxy::spawn(server.addr(), FaultPlan::standard(21)).unwrap();
-        let mut endpoint = Endpoint::Retry(
+        let mut endpoints = [Endpoint::Retry(
             RetryingClient::new(
                 proxy.addr(),
                 chaos_client_config(),
@@ -185,15 +184,16 @@ fn chaos_soak_is_deterministic_and_never_misdecodes() {
                 },
             )
             .unwrap(),
-        );
+        )];
         let summary = loadgen::run(
-            &mut endpoint,
+            &mut endpoints,
             &pairs,
             &LoadConfig {
                 mix: TrafficMix::mixed(),
                 ops: 120,
                 seed: 6,
                 cold: false,
+                inflight: 1,
             },
         );
         assert_eq!(

@@ -11,7 +11,6 @@ use std::sync::{Arc, Barrier};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xse_service::loadgen::loadgen_discovery;
 use xse_service::{
     handle_request, EmbeddingRegistry, RegistryConfig, RegistryStats, Request, Response,
     ServiceError,
@@ -38,7 +37,6 @@ fn registry(shards: usize, capacity: usize) -> EmbeddingRegistry {
     EmbeddingRegistry::new(RegistryConfig {
         capacity,
         shards,
-        discovery: loadgen_discovery(),
         ..RegistryConfig::default()
     })
 }

@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use xse_service::loadgen::{self, loadgen_discovery};
+use xse_service::loadgen;
 use xse_service::proto::{read_frame, write_frame};
 use xse_service::{
     Client, EmbeddingRegistry, ErrorCode, PipelinedClient, RegistryConfig, Request, Response,
@@ -28,7 +28,6 @@ fn spawn_server(workers: usize) -> ServerHandle {
         ("127.0.0.1", 0),
         Arc::new(EmbeddingRegistry::new(RegistryConfig {
             capacity: 16,
-            discovery: loadgen_discovery(),
             ..RegistryConfig::default()
         })),
         ServerConfig {
@@ -53,7 +52,6 @@ fn spawn_slow_compile_server(config: ServerConfig) -> ServerHandle {
         ("127.0.0.1", 0),
         Arc::new(EmbeddingRegistry::new(RegistryConfig {
             capacity: 16,
-            discovery: loadgen_discovery(),
             sim: slow_sim,
             ..RegistryConfig::default()
         })),
@@ -100,7 +98,7 @@ fn shuffled_responses_match_by_id_and_timeout_isolates() {
             "client must number requests 1, 2, 3"
         );
         vec![
-            (3, Response::Stats(xse_service::proto::StatsWire::default())),
+            (3, Response::Stats(xse_service::RegistryStats::default())),
             (1, Response::Evicted { existed: false }),
             (
                 2,
@@ -444,7 +442,6 @@ fn tagged_requests_run_concurrently_up_to_the_thread_cap() {
         ("127.0.0.1", 0),
         Arc::new(EmbeddingRegistry::new(RegistryConfig {
             capacity: 16,
-            discovery: loadgen_discovery(),
             sim: counting_sim,
             ..RegistryConfig::default()
         })),

@@ -6,7 +6,6 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xse_service::loadgen;
 use xse_service::proto::ErrorCode;
 use xse_service::{
     Client, ClientConfig, EmbeddingRegistry, RegistryConfig, RetryPolicy, RetryingClient, Server,
@@ -23,7 +22,6 @@ fn wrap_pair() -> (String, String) {
 fn test_registry(capacity: usize) -> Arc<EmbeddingRegistry> {
     Arc::new(EmbeddingRegistry::new(RegistryConfig {
         capacity,
-        discovery: loadgen::loadgen_discovery(),
         ..RegistryConfig::default()
     }))
 }

@@ -26,7 +26,6 @@ fn wrap_pair() -> (String, String) {
 fn test_registry(capacity: usize) -> Arc<EmbeddingRegistry> {
     Arc::new(EmbeddingRegistry::new(RegistryConfig {
         capacity,
-        discovery: loadgen::loadgen_discovery(),
         ..RegistryConfig::default()
     }))
 }
@@ -385,23 +384,25 @@ fn warm_cache_p50_at_least_10x_better_than_cold() {
     assert!(pairs.len() >= 8);
 
     let warm = loadgen::run(
-        &mut Endpoint::InProcess(test_registry(64)),
+        &mut [Endpoint::InProcess(test_registry(64))],
         &pairs,
         &LoadConfig {
             mix: TrafficMix::translate_heavy(),
             ops: 300,
             seed: 42,
             cold: false,
+            inflight: 1,
         },
     );
     let cold = loadgen::run(
-        &mut Endpoint::InProcess(test_registry(64)),
+        &mut [Endpoint::InProcess(test_registry(64))],
         &pairs,
         &LoadConfig {
             mix: TrafficMix::translate_heavy(),
             ops: 40,
             seed: 42,
             cold: true,
+            inflight: 1,
         },
     );
     assert_eq!(warm.protocol_errors + cold.protocol_errors, 0);

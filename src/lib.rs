@@ -20,9 +20,10 @@
 //! * **XSLT stylesheets** implementing `σd` and `σd⁻¹` (Section 4.3);
 //! * heuristic **discovery** of embeddings from a similarity matrix
 //!   (Section 5 — the problem itself is NP-complete, Theorem 5.1). The
-//!   restart search runs on a parallel engine
-//!   ([`DiscoveryConfig::threads`](crate::discovery::DiscoveryConfig::threads))
-//!   that returns a byte-identical embedding for every thread count.
+//!   restart search runs sequentially by default;
+//!   [`DiscoveryConfig::threads`](crate::discovery::DiscoveryConfig::threads)
+//!   opts into parallel restarts, which return a byte-identical embedding
+//!   for every thread count.
 //!
 //! The compiled engine ([`CompiledEmbedding`](crate::core::CompiledEmbedding))
 //! owns its schemas via `Arc`, carries no lifetime parameter, and is
