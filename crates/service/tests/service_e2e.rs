@@ -377,7 +377,8 @@ proptest! {
 
 /// The headline serving claim: on a translate-heavy mix over 8 schema
 /// pairs, the warm cache's overall p50 must be at least 10× lower than
-/// the cold-cache (evict-before-every-op) mode, with a ≥ 90% hit rate.
+/// a cold op's (one op on a fresh registry, which discovers the pair),
+/// with a ≥ 90% hit rate.
 #[test]
 fn warm_cache_p50_at_least_10x_better_than_cold() {
     let pairs = loadgen::build_pairs(8, 42);
@@ -394,27 +395,42 @@ fn warm_cache_p50_at_least_10x_better_than_cold() {
             inflight: 1,
         },
     );
-    let cold = loadgen::run(
-        &mut [Endpoint::InProcess(test_registry(64))],
-        &pairs,
-        &LoadConfig {
-            mix: TrafficMix::translate_heavy(),
-            ops: 40,
-            seed: 42,
-            cold: true,
-            inflight: 1,
-        },
-    );
-    assert_eq!(warm.protocol_errors + cold.protocol_errors, 0);
-    assert_eq!(warm.op_errors + cold.op_errors, 0, "{}", warm.to_json());
+    assert_eq!(warm.protocol_errors, 0);
+    assert_eq!(warm.op_errors, 0, "{}", warm.to_json());
+    // Cold: each op runs alone on a fresh registry, so it pays discovery
+    // and compilation. (An evict before the op would not do: the registry
+    // keeps the pair's verdict and rebuilds the engine without searching.)
+    let mut cold_nanos: Vec<u64> = (0..40)
+        .map(|i| {
+            let cold = loadgen::run(
+                &mut [Endpoint::InProcess(test_registry(64))],
+                &pairs,
+                &LoadConfig {
+                    mix: TrafficMix::translate_heavy(),
+                    ops: 1,
+                    seed: 42 + i,
+                    cold: false,
+                    inflight: 1,
+                },
+            );
+            assert_eq!(
+                cold.protocol_errors + cold.op_errors,
+                0,
+                "{}",
+                cold.to_json()
+            );
+            assert_eq!(cold.registry.misses, 1, "{}", cold.to_json());
+            cold.overall_digest.expect("cold op ran").p50_nanos
+        })
+        .collect();
+    cold_nanos.sort_unstable();
     let warm_p50 = warm.overall_digest.expect("warm ops ran").p50_nanos;
-    let cold_p50 = cold.overall_digest.expect("cold ops ran").p50_nanos;
+    let cold_p50 = cold_nanos[cold_nanos.len() / 2];
     assert!(
         warm_p50 * 10 <= cold_p50,
         "warm p50 {warm_p50}ns not 10x better than cold p50 {cold_p50}ns \
-         (warm: {}, cold: {})",
+         (warm: {}, cold ops: {cold_nanos:?})",
         warm.to_json(),
-        cold.to_json()
     );
     assert!(
         warm.hit_rate >= 0.90,

@@ -44,8 +44,12 @@
 //!   equality are invariant.
 //!
 //! Parsing ([`parse_xml`]) builds straight into the arena with capacity
-//! pre-reserved from the input length; serialization
-//! ([`XmlTree::to_xml`] / [`XmlTree::to_xml_pretty`]) round-trips through it.
+//! pre-reserved from the input, copying each run of character data as one
+//! slice into the shared text buffer; serialization ([`XmlTree::to_xml`] /
+//! [`XmlTree::to_xml_pretty`]) walks the sibling links into a presized
+//! string and round-trips through it. Parsing and compact serialization
+//! take time linear in the document, and all three loop instead of
+//! recursing, so nesting depth is bounded by memory, not by the call stack.
 
 mod builder;
 mod idmap;

@@ -279,12 +279,25 @@ impl XmlTree {
     /// Append a new text node with string `value` as the last child of
     /// `parent`. The bytes are copied into the tree's shared text buffer.
     pub fn add_text(&mut self, parent: NodeId, value: impl AsRef<str>) -> NodeId {
-        let v = value.as_ref();
-        let start = u32::try_from(self.text.len()).expect("text buffer larger than u32::MAX");
-        let len = u32::try_from(v.len()).expect("text value larger than u32::MAX");
-        let _ = start.checked_add(len).expect("text buffer overflows u32");
-        self.text.push_str(v);
-        self.push_rec(parent, TEXT, start, len)
+        let start = self.text.len();
+        self.text.push_str(value.as_ref());
+        self.add_text_from(parent, start)
+    }
+
+    /// The shared text buffer, for writers that decode straight into it
+    /// (the parser). Bytes past the last text node belong to no node until
+    /// [`XmlTree::add_text_from`] claims them; truncating back to that
+    /// point discards them.
+    pub(crate) fn text_buffer_mut(&mut self) -> &mut String {
+        &mut self.text
+    }
+
+    /// Append a text node whose value is the text buffer from byte `start`
+    /// to its end, as the last child of `parent`.
+    pub(crate) fn add_text_from(&mut self, parent: NodeId, start: usize) -> NodeId {
+        let end = u32::try_from(self.text.len()).expect("text buffer larger than u32::MAX");
+        let start = u32::try_from(start).expect("text start within the buffer");
+        self.push_rec(parent, TEXT, start, end - start)
     }
 
     fn push_rec(&mut self, parent: NodeId, tag: u32, text_start: u32, text_len: u32) -> NodeId {
@@ -458,6 +471,30 @@ impl XmlTree {
             cur = self.nodes[cur as usize].next_sibling;
             Some(out)
         })
+    }
+
+    /// The first child of `id` by the intrusive links (no CSR needed).
+    pub(crate) fn first_child(&self, id: NodeId) -> Option<NodeId> {
+        let c = self.rec(id).first_child;
+        (c != NIL).then_some(NodeId(c))
+    }
+
+    /// The next sibling of `id` by the intrusive links (no CSR needed).
+    pub(crate) fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
+        let s = self.rec(id).next_sibling;
+        (s != NIL).then_some(NodeId(s))
+    }
+
+    /// Bytes of compact XML this tree serializes to, before escaping: one
+    /// `<tag>` + `</tag>` pair per element plus the raw text.
+    pub(crate) fn compact_len_hint(&self) -> usize {
+        let markup: usize = self
+            .nodes
+            .iter()
+            .filter(|r| r.tag != TEXT)
+            .map(|r| 2 * self.symbols.name(TagId(r.tag)).len() + 5)
+            .sum();
+        markup + self.text.len()
     }
 
     /// The parent of `id` (`None` for the root).

@@ -2,6 +2,9 @@
 //! queries: the paper's theorems as invariants.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 use xse::core::preserve;
 use xse::dtd::{GenConfig, InstanceGenerator};
@@ -268,5 +271,180 @@ proptest! {
         let combined = multi::combine_sources("sources", &[&a, &b]).unwrap();
         prop_assert!(combined.is_consistent());
         prop_assert_eq!(combined.type_count(), 1 + 2 * dtd.type_count());
+    }
+}
+
+// XML text round trips beyond generated `word-N` values: markup-significant
+// characters, non-ASCII text, character references, comments and PIs inside
+// text, and hostile inputs that must be errors, never panics.
+
+/// Text alphabet: markup-significant ASCII, whitespace of several kinds and
+/// multi-byte UTF-8 (two, three and four bytes).
+const TEXT_CHARS: &[char] = &[
+    'a', 'Z', '0', ' ', '<', '>', '&', '"', '\'', ';', '#', '\n', '\u{a0}', 'é', '✓', '中', '😀',
+];
+const TAGS: &[&str] = &["a", "b", "c-d", "e.f", "g:h", "i_9"];
+
+/// A random string over [`TEXT_CHARS`] with at least one non-whitespace
+/// character (whitespace-only text is dropped by the parser).
+fn random_text(rng: &mut StdRng) -> String {
+    let len = rng.random_range(1usize..12);
+    let mut s: String = (0..len).map(|_| *TEXT_CHARS.choose(rng).unwrap()).collect();
+    if s.chars().all(char::is_whitespace) {
+        s.push('w');
+    }
+    s
+}
+
+/// A random tree with mixed content: elements from [`TAGS`] and text from
+/// [`random_text`], never two text siblings in a row (the parser would
+/// merge them).
+fn random_mixed_tree(rng: &mut StdRng, max_nodes: usize) -> XmlTree {
+    let mut t = XmlTree::new(*TAGS.choose(rng).unwrap());
+    let mut open = vec![t.root()];
+    let mut last_was_text = false;
+    while t.len() < max_nodes && !open.is_empty() {
+        let parent = *open.last().unwrap();
+        match rng.random_range(0u32..4) {
+            0 => {
+                open.pop();
+                last_was_text = false;
+            }
+            1 if !last_was_text => {
+                let text = random_text(rng);
+                t.add_text(parent, text);
+                last_was_text = true;
+            }
+            _ => {
+                let child = t.add_element(parent, *TAGS.choose(rng).unwrap());
+                open.push(child);
+                last_was_text = false;
+            }
+        }
+    }
+    t
+}
+
+/// `s` written as XML character data with every character spelled one of
+/// the ways the parser accepts: literally (unless special), as a
+/// predefined entity, or as a decimal or hex character reference.
+fn spell_text(rng: &mut StdRng, s: &str) -> String {
+    let mut out = String::new();
+    for c in s.chars() {
+        let named = match c {
+            '<' => Some("&lt;"),
+            '>' => Some("&gt;"),
+            '&' => Some("&amp;"),
+            '"' => Some("&quot;"),
+            '\'' => Some("&apos;"),
+            _ => None,
+        };
+        match rng.random_range(0u32..4) {
+            0 => out.push_str(&format!("&#{};", c as u32)),
+            1 => out.push_str(&format!("&#x{:X};", c as u32)),
+            _ => match named {
+                Some(entity) => out.push_str(entity),
+                None => out.push(c),
+            },
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Mixed-content trees whose text holds `<>&"'` and non-ASCII
+    /// characters survive a compact round trip, and the compact text is a
+    /// fixed point: `to_xml(parse_xml(s)) == s` byte for byte.
+    #[test]
+    fn special_text_roundtrips_byte_identically(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = random_mixed_tree(&mut rng, 60);
+        let s = t.to_xml();
+        let back = parse_xml(&s).unwrap();
+        prop_assert!(back.equals(&t), "{:?}", back.first_difference(&t));
+        prop_assert_eq!(back.to_xml(), s);
+    }
+
+    /// Entities and character references decode to the characters they
+    /// spell, wherever they fall in a text run.
+    #[test]
+    fn character_references_decode(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let value = random_text(&mut rng);
+        let src = format!("<r>{}</r>", spell_text(&mut rng, &value));
+        let t = parse_xml(&src).unwrap();
+        let text = t.children(t.root()).first().and_then(|&c| t.text_value(c));
+        prop_assert_eq!(text, Some(value.as_str()), "{}", src);
+    }
+
+    /// Comments and PIs inside text neither split nor end the run: the
+    /// segments around them form one text node.
+    #[test]
+    fn comments_and_pis_inside_text_are_skipped(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let segments: Vec<String> =
+            (0..rng.random_range(2usize..6)).map(|_| random_text(&mut rng)).collect();
+        let mut src = String::from("<r>");
+        for (i, seg) in segments.iter().enumerate() {
+            if i > 0 {
+                src.push_str(if rng.random_bool(0.5) { "<!-- c<>& -->" } else { "<?pi a&b<?>" });
+            }
+            src.push_str(&spell_text(&mut rng, seg));
+        }
+        src.push_str("</r>");
+        let t = parse_xml(&src).unwrap();
+        prop_assert_eq!(t.child_count(t.root()), 1, "{}", src);
+        let text = t.text_value(t.children(t.root())[0]);
+        prop_assert_eq!(text, Some(segments.concat().as_str()), "{}", src);
+    }
+
+    /// Arbitrary strings over a markup-heavy alphabet parse or fail, never
+    /// panic; whatever parses re-serializes to an equal tree.
+    #[test]
+    fn parse_never_panics_on_arbitrary_text(seed in 0u64..10_000) {
+        const ALPHABET: &[char] = &[
+            '<', '>', '/', '!', '?', '-', '&', '#', ';', 'x', '[', ']', '=', '"', ' ', 'a',
+            'b', '1', 'é', '\u{a0}',
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let len = rng.random_range(0usize..40);
+        let mut s: String = (0..len).map(|_| *ALPHABET.choose(&mut rng).unwrap()).collect();
+        if rng.random_bool(0.5) {
+            s.insert_str(0, "<a>");
+        }
+        if let Ok(t) = parse_xml(&s) {
+            let back = parse_xml(&t.to_xml()).unwrap();
+            prop_assert!(back.equals(&t), "{:?}", s);
+        }
+    }
+
+    /// Valid documents with a few bytes overwritten, deleted or inserted
+    /// parse or fail, never panic; whatever parses round-trips.
+    #[test]
+    fn parse_never_panics_on_mutated_documents(seed in 0u64..10_000) {
+        const BYTES: &[u8] = b"<>/!?-&#;x=\" a\xC3\xA9\xFF";
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut doc = random_mixed_tree(&mut rng, 30).to_xml().into_bytes();
+        for _ in 0..rng.random_range(1usize..4) {
+            let at = rng.random_range(0..doc.len());
+            let b = *BYTES.choose(&mut rng).unwrap();
+            match rng.random_range(0u32..3) {
+                0 => doc[at] = b,
+                1 => {
+                    doc.remove(at);
+                }
+                _ => doc.insert(at, b),
+            }
+            if doc.is_empty() {
+                break;
+            }
+        }
+        let s = String::from_utf8_lossy(&doc);
+        if let Ok(t) = parse_xml(&s) {
+            let back = parse_xml(&t.to_xml()).unwrap();
+            prop_assert!(back.equals(&t), "{:?}", s);
+        }
     }
 }
