@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! xse-loadgen [--mix NAME] [--ops N] [--pairs N] [--seed N]
-//!             [--capacity N] [--workers N] [--shards N] [--cold]
+//!             [--capacity N] [--workers N] [--shards N]
 //!             [--addr HOST:PORT | --spawn-server | --in-process]
 //!             [--connections N] [--inflight K]
 //!             [--chaos] [--fault-seed N]
@@ -19,7 +19,6 @@
 //!   caches one engine per shard.
 //! * `--shards` — registry shard count for the spawned/in-process
 //!   registry (default 8).
-//! * `--cold` evicts (untimed) before every timed op.
 //! * `--connections N` — endpoints: N TCP connections replay at once, one
 //!   thread each, each issuing `--ops` requests from its own seeded
 //!   stream (connection 0 replays the single-connection stream).
@@ -28,9 +27,9 @@
 //!
 //!   With N or K above 1, every pair is first compiled once (untimed), so
 //!   the digests are warm-path latency under contention. That needs a TCP
-//!   endpoint (`--spawn-server` or `--addr`) and conflicts with `--chaos`
-//!   and `--cold`. A spawned server gets `max(--workers, N)` workers so
-//!   every connection is served concurrently.
+//!   endpoint (`--spawn-server` or `--addr`) and conflicts with `--chaos`.
+//!   A spawned server gets `max(--workers, N)` workers so every
+//!   connection is served concurrently.
 //! * `--chaos` (requires `--spawn-server`) interposes a [`FaultProxy`]
 //!   running [`FaultPlan::standard`]`(--fault-seed)` between a retrying
 //!   client and the server: frames are delayed, reset, truncated and
@@ -65,7 +64,6 @@ struct Args {
     capacity: usize,
     workers: usize,
     shards: usize,
-    cold: bool,
     addr: Option<String>,
     spawn_server: bool,
     connections: usize,
@@ -85,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         capacity: 64,
         workers: 4,
         shards: RegistryConfig::default().shards,
-        cold: false,
         addr: None,
         spawn_server: false,
         connections: 1,
@@ -110,7 +107,6 @@ fn parse_args() -> Result<Args, String> {
             "--capacity" => args.capacity = parse_num(&value("--capacity")?)?,
             "--workers" => args.workers = parse_num(&value("--workers")?)?,
             "--shards" => args.shards = parse_num(&value("--shards")?)?,
-            "--cold" => args.cold = true,
             "--addr" => args.addr = Some(value("--addr")?),
             "--spawn-server" => args.spawn_server = true,
             "--connections" => args.connections = parse_num(&value("--connections")?)?,
@@ -147,9 +143,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if contended && args.chaos {
         return Err("--connections/--inflight and --chaos are mutually exclusive".into());
-    }
-    if contended && args.cold {
-        return Err("--connections/--inflight prewarm the cache; --cold conflicts".into());
     }
     Ok(args)
 }
@@ -280,7 +273,6 @@ fn main() -> ExitCode {
             mix: args.mix.clone(),
             ops: args.ops,
             seed: args.seed,
-            cold: args.cold,
             inflight: args.inflight,
         },
     );
@@ -323,7 +315,7 @@ fn check_summary(args: &Args, summary: &loadgen::LoadSummary) -> ExitCode {
     }
     // The repeated-query mix exists to exercise plan reuse; a warm
     // replay that misses the plan cache is a regression even if fast.
-    if !args.chaos && args.mix.zipf_queries() && !args.cold && summary.plan_hit_rate < 0.95 {
+    if !args.chaos && args.mix.zipf_queries() && summary.plan_hit_rate < 0.95 {
         failures.push(format!(
             "plan hit rate {:.4} below 0.95",
             summary.plan_hit_rate

@@ -17,10 +17,7 @@
 //! same stream whatever the endpoint count): op kinds, pair choices and
 //! payload choices are deterministic per `(mix, seed, pairs)`. A TCP
 //! endpoint keeps up to [`LoadConfig::inflight`] tagged requests in
-//! flight; every other endpoint answers one request at a time. `cold`
-//! mode issues an **untimed** evict for the chosen pair before every
-//! timed op, forcing each request to pay the compile path — the baseline
-//! against which the warm cache's speedup is measured.
+//! flight; every other endpoint answers one request at a time.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -203,10 +200,6 @@ pub struct LoadConfig {
     pub ops: usize,
     /// RNG seed: endpoint `i` samples its stream from `seed ^ i·φ`.
     pub seed: u64,
-    /// Evict the chosen pair (untimed) before every timed op, forcing the
-    /// cold compile path. A cold replay answers one request at a time,
-    /// whatever `inflight` says.
-    pub cold: bool,
     /// Requests an [`Endpoint::Tcp`] keeps in flight: above 1 it
     /// pipelines tagged requests, at 1 it calls on the id-0 lane. Other
     /// endpoints always answer one request at a time.
@@ -474,8 +467,8 @@ pub fn run(endpoints: &mut [Endpoint], pairs: &[SchemaPair], cfg: &LoadConfig) -
     out.summarize(&cfg.mix, elapsed, registry, retry)
 }
 
-/// One sampled request: its op kind, its pair and the request itself.
-type Sampled<'p> = (ServiceOp, &'p SchemaPair, Request);
+/// One sampled request: its op kind and the request itself.
+type Sampled = (ServiceOp, Request);
 
 /// Endpoint `index`'s request stream, sampled one request at a time as
 /// the replay pulls it, so only the requests in flight are held.
@@ -483,7 +476,7 @@ fn sample_stream<'a>(
     pairs: &'a [SchemaPair],
     cfg: &'a LoadConfig,
     index: u64,
-) -> impl Iterator<Item = Sampled<'a>> + 'a {
+) -> impl Iterator<Item = Sampled> + 'a {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     (0..cfg.ops).map(move |_| {
         let pair = &pairs[rng.random_range(0..pairs.len())];
@@ -492,36 +485,25 @@ fn sample_stream<'a>(
         // queries survived setup); degrade to a cache touch.
         let req = build_request(pair, op, &mut rng, cfg.mix.zipf_queries())
             .unwrap_or_else(|| compile_request(pair));
-        (op, pair, req)
+        (op, req)
     })
 }
 
 /// Replay one endpoint's stream.
-fn replay<'p>(
+fn replay(
     endpoint: &mut Endpoint,
-    stream: impl Iterator<Item = Sampled<'p>>,
+    stream: impl Iterator<Item = Sampled>,
     cfg: &LoadConfig,
 ) -> ReplayOutcome {
     if let Endpoint::Tcp(client) = endpoint {
-        if cfg.inflight > 1 && !cfg.cold {
+        if cfg.inflight > 1 {
             return pipeline(client, stream, cfg.inflight);
         }
     }
     let mut out = ReplayOutcome::default();
-    for (op, pair, req) in stream {
-        // Untimed: drop the entry so the timed op compiles.
-        let evicted = if cfg.cold {
-            endpoint
-                .exec(&Request::Evict {
-                    source_dtd: pair.source_text.clone(),
-                    target_dtd: pair.target_text.clone(),
-                })
-                .map(drop)
-        } else {
-            Ok(())
-        };
+    for (op, req) in stream {
         let start = Instant::now();
-        match evicted.and_then(|()| endpoint.exec(&req)) {
+        match endpoint.exec(&req) {
             Ok(resp) => out.record(op, &req, &resp, start.elapsed()),
             Err(e) => {
                 out.transport_failure(&e);
@@ -538,9 +520,9 @@ fn replay<'p>(
 /// requests in flight. Latency is submit→receive, so under a deep window
 /// it includes time spent queued behind the connection's other requests:
 /// the latency a pipelined caller observes.
-fn pipeline<'p>(
+fn pipeline(
     client: &mut Client,
-    mut stream: impl Iterator<Item = Sampled<'p>>,
+    mut stream: impl Iterator<Item = Sampled>,
     window: usize,
 ) -> ReplayOutcome {
     let mut out = ReplayOutcome::default();
@@ -548,7 +530,7 @@ fn pipeline<'p>(
     loop {
         // Fill the window first, then block on one completion.
         if pending.len() < window {
-            if let Some((op, _, req)) = stream.next() {
+            if let Some((op, req)) = stream.next() {
                 let started = Instant::now();
                 match client.submit(&req) {
                     Ok(id) => {
@@ -794,7 +776,6 @@ mod tests {
             mix: TrafficMix::mixed(),
             ops: 60,
             seed: 5,
-            cold: false,
             inflight: 1,
         };
         let summary = run(&mut [Endpoint::InProcess(Arc::clone(&reg))], &pairs, &cfg);
@@ -850,7 +831,6 @@ mod tests {
             mix: TrafficMix::repeated_query(),
             ops: 300,
             seed: 5,
-            cold: false,
             inflight: 1,
         };
         let summary = run(&mut [Endpoint::InProcess(Arc::clone(&reg))], &pairs, &cfg);
@@ -888,7 +868,6 @@ mod tests {
             mix: TrafficMix::translate_heavy(),
             ops: 80,
             seed: 5,
-            cold: false,
             inflight: 4,
         };
         let summary = run(&mut endpoints, &pairs, &cfg);

@@ -8,77 +8,64 @@
 //! sending the same schemas with reordered declarations or permuted
 //! disjunction alternatives share one cache entry.
 //!
-//! # Sharding
+//! # One slot per pair
 //!
-//! The registry is **lock-striped**: entries are distributed over
+//! The registry is **lock-striped**: pairs are spread over
 //! [`RegistryConfig::shards`] independent shards by a stable mix of the
-//! pair's two content hashes. Each shard owns its own mutex, condvar,
-//! single-flight set, and discovery verdicts, so a compile or eviction on
-//! one shard never blocks requests routed to another. `shards: 1` restores
-//! the seed's single-lock behavior exactly.
+//! pair's two content hashes, so a build or eviction on one shard never
+//! blocks requests routed to another. Each shard keeps all it knows about
+//! a pair in one slot of one reader-writer table: a state, the pair's one
+//! recency clock (the shard tick of its last use) and its latest build
+//! cost. The state is one of
 //!
-//! # The warm fast path
+//! * `Building`: the single-flight mark. The first request for an
+//!   uncached pair sets it and builds outside every lock; concurrent
+//!   requests sleep on the shard condvar (counted as
+//!   [`RegistryStats::single_flight_waits`]). A build that panics removes
+//!   the slot and wakes them, so a failure never wedges the key.
+//! * `Found`: discovery found an embedding. The slot keeps the discovered
+//!   engine's DTDs, `λ` and syntactic path function (the *recipe*), and
+//!   the engine itself unless it was evicted.
+//! * `Unembeddable`: discovery failed. Until [`RegistryConfig::negative_ttl`]
+//!   has passed, identical requests fail fast with `NoEmbedding` (counted
+//!   as [`RegistryStats::negative_hits`]), since failing costs as much as
+//!   succeeding. The TTL keeps the verdict honest under config changes;
+//!   `negative_ttl: None` records no such verdict.
 //!
-//! A warm hit never takes a shard mutex at all. Each shard keeps its
-//! `Ready` entries in a reader-writer table whose writers only touch it
-//! for the brief map insert/remove (never during a compile), so a warm
-//! lookup is: one shared read-lock acquisition, an `Arc` clone, and a few
-//! relaxed atomic counter bumps. A warm hit therefore cannot block behind
-//! an in-flight compile — not even one for another pair on the same
-//! shard.
+//! The shard mutex guards the counters and serializes every table write.
+//! A warm hit takes no mutex at all: one shared read lock, an `Arc` clone
+//! and a few relaxed counter bumps, so it never waits for a build, not
+//! even one for another pair on the same shard.
 //!
-//! # Single-flight compilation
-//!
-//! Building an engine is the expensive operation the cache exists to
-//! amortize, so each shard guarantees that N concurrent requests for the
-//! same uncached pair trigger exactly **one** build: the first request
-//! installs the key in the shard's pending set and builds outside the
-//! lock; the rest block on the shard condvar and are counted as
-//! [`RegistryStats::single_flight_waits`]. A failed or panicked build
-//! removes the pending mark and wakes all waiters, so a transient
-//! failure never wedges the key.
-//!
-//! # Discovery verdicts
+//! # Search once, rebuild after
 //!
 //! Finding an embedding is the NP-complete step (the paper's Thm 5.1);
-//! checking and compiling a known `(λ, path)` is polynomial. Each shard
-//! therefore keeps what discovery concluded for a pair in one bounded
-//! verdict map that outlives the engines:
+//! checking and compiling a known `(λ, path)` is polynomial. A miss on a
+//! `Found` slot therefore *rebuilds* the engine from its recipe with
+//! [`CompiledEmbedding::new`], which re-runs every §4.1 check but skips
+//! text parsing, the similarity matrix and `find_embedding`. The DTDs are
+//! the discovered engine's own, so a permuted DTD text rebuilds exactly
+//! the embedding first discovered, and since discovery is deterministic
+//! per pair and [`DiscoveryConfig`], a rebuild answers byte for byte as a
+//! fresh search would. [`EmbeddingRegistry::evict`] takes the engine out
+//! of a `Found` slot and keeps the recipe, and drops an `Unembeddable`
+//! slot so the pair is searched again.
 //!
-//! * `Found` holds the discovered engine's two DTDs, its `λ` and its
-//!   syntactic path function. A miss on such a pair *rebuilds* the engine
-//!   with [`CompiledEmbedding::new`], which re-runs every §4.1 check but
-//!   skips text parsing, the similarity matrix and `find_embedding`. The
-//!   DTDs are the discovered engine's own, so a request with a permuted
-//!   DTD text rebuilds exactly the embedding first discovered. Discovery
-//!   is deterministic per pair and [`DiscoveryConfig`], so a rebuild
-//!   answers every request byte for byte as a fresh search would.
-//! * `Unembeddable` remembers a failed search for
-//!   [`RegistryConfig::negative_ttl`]. Failing is as expensive as
-//!   succeeding (the search exhausts its restarts), so until the verdict
-//!   expires identical requests fail fast with `NoEmbedding` (counted as
-//!   [`RegistryStats::negative_hits`]). The TTL keeps the verdict honest
-//!   under config changes and similarity tweaks; `negative_ttl: None`
-//!   records no such verdict (every request re-runs discovery).
+//! # Two bounds
 //!
-//! Explicit eviction drops the engine and any `Unembeddable` verdict but
-//! keeps `Found`. The map is bounded per shard; its victim score drops
-//! `Unembeddable` verdicts first (expired, then soonest-expiring) and
-//! then the least recently built `Found` one.
+//! Both are enforced right after the build that overflowed them, and
+//! neither touches that build's own slot:
 //!
-//! # Weighted eviction
-//!
-//! Every bound here — the `Ready` table, the verdict map and the text
-//! memo — is enforced by [`xse_core::trim_to_capacity`]: after the insert
-//! that overflowed, it drops the entries with the highest victim score.
-//! Capacity is striped: each shard holds at most `⌈capacity / shards⌉`
-//! `Ready` entries, scored by **compile-cost × recency**: the stalest
-//! recency generation (the power-of-two bucket of the entry's age in
-//! shard ticks) loses first, and within a generation the entry that was
-//! *cheapest to compile* goes — recompiling it costs the least. Pending
-//! (in-flight) keys live outside the `Ready` table and are structurally
-//! impossible to evict. Explicit [`EmbeddingRegistry::evict`] uses the
-//! same accounting.
+//! * **Engines.** A shard holds at most `⌈capacity / shards⌉` live
+//!   engines, scored by **compile-cost × recency**: the stalest recency
+//!   generation (the power-of-two bucket of the slot's age in shard
+//!   ticks) loses first, and within a generation the engine that was
+//!   *cheapest to build* goes. The victim keeps its recipe.
+//! * **Slots.** A shard holds at most 256 slots. Victims go in this order:
+//!   expired `Unembeddable`, then soonest-expiring `Unembeddable`, then the
+//!   least recently used `Found` without an engine. A slot that is
+//!   building or has a live engine is never a victim, so a pair whose
+//!   engine is serving is never searched again.
 //!
 //! # Stats
 //!
@@ -86,20 +73,18 @@
 //! under that shard's mutex) into one [`RegistryStats`]. Every counter is
 //! per-shard monotone — eviction folds an engine's plan counters into the
 //! shard's retired accumulators *under the shard lock, in the same
-//! critical section that removes the entry* — so the merged aggregate
+//! critical section that takes the engine out* — so the merged aggregate
 //! never goes backwards even when two shards evict concurrently.
 //! [`EmbeddingRegistry::shard_stats`] exposes the unmerged per-shard
 //! snapshots.
 
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use xse_core::{
-    trim_to_capacity, CompiledEmbedding, PathMapping, PlanCacheStats, SimilarityMatrix, TypeMapping,
-};
+use xse_core::{trim_to_capacity, CompiledEmbedding, PathMapping, SimilarityMatrix, TypeMapping};
 use xse_discovery::{find_embedding, DiscoveryConfig};
 use xse_dtd::{Dtd, DtdHash};
 
@@ -126,14 +111,15 @@ pub fn default_similarity(source: &Dtd, target: &Dtd) -> SimilarityMatrix {
 /// Registry construction knobs.
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
-    /// Maximum number of cached (`Ready`) embeddings. The bound is
-    /// striped: each shard holds at most `⌈capacity / shards⌉` entries,
-    /// so the effective total is `capacity` rounded up to a multiple of
-    /// the shard count. Minimum 1.
+    /// Maximum number of cached (live) engines. The bound is striped:
+    /// each shard holds at most `⌈capacity / shards⌉` engines, so the
+    /// effective total is `capacity` rounded up to a multiple of the
+    /// shard count. Minimum 1.
     pub capacity: usize,
     /// Number of lock stripes. Requests for different pairs on different
-    /// shards never contend on a mutex; `1` restores the seed's
-    /// single-lock behavior exactly. Minimum 1, default 8.
+    /// shards never contend on a mutex; `1` puts every pair behind one
+    /// mutex and makes `capacity` a single global bound. Minimum 1,
+    /// default 8.
     pub shards: usize,
     /// Discovery configuration used for every compile.
     pub discovery: DiscoveryConfig,
@@ -164,17 +150,16 @@ impl Default for RegistryConfig {
 pub struct RegistryStats {
     /// Requests served from a cached embedding.
     pub hits: u64,
-    /// Requests that found no entry and started a compile.
+    /// Requests that found no engine and started a build.
     pub misses: u64,
-    /// Engines built, by discovery or by a rebuild from a `Found`
-    /// verdict.
+    /// Engines built, by discovery or by a rebuild from a recipe.
     pub compiles: u64,
     /// Requests that blocked on another request's in-flight compile
     /// (neither a hit nor a miss).
     pub single_flight_waits: u64,
-    /// Entries dropped (capacity pressure + explicit evictions).
+    /// Engines dropped (capacity pressure + explicit evictions).
     pub evictions: u64,
-    /// `Ready` entries currently cached.
+    /// Engines currently cached.
     pub entries: u64,
     /// Total wall-clock nanoseconds spent building engines: discovery,
     /// including failed runs, or rebuild.
@@ -240,42 +225,18 @@ impl std::ops::Add for RegistryStats {
     }
 }
 
-/// Per-entry counters, exposed by [`EmbeddingRegistry::entry_stats`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct EntryStats {
-    /// Times this entry served a request after its compile.
-    pub hits: u64,
-    /// Wall-clock nanoseconds its build (discovery or rebuild) took.
-    pub compile_nanos: u64,
-    /// Shard tick of the most recent use (higher = more recent).
-    pub last_used: u64,
-    /// The engine's translation-plan cache counters.
-    pub plan: PlanCacheStats,
-}
-
-/// A `Ready` entry in a shard's reader-writer table. Usage counters are
-/// relaxed atomics so the warm path can bump them under a shared read
-/// lock.
-struct FastEntry {
-    engine: Arc<CompiledEmbedding>,
-    hits: AtomicU64,
-    last_used: AtomicU64,
-    compile_nanos: u64,
-}
-
 /// Cap on the text → hash memo, bounding memory against clients that
 /// stream never-repeating DTD texts. Every entry scores the same, so an
 /// overflowing insert drops arbitrary older texts (never the two just
 /// inserted); a dropped text re-canonicalizes on its next use.
 const TEXT_KEY_CAP: usize = 1024;
 
-/// Per-shard cap on the verdict map. The verdict just recorded is never
-/// dropped; a dropped one only costs speed, as the pair's next miss
-/// searches again.
-const VERDICT_CAP: usize = 256;
+/// Per-shard cap on slots. A dropped slot only costs speed: the pair's
+/// next miss searches again.
+const SLOT_CAP: usize = 256;
 
-/// What a `Found` verdict rebuilds its engine from: the discovered
-/// engine's own DTDs, `λ` and syntactic path function.
+/// What a `Found` slot rebuilds its engine from: the discovered engine's
+/// own DTDs, `λ` and syntactic path function.
 struct Recipe {
     source: Arc<Dtd>,
     target: Arc<Dtd>,
@@ -306,41 +267,54 @@ impl Recipe {
     }
 }
 
-/// What discovery concluded for a pair (see the module docs).
-enum Verdict {
-    /// An embedding was found. `built` is the shard tick of the pair's
-    /// latest engine build: the recency `Found` verdicts are dropped by.
-    Found { recipe: Arc<Recipe>, built: u64 },
-    /// No embedding was found; the verdict holds until this instant.
+/// What a shard knows about a pair (see the module docs).
+enum State {
+    /// A build is in flight; waiters sleep on the shard condvar.
+    Building,
+    /// Discovery found an embedding: its recipe, and the engine unless it
+    /// was evicted.
+    Found(Recipe, Option<Arc<CompiledEmbedding>>),
+    /// Discovery found none; the verdict holds until this instant.
     Unembeddable(Instant),
 }
 
-/// The verdict map's victim score; the highest is dropped first. The
-/// variant order puts every `Unembeddable` verdict above every `Found`
-/// one: expired and soonest-expiring first, then the least recently
-/// built `Found`.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-enum VerdictVictim {
-    Found(Reverse<u64>),
-    Unembeddable(Reverse<Instant>),
+/// One pair's slot in a shard's table.
+struct Slot {
+    state: State,
+    /// Shard tick of the most recent use (higher = more recent). Atomic so
+    /// the warm path can bump it under a shared read lock.
+    last_used: AtomicU64,
+    /// Wall-clock nanoseconds the latest build took.
+    compile_nanos: u64,
 }
 
-/// Shard state that needs the mutex: single-flight bookkeeping, the
-/// discovery verdicts, and the monotone counters that aren't hot enough to
-/// justify atomics.
+impl Slot {
+    fn new(state: State, tick: u64, compile_nanos: u64) -> Slot {
+        Slot {
+            state,
+            last_used: AtomicU64::new(tick),
+            compile_nanos,
+        }
+    }
+
+    fn engine(&self) -> Option<&Arc<CompiledEmbedding>> {
+        match &self.state {
+            State::Found(_, engine) => engine.as_ref(),
+            _ => None,
+        }
+    }
+}
+
+/// Shard state that needs the mutex: the monotone counters that aren't
+/// hot enough to justify atomics. Holding it is also what licenses a
+/// write to the shard's table.
 #[derive(Default)]
 struct ShardInner {
-    /// Keys with a build in flight; waiters sleep on the shard condvar.
-    /// Pending keys are *not* in the `Ready` table, so eviction can never
-    /// select one.
-    pending: HashSet<PairKey>,
-    /// What discovery concluded, per pair. Outlives the engines.
-    verdicts: HashMap<PairKey, Verdict>,
     negative_hits: u64,
     misses: u64,
     /// Engines built by a successful `find_embedding` run.
     discovered: u64,
-    /// Engines rebuilt from a `Found` verdict.
+    /// Engines rebuilt from a recipe.
     rebuilt: u64,
     single_flight_waits: u64,
     evictions: u64,
@@ -352,27 +326,15 @@ struct ShardInner {
 }
 
 impl ShardInner {
-    /// Record `verdict` for `key` and trim the map to [`VERDICT_CAP`],
-    /// never dropping `key` itself.
-    fn record(&mut self, key: PairKey, verdict: Verdict) {
-        self.verdicts.insert(key, verdict);
-        trim_to_capacity(&mut self.verdicts, VERDICT_CAP, |k, v| {
-            (*k != key).then_some(match v {
-                Verdict::Found { built, .. } => VerdictVictim::Found(Reverse(*built)),
-                Verdict::Unembeddable(expiry) => VerdictVictim::Unembeddable(Reverse(*expiry)),
-            })
-        });
-    }
-
-    /// Account for an entry just removed from the `Ready` table: fold its
-    /// plan counters into the retired accumulators and count the
-    /// eviction. Callers remove the entry and retire it in one
-    /// `inner`-locked critical section, so a concurrent `stats()` (which
-    /// also holds `inner`) can never observe the engine both live in the
-    /// table and already folded. That ordering is what keeps merged plan
-    /// totals monotone when two shards evict at the same time.
-    fn retire(&mut self, entry: &FastEntry) {
-        let plan = entry.engine.plan_stats();
+    /// Account for an engine just taken out of its slot: fold its plan
+    /// counters into the retired accumulators and count the eviction.
+    /// Callers take the engine out and retire it in one `inner`-locked
+    /// critical section, so a concurrent `stats()` (which also holds
+    /// `inner`) can never observe the engine both live in the table and
+    /// already folded. That ordering is what keeps merged plan totals
+    /// monotone when two shards evict at the same time.
+    fn retire(&mut self, engine: &CompiledEmbedding) {
+        let plan = engine.plan_stats();
         self.retired_plan_hits += plan.hits;
         self.retired_plan_misses += plan.misses;
         self.evictions += 1;
@@ -380,8 +342,8 @@ impl ShardInner {
 }
 
 struct Shard {
-    /// The `Ready` table: the only state the warm path touches.
-    fast: RwLock<HashMap<PairKey, Arc<FastEntry>>>,
+    /// Every pair this shard knows about. Written only with `inner` held.
+    table: RwLock<HashMap<PairKey, Slot>>,
     inner: Mutex<ShardInner>,
     compiled: Condvar,
     /// Recency clock, bumped on every touch. Atomic so the lock-free warm
@@ -394,7 +356,7 @@ struct Shard {
 impl Shard {
     fn new() -> Shard {
         Shard {
-            fast: RwLock::new(HashMap::new()),
+            table: RwLock::new(HashMap::new()),
             inner: Mutex::new(ShardInner::default()),
             compiled: Condvar::new(),
             tick: AtomicU64::new(0),
@@ -402,13 +364,12 @@ impl Shard {
         }
     }
 
-    /// Mark `entry` used now. `count_hit` is false for single-flight
+    /// Mark `slot` used now. `count_hit` is false for single-flight
     /// waiters: they were already counted as waits, and counting the hit
     /// too would double-count the request and inflate `hit_rate()`.
-    fn touch(&self, entry: &FastEntry, count_hit: bool) {
+    fn touch(&self, slot: &Slot, count_hit: bool) {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        entry.last_used.store(tick, Ordering::Relaxed);
-        entry.hits.fetch_add(1, Ordering::Relaxed);
+        slot.last_used.store(tick, Ordering::Relaxed);
         if count_hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -418,15 +379,17 @@ impl Shard {
     /// be half-observed.
     fn stats(&self) -> RegistryStats {
         let inner = self.inner.lock().unwrap();
-        let fast = self.fast.read().unwrap();
+        let table = self.table.read().unwrap();
         let mut plan_hits = inner.retired_plan_hits;
         let mut plan_misses = inner.retired_plan_misses;
         let mut plan_entries = 0;
-        for e in fast.values() {
-            let plan = e.engine.plan_stats();
+        let mut entries = 0;
+        for engine in table.values().filter_map(Slot::engine) {
+            let plan = engine.plan_stats();
             plan_hits += plan.hits;
             plan_misses += plan.misses;
             plan_entries += plan.entries;
+            entries += 1;
         }
         RegistryStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -434,7 +397,7 @@ impl Shard {
             compiles: inner.discovered + inner.rebuilt,
             single_flight_waits: inner.single_flight_waits,
             evictions: inner.evictions,
-            entries: fast.len() as u64,
+            entries,
             compile_nanos: inner.compile_nanos,
             plan_hits,
             plan_misses,
@@ -444,15 +407,15 @@ impl Shard {
     }
 }
 
-/// The `Ready` table's victim score for an entry `age` shard ticks old
-/// whose compile took `cost` nanoseconds; the highest score is evicted
+/// The engine bound's victim score for a slot `age` shard ticks old whose
+/// build took `cost` nanoseconds; the highest score loses its engine
 /// first.
 ///
 /// Ages are grouped into power-of-two *recency generations*; a staler
-/// generation always loses first, and within a generation the entry that
-/// was cheapest to compile goes (its loss costs the least to undo). The
-/// key is a final deterministic tiebreak so eviction is a pure function
-/// of observable entry state.
+/// generation always loses first, and within a generation the engine that
+/// was cheapest to build goes (its loss costs the least to undo). The key
+/// is a final deterministic tiebreak so eviction is a pure function of
+/// observable slot state.
 fn victim_score(age: u64, cost: u64, key: PairKey) -> (u32, Reverse<u64>, (u128, u128)) {
     // floor(log2(age + 1)): 0 is "just used", each generation doubles.
     let generation = 63 - age.saturating_add(1).leading_zeros().min(63);
@@ -464,9 +427,9 @@ fn victim_score(age: u64, cost: u64, key: PairKey) -> (u32, Reverse<u64>, (u128,
 }
 
 /// Concurrent map from DTD pairs to compiled embeddings, with lock-striped
-/// shards, single-flight compilation, a mutex-free warm path, and
-/// weighted (compile-cost × recency) eviction. See the [module
-/// docs](self) for the design.
+/// shards, single-flight builds, a mutex-free warm path, and weighted
+/// (compile-cost × recency) eviction. See the [module docs](self) for the
+/// design.
 pub struct EmbeddingRegistry {
     shards: Vec<Shard>,
     /// Memo: exact DTD text → canonical hash. The warm path resolves both
@@ -476,13 +439,13 @@ pub struct EmbeddingRegistry {
     /// pay it. Registry-level because the shard index *derives from* the
     /// resolved key.
     text_keys: RwLock<HashMap<String, DtdHash>>,
-    /// Per-shard `Ready` capacity: `⌈capacity / shards⌉`.
+    /// Per-shard engine capacity: `⌈capacity / shards⌉`.
     shard_capacity: usize,
     config: RegistryConfig,
 }
 
-/// Removes the pending mark if the compile unwinds or fails, so waiters
-/// are never left sleeping on a key nobody is working on.
+/// Removes the `Building` slot if the build unwinds or returns early, so
+/// waiters are never left sleeping on a key nobody is working on.
 struct PendingGuard<'a> {
     shard: &'a Shard,
     key: PairKey,
@@ -492,8 +455,8 @@ struct PendingGuard<'a> {
 impl Drop for PendingGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut inner = self.shard.inner.lock().unwrap();
-            inner.pending.remove(&self.key);
+            let inner = self.shard.inner.lock().unwrap();
+            self.shard.table.write().unwrap().remove(&self.key);
             drop(inner);
             self.shard.compiled.notify_all();
         }
@@ -557,7 +520,7 @@ impl EmbeddingRegistry {
     }
 
     /// Resolve the pair to a compiled embedding: cache hit, single-flight
-    /// wait, a rebuild from the pair's `Found` verdict, or a fresh
+    /// wait, a rebuild from the pair's recipe, or a fresh
     /// `find_embedding` run.
     ///
     /// # Errors
@@ -575,53 +538,56 @@ impl EmbeddingRegistry {
         let shard = self.shard(key);
 
         // The warm fast path: a shared read lock, an Arc clone, and a few
-        // relaxed counter bumps. No mutex — an in-flight compile on this
+        // relaxed counter bumps. No mutex — an in-flight build on this
         // shard (necessarily for another pair) cannot delay us.
-        if let Some(e) = shard.fast.read().unwrap().get(&key) {
-            shard.touch(e, true);
-            return Ok((key, Arc::clone(&e.engine)));
+        if let Some(slot) = shard.table.read().unwrap().get(&key) {
+            if let Some(engine) = slot.engine() {
+                shard.touch(slot, true);
+                return Ok((key, Arc::clone(engine)));
+            }
         }
 
         let mut waited = false;
-        let recipe = {
-            let mut inner = shard.inner.lock().unwrap();
-            loop {
-                // Re-check under the mutex: inserts happen with `inner`
-                // held, so this read is race-free against them.
-                let ready = shard.fast.read().unwrap().get(&key).map(Arc::clone);
-                if let Some(e) = ready {
-                    shard.touch(&e, !waited);
-                    return Ok((key, Arc::clone(&e.engine)));
-                }
-                if inner.pending.contains(&key) {
-                    if !waited {
-                        waited = true;
-                        inner.single_flight_waits += 1;
+        let mut inner = shard.inner.lock().unwrap();
+        let recipe = loop {
+            // Table writes happen with `inner` held, so what we read here
+            // stays true until we let go of it.
+            let mut table = shard.table.write().unwrap();
+            if let Some(slot) = table.get(&key) {
+                match &slot.state {
+                    State::Found(_, Some(engine)) => {
+                        shard.touch(slot, !waited);
+                        return Ok((key, Arc::clone(engine)));
                     }
-                    inner = shard.compiled.wait(inner).unwrap();
-                } else {
-                    // Absent: consult the verdict before paying for a
-                    // search.
-                    let recipe = match inner.verdicts.get(&key) {
-                        Some(Verdict::Found { recipe, .. }) => Some(Arc::clone(recipe)),
-                        Some(Verdict::Unembeddable(expiry)) if Instant::now() < *expiry => {
-                            inner.negative_hits += 1;
-                            return Err(ServiceError::NoEmbedding);
+                    State::Building => {
+                        drop(table);
+                        if !waited {
+                            waited = true;
+                            inner.single_flight_waits += 1;
                         }
-                        Some(Verdict::Unembeddable(_)) => {
-                            inner.verdicts.remove(&key);
-                            None
-                        }
-                        None => None,
-                    };
-                    inner.misses += 1;
-                    inner.pending.insert(key);
-                    break recipe;
+                        inner = shard.compiled.wait(inner).unwrap();
+                        continue;
+                    }
+                    State::Unembeddable(expiry) if Instant::now() < *expiry => {
+                        inner.negative_hits += 1;
+                        return Err(ServiceError::NoEmbedding);
+                    }
+                    State::Found(_, None) | State::Unembeddable(_) => {}
                 }
             }
+            inner.misses += 1;
+            // Mark the slot and take its recipe, if discovery left one.
+            break match table.insert(key, Slot::new(State::Building, 0, 0)) {
+                Some(Slot {
+                    state: State::Found(recipe, _),
+                    ..
+                }) => Some(recipe),
+                _ => None,
+            };
         };
+        drop(inner);
 
-        // We own the pending mark; build outside every lock. A recipe
+        // We own the `Building` slot; build outside every lock. A recipe
         // skips parsing, the similarity matrix and the search. The memoized
         // path skipped parsing too, so discovery may have to do it now
         // (both texts parsed when they entered the memo, but propagate
@@ -632,7 +598,7 @@ impl EmbeddingRegistry {
             armed: true,
         };
         let t0 = Instant::now();
-        let mut found = recipe.as_deref().and_then(Recipe::rebuild);
+        let mut found = recipe.and_then(|recipe| Some((recipe.rebuild()?, recipe)));
         let rebuilt = found.is_some();
         let mut nanos = t0.elapsed().as_nanos() as u64;
         if !rebuilt {
@@ -645,94 +611,121 @@ impl EmbeddingRegistry {
             };
             let att = (self.config.sim)(&source, &target);
             let t0 = Instant::now();
-            found = find_embedding(&source, &target, &att, &self.config.discovery);
+            let engine = find_embedding(&source, &target, &att, &self.config.discovery);
             nanos += t0.elapsed().as_nanos() as u64;
+            found = engine.map(|engine| {
+                let recipe = Recipe::of(&engine);
+                (engine, recipe)
+            });
         }
 
+        // Settle the slot, then wake waiters: they find the engine or the
+        // verdict instead of racing into their own searches.
         let mut inner = shard.inner.lock().unwrap();
-        inner.compile_nanos += nanos;
-        let Some(engine) = found else {
-            // Record the verdict *before* the guard's Drop removes the
-            // pending mark and wakes waiters, so woken threads observe it
-            // instead of racing into their own searches.
-            if let Some(ttl) = self.config.negative_ttl {
-                inner.record(key, Verdict::Unembeddable(Instant::now() + ttl));
-            }
-            drop(inner);
-            return Err(ServiceError::NoEmbedding);
-        };
         guard.armed = false;
-
-        let engine = Arc::new(engine);
+        inner.compile_nanos += nanos;
+        let mut table = shard.table.write().unwrap();
         let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if rebuilt {
-            inner.rebuilt += 1;
-        } else {
-            inner.discovered += 1;
-        }
-        let recipe = recipe
-            .filter(|_| rebuilt)
-            .unwrap_or_else(|| Arc::new(Recipe::of(&engine)));
-        inner.record(
-            key,
-            Verdict::Found {
-                recipe,
-                built: tick,
-            },
-        );
-        inner.pending.remove(&key);
-        let victims = {
-            let mut fast = shard.fast.write().unwrap();
-            fast.insert(
-                key,
-                Arc::new(FastEntry {
-                    engine: Arc::clone(&engine),
-                    hits: AtomicU64::new(0),
-                    last_used: AtomicU64::new(tick),
-                    compile_nanos: nanos,
-                }),
-            );
-            let now = shard.tick.load(Ordering::Relaxed);
-            trim_to_capacity(&mut fast, self.shard_capacity, |k, e| {
-                let age = now.saturating_sub(e.last_used.load(Ordering::Relaxed));
-                (*k != key).then(|| victim_score(age, e.compile_nanos, *k))
-            })
+        let outcome = match found {
+            Some((engine, recipe)) => {
+                if rebuilt {
+                    inner.rebuilt += 1;
+                } else {
+                    inner.discovered += 1;
+                }
+                let engine = Arc::new(engine);
+                let state = State::Found(recipe, Some(Arc::clone(&engine)));
+                table.insert(key, Slot::new(state, tick, nanos));
+                self.trim_engines(&mut inner, &mut table, key, tick);
+                Ok((key, engine))
+            }
+            None => {
+                match self.config.negative_ttl {
+                    Some(ttl) => {
+                        let state = State::Unembeddable(Instant::now() + ttl);
+                        table.insert(key, Slot::new(state, tick, nanos))
+                    }
+                    None => table.remove(&key),
+                };
+                Err(ServiceError::NoEmbedding)
+            }
         };
-        for (_, victim) in &victims {
-            inner.retire(victim);
-        }
+        // The slot bound. `Some` sorts above `None`, so every `Unembeddable`
+        // slot (soonest expiry first) goes before any engine-less `Found`
+        // one (least recently used first).
+        trim_to_capacity(&mut table, SLOT_CAP, |k, slot| {
+            let unembeddable = match slot.state {
+                _ if *k == key => return None,
+                State::Unembeddable(expiry) => Some(Reverse(expiry)),
+                State::Found(_, None) => None,
+                State::Found(_, Some(_)) | State::Building => return None,
+            };
+            Some((
+                unembeddable,
+                Reverse(slot.last_used.load(Ordering::Relaxed)),
+            ))
+        });
+        drop(table);
         drop(inner);
         shard.compiled.notify_all();
-        Ok((key, engine))
+        outcome
+    }
+
+    /// Enforce the engine bound after `key`'s engine went live at shard
+    /// tick `now`. Each victim, never `key`, keeps its recipe.
+    fn trim_engines(
+        &self,
+        inner: &mut ShardInner,
+        table: &mut HashMap<PairKey, Slot>,
+        key: PairKey,
+        now: u64,
+    ) {
+        let live = table.values().filter(|s| s.engine().is_some()).count();
+        for _ in self.shard_capacity..live {
+            let victim = table
+                .iter_mut()
+                .filter(|(k, _)| **k != key)
+                .filter_map(|(k, slot)| match &mut slot.state {
+                    State::Found(_, engine) if engine.is_some() => {
+                        let age = now.saturating_sub(slot.last_used.load(Ordering::Relaxed));
+                        Some((victim_score(age, slot.compile_nanos, *k), engine))
+                    }
+                    _ => None,
+                })
+                .max_by(|a, b| a.0.cmp(&b.0));
+            if let Some(engine) = victim.and_then(|(_, engine)| engine.take()) {
+                inner.retire(&engine);
+            }
+        }
     }
 
     /// Drop the pair's cached engine and any `Unembeddable` verdict, so a
-    /// failed pair is searched again. A `Found` verdict stays: the next
-    /// request rebuilds the same engine without a search, so an eviction
-    /// never changes an answer. Returns whether a *compiled* entry existed
-    /// (in-flight compiles are left alone and reported as absent, as is a
-    /// pair that only has a verdict).
+    /// failed pair is searched again. A `Found` slot keeps its recipe: the
+    /// next request rebuilds the same engine without a search, so an
+    /// eviction never changes an answer. Returns whether a *compiled*
+    /// engine existed (in-flight builds are left alone and reported as
+    /// absent, as is a pair that only has a verdict).
     ///
     /// # Errors
     /// [`ServiceError::BadDtd`] when either text fails to parse.
     pub fn evict(&self, source_dtd: &str, target_dtd: &str) -> Result<bool, ServiceError> {
         let (key, _) = self.resolve(source_dtd, target_dtd)?;
-        Ok(self.evict_key(key))
-    }
-
-    /// [`EmbeddingRegistry::evict`] by precomputed key.
-    pub fn evict_key(&self, key: PairKey) -> bool {
         let shard = self.shard(key);
         let mut inner = shard.inner.lock().unwrap();
-        if matches!(inner.verdicts.get(&key), Some(Verdict::Unembeddable(_))) {
-            inner.verdicts.remove(&key);
+        let mut table = shard.table.write().unwrap();
+        let Some(slot) = table.get_mut(&key) else {
+            return Ok(false);
+        };
+        match &mut slot.state {
+            State::Found(_, engine) => Ok(engine.take().map(|e| inner.retire(&e)).is_some()),
+            State::Unembeddable(_) => {
+                table.remove(&key);
+                Ok(false)
+            }
+            State::Building => Ok(false),
         }
-        let removed = shard.fast.write().unwrap().remove(&key);
-        if let Some(entry) = &removed {
-            inner.retire(entry);
-        }
-        removed.is_some()
     }
+
     /// Resolve both texts to the pair's key through the text memo. A memo
     /// hit parses nothing and returns `None` for the parsed pair; a miss
     /// parses both texts (so a bad text is always [`ServiceError::BadDtd`]
@@ -778,27 +771,6 @@ impl EmbeddingRegistry {
     pub fn shard_stats(&self) -> Vec<RegistryStats> {
         self.shards.iter().map(Shard::stats).collect()
     }
-
-    /// Per-entry counters for every cached embedding (unordered).
-    pub fn entry_stats(&self) -> Vec<(PairKey, EntryStats)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let _inner = shard.inner.lock().unwrap();
-            let fast = shard.fast.read().unwrap();
-            out.extend(fast.iter().map(|(k, e)| {
-                (
-                    *k,
-                    EntryStats {
-                        hits: e.hits.load(Ordering::Relaxed),
-                        compile_nanos: e.compile_nanos,
-                        last_used: e.last_used.load(Ordering::Relaxed),
-                        plan: e.engine.plan_stats(),
-                    },
-                )
-            }));
-        }
-        out
-    }
 }
 
 fn parse_dtd(text: &str, which: &'static str) -> Result<Dtd, ServiceError> {
@@ -808,6 +780,7 @@ fn parse_dtd(text: &str, which: &'static str) -> Result<Dtd, ServiceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Identity-embeddable pair: the wrap fixture from the core crate's
@@ -832,8 +805,8 @@ mod tests {
     }
 
     fn small_registry_ttl(capacity: usize, negative_ttl: Option<Duration>) -> EmbeddingRegistry {
-        // Single shard: the seed's exact single-lock semantics, which the
-        // legacy behavior tests below assert.
+        // Single shard: one mutex and one global bound, so the counts and
+        // eviction orders asserted below are exact.
         registry_with(capacity, 1, negative_ttl)
     }
 
@@ -851,7 +824,7 @@ mod tests {
         )
     }
 
-    /// The key of a one-leaf identity pair, for filling maps with verdicts
+    /// The key of a one-leaf identity pair, for filling a table with slots
     /// no request ever made.
     fn synthetic_key(i: usize) -> PairKey {
         let dtd = format!("<!ELEMENT r (n{i})>\n<!ELEMENT n{i} (#PCDATA)>");
@@ -862,6 +835,40 @@ mod tests {
     fn build_counts(reg: &EmbeddingRegistry, key: PairKey) -> (u64, u64) {
         let inner = reg.shard(key).inner.lock().unwrap();
         (inner.discovered, inner.rebuilt)
+    }
+
+    /// Put a slot for `key` straight into shard 0's table, as if a request
+    /// had settled it at shard tick `last_used`.
+    fn plant(reg: &EmbeddingRegistry, key: PairKey, state: State, last_used: u64) {
+        let _inner = reg.shards[0].inner.lock().unwrap();
+        let slot = Slot::new(state, last_used, 0);
+        reg.shards[0].table.write().unwrap().insert(key, slot);
+    }
+
+    /// The keys of every slot in shard 0's table.
+    fn slot_keys(reg: &EmbeddingRegistry) -> HashSet<PairKey> {
+        reg.shards[0]
+            .table
+            .read()
+            .unwrap()
+            .keys()
+            .copied()
+            .collect()
+    }
+
+    /// The keys of every pair with a live engine, over all shards.
+    fn live_keys(reg: &EmbeddingRegistry) -> HashSet<PairKey> {
+        let mut keys = HashSet::new();
+        for shard in &reg.shards {
+            let table = shard.table.read().unwrap();
+            keys.extend(
+                table
+                    .iter()
+                    .filter(|(_, s)| s.engine().is_some())
+                    .map(|(k, _)| *k),
+            );
+        }
+        keys
     }
 
     /// What a `wrap_pair` engine answers: its description, `σd` of a fixed
@@ -981,26 +988,19 @@ mod tests {
         let reg = small_registry_ttl(4, Some(Duration::from_secs(3600)));
         let now = Instant::now();
         let expired = synthetic_key(0);
-        let unexpired: Vec<PairKey> = (1..VERDICT_CAP).map(synthetic_key).collect();
-        {
-            let mut inner = reg.shards[0].inner.lock().unwrap();
-            inner.verdicts.insert(expired, Verdict::Unembeddable(now));
-            for (i, k) in unexpired.iter().enumerate() {
-                let expiry = now + Duration::from_secs(60 + i as u64);
-                inner.verdicts.insert(*k, Verdict::Unembeddable(expiry));
-            }
+        let unexpired: Vec<PairKey> = (1..SLOT_CAP).map(synthetic_key).collect();
+        plant(&reg, expired, State::Unembeddable(now), 0);
+        for (i, k) in unexpired.iter().enumerate() {
+            let expiry = now + Duration::from_secs(60 + i as u64);
+            plant(&reg, *k, State::Unembeddable(expiry), 0);
         }
-        let negative_keys = || -> HashSet<PairKey> {
-            let inner = reg.shards[0].inner.lock().unwrap();
-            inner.verdicts.keys().copied().collect()
-        };
 
         // Full with one expired verdict: recording a new one drops it.
         let (s, t) = impossible_pair();
         reg.get_or_compile(s, t).unwrap_err();
         let first = EmbeddingRegistry::key_for(s, t).unwrap();
-        let keys = negative_keys();
-        assert_eq!(keys.len(), VERDICT_CAP);
+        let keys = slot_keys(&reg);
+        assert_eq!(keys.len(), SLOT_CAP);
         assert!(!keys.contains(&expired));
         assert!(keys.contains(&first));
         assert!(unexpired.iter().all(|k| keys.contains(k)));
@@ -1012,8 +1012,8 @@ mod tests {
         );
         reg.get_or_compile(s, t).unwrap_err();
         let second = EmbeddingRegistry::key_for(s, t).unwrap();
-        let keys = negative_keys();
-        assert_eq!(keys.len(), VERDICT_CAP);
+        let keys = slot_keys(&reg);
+        assert_eq!(keys.len(), SLOT_CAP);
         assert!(!keys.contains(&unexpired[0]));
         assert!(keys.contains(&first) && keys.contains(&second));
         assert!(unexpired[1..].iter().all(|k| keys.contains(k)));
@@ -1099,53 +1099,82 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_past_their_cap_drop_the_least_recently_built_found_first() {
+    fn slots_past_their_cap_drop_the_least_recently_used_found_first() {
         let reg = small_registry(4);
         let (s, t) = wrap_pair();
-        let recipe = Arc::new(Recipe::of(
-            &small_registry(4).get_or_compile(&s, &t).unwrap().1,
-        ));
-        let filler: Vec<PairKey> = (0..VERDICT_CAP).map(synthetic_key).collect();
-        {
-            // Every filler verdict was built after anything the registry
-            // builds below, whose shard ticks start at 1.
-            let mut inner = reg.shards[0].inner.lock().unwrap();
-            for (i, k) in filler.iter().enumerate() {
-                let recipe = Arc::clone(&recipe);
-                let built = 1000 + i as u64;
-                inner.verdicts.insert(*k, Verdict::Found { recipe, built });
-            }
+        let engine = small_registry(4).get_or_compile(&s, &t).unwrap().1;
+        let filler: Vec<PairKey> = (0..SLOT_CAP).map(synthetic_key).collect();
+        // Every engine-less filler slot was used after anything the
+        // registry builds below, whose shard ticks start at 1.
+        for (i, k) in filler.iter().enumerate() {
+            let state = State::Found(Recipe::of(&engine), None);
+            plant(&reg, *k, state, 1000 + i as u64);
         }
-        let verdict_keys = || -> HashSet<PairKey> {
-            let inner = reg.shards[0].inner.lock().unwrap();
-            inner.verdicts.keys().copied().collect()
-        };
 
-        // The new verdict is the least recently built, but it is the one
-        // just recorded: the oldest filler goes instead.
+        // The new slot is the least recently used, but it is the one just
+        // settled: the oldest filler goes instead.
         let a = "<!ELEMENT r (a)>\n<!ELEMENT a (#PCDATA)>";
         let (first, _) = reg.get_or_compile(a, a).unwrap();
-        let keys = verdict_keys();
-        assert_eq!(keys.len(), VERDICT_CAP);
+        let keys = slot_keys(&reg);
+        assert_eq!(keys.len(), SLOT_CAP);
         assert!(keys.contains(&first) && !keys.contains(&filler[0]));
         assert!(filler[1..].iter().all(|k| keys.contains(k)));
 
-        // An unexpired `Unembeddable` verdict still goes before any
-        // `Found`, even the least recently built one.
+        // An unexpired `Unembeddable` slot still goes before any `Found`,
+        // even the least recently used one.
         let expiry = Instant::now() + Duration::from_secs(3600);
-        reg.shards[0]
-            .inner
-            .lock()
-            .unwrap()
-            .verdicts
-            .insert(filler[1], Verdict::Unembeddable(expiry));
+        plant(&reg, filler[1], State::Unembeddable(expiry), 0);
         let b = "<!ELEMENT r (b)>\n<!ELEMENT b (#PCDATA)>";
         let (second, _) = reg.get_or_compile(b, b).unwrap();
-        let keys = verdict_keys();
-        assert_eq!(keys.len(), VERDICT_CAP);
+        let keys = slot_keys(&reg);
+        assert_eq!(keys.len(), SLOT_CAP);
         assert!(keys.contains(&first) && keys.contains(&second));
         assert!(!keys.contains(&filler[1]));
         assert!(filler[2..].iter().all(|k| keys.contains(k)));
+    }
+
+    #[test]
+    fn a_pair_with_a_live_engine_is_never_searched_again() {
+        let reg = small_registry(4);
+        let (s, t) = wrap_pair();
+        let (hot, _) = reg.get_or_compile(&s, &t).unwrap();
+        // Fill the shard with more pairs than it keeps slots for; the hot
+        // pair serves a hit after each, so its engine stays live.
+        for i in 0..SLOT_CAP {
+            let dtd = format!("<!ELEMENT r (n{i})>\n<!ELEMENT n{i} (#PCDATA)>");
+            reg.get_or_compile(&dtd, &dtd).unwrap();
+            reg.get_or_compile(&s, &t).unwrap();
+        }
+        let discovered = SLOT_CAP as u64 + 1;
+        assert_eq!(build_counts(&reg, hot), (discovered, 0));
+        // Its next miss rebuilds: the shard discovers nothing more.
+        assert!(reg.evict(&s, &t).unwrap());
+        reg.get_or_compile(&s, &t).unwrap();
+        assert_eq!(build_counts(&reg, hot), (discovered, 1));
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_pair_buildable() {
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        fn panics_once(source: &Dtd, target: &Dtd) -> SimilarityMatrix {
+            if CALLS.fetch_add(1, Ordering::Relaxed) == 0 {
+                panic!("similarity failed");
+            }
+            default_similarity(source, target)
+        }
+        let reg = EmbeddingRegistry::new(RegistryConfig {
+            capacity: 4,
+            shards: 1,
+            sim: panics_once,
+            ..RegistryConfig::default()
+        });
+        let (s, t) = wrap_pair();
+        let built =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.get_or_compile(&s, &t)));
+        assert!(built.is_err(), "the first build did not panic");
+        reg.get_or_compile(&s, &t).unwrap();
+        let st = reg.stats();
+        assert_eq!((st.misses, st.compiles, st.entries), (2, 1, 1), "{st:?}");
     }
 
     #[test]
@@ -1211,7 +1240,7 @@ mod tests {
         assert_eq!(st.entries, 2, "{st:?}");
         assert_eq!(st.evictions, 1, "{st:?}");
         // k0 (recently touched) and k2 (new) survive; k1 is gone.
-        let keys: Vec<PairKey> = reg.entry_stats().into_iter().map(|(k, _)| k).collect();
+        let keys = live_keys(&reg);
         assert!(keys.contains(&k0) && keys.contains(&k2) && !keys.contains(&k1));
     }
 
@@ -1265,9 +1294,8 @@ mod tests {
         engine.translate(&q).unwrap(); // cached hit
         let st = reg.stats();
         assert_eq!((st.plan_hits, st.plan_misses, st.plan_entries), (1, 1, 1));
-        let per_entry = reg.entry_stats();
-        assert_eq!(per_entry.len(), 1);
-        assert_eq!(per_entry[0].1.plan.entries, 1);
+        assert_eq!(live_keys(&reg).len(), 1);
+        assert_eq!(engine.plan_stats().entries, 1);
 
         // Eviction drops the plans but folds the hit/miss totals into the
         // registry-wide aggregate.
@@ -1348,7 +1376,7 @@ mod tests {
         let schemas: Vec<String> = (0..12)
             .map(|i| format!("<!ELEMENT r (e{i})>\n<!ELEMENT e{i} (#PCDATA)>"))
             .collect();
-        let mut shards_touched = std::collections::HashSet::new();
+        let mut shards_touched = HashSet::new();
         for s in &schemas {
             let (k, _) = reg.get_or_compile(s, s).unwrap();
             shards_touched.insert(reg.shard_of(k));

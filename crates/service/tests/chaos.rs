@@ -192,7 +192,6 @@ fn chaos_soak_is_deterministic_and_never_misdecodes() {
                 mix: TrafficMix::mixed(),
                 ops: 120,
                 seed: 6,
-                cold: false,
                 inflight: 1,
             },
         );

@@ -391,7 +391,6 @@ fn warm_cache_p50_at_least_10x_better_than_cold() {
             mix: TrafficMix::translate_heavy(),
             ops: 300,
             seed: 42,
-            cold: false,
             inflight: 1,
         },
     );
@@ -409,7 +408,6 @@ fn warm_cache_p50_at_least_10x_better_than_cold() {
                     mix: TrafficMix::translate_heavy(),
                     ops: 1,
                     seed: 42 + i,
-                    cold: false,
                     inflight: 1,
                 },
             );

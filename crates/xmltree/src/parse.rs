@@ -66,13 +66,17 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_until(&mut self, end: &str) -> Result<(), ParseError> {
-        match self.bytes()[self.pos..]
+    /// Skip a construct that opens with `open` (at `self.pos`) and runs
+    /// through the first `end` after the opener, so `<!-->` does not close
+    /// itself.
+    fn skip_past(&mut self, open: &str, end: &str) -> Result<(), ParseError> {
+        let body = self.pos + open.len();
+        match self.bytes()[body..]
             .windows(end.len())
             .position(|w| w == end.as_bytes())
         {
             Some(i) => {
-                self.pos += i + end.len();
+                self.pos = body + i + end.len();
                 Ok(())
             }
             None => self.err(format!("unterminated construct, expected {end:?}")),
@@ -83,9 +87,9 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.starts_with("<?") {
-                self.skip_until("?>")?;
+                self.skip_past("<?", "?>")?;
             } else if self.starts_with("<!--") {
-                self.skip_until("-->")?;
+                self.skip_past("<!--", "-->")?;
             } else if self.starts_with("<!DOCTYPE") {
                 // DOCTYPE may contain a bracketed internal subset.
                 let mut depth = 0usize;
@@ -200,11 +204,11 @@ impl<'a> Parser<'a> {
                     // At '<': the byte after it picks the construct.
                     let next = self.bytes().get(self.pos + 1).copied();
                     if next == Some(b'!') && self.starts_with("<!--") {
-                        self.skip_until("-->")?;
+                        self.skip_past("<!--", "-->")?;
                         continue;
                     }
                     if next == Some(b'?') {
-                        self.skip_until("?>")?;
+                        self.skip_past("<?", "?>")?;
                         continue;
                     }
                     let (parent, parent_name) = *open.last().expect("an element is open");
@@ -262,12 +266,15 @@ impl<'a> Parser<'a> {
                     msg: "unterminated character reference".into(),
                 })?;
             let body = &self.input[self.pos + 2..self.pos + semi];
-            let code = match body.strip_prefix('x') {
-                Some(hex) => u32::from_str_radix(hex, 16),
-                None => body.parse(),
+            // A non-empty run of digits: `from_str_radix` alone would also
+            // take a sign, as in `&#+67;`.
+            let (digits, radix) = match body.strip_prefix('x') {
+                Some(hex) => (hex, 16),
+                None => (body, 10),
             };
-            let ch = code
-                .ok()
+            let ch = Some(digits)
+                .filter(|d| !d.is_empty() && d.bytes().all(|b| char::from(b).is_digit(radix)))
+                .and_then(|d| u32::from_str_radix(d, radix).ok())
                 .and_then(char::from_u32)
                 .ok_or_else(|| ParseError {
                     at: self.pos,

@@ -76,6 +76,21 @@ const ERRORS: &[(&str, usize, &str)] = &[
     ("<a>&#x;</a>", 3, "invalid character reference"),
     ("<a>&#1114112;</a>", 3, "invalid character reference"),
     ("<a>&#65</a><b>;", 3, "invalid character reference"),
+    (
+        "<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;&#x1F600;&#+67;</a>",
+        48,
+        "invalid character reference",
+    ),
+    ("<a>&#x+41;</a>", 3, "invalid character reference"),
+    ("<a>&#-1;</a>", 3, "invalid character reference"),
+    (
+        "<a><!-->x</a>",
+        3,
+        "unterminated construct, expected \"-->\"",
+    ),
+    ("<a><?>x</a>", 3, "unterminated construct, expected \"?>\""),
+    ("<!--><a/>", 0, "unterminated construct, expected \"-->\""),
+    ("<?><a/>", 0, "unterminated construct, expected \"?>\""),
     ("<a>", 3, "unexpected end of input inside element"),
     ("<a><b>", 6, "unexpected end of input inside element"),
     ("<a>text", 7, "unexpected end of input inside element"),
@@ -88,9 +103,8 @@ const TREES: &[(&str, &str)] = &[
     ("<a>a<!--c-->b</a>", "0<a>#1 1\"ab\""),
     ("<a>a<?pi x?>b</a>", "0<a>#1 1\"ab\""),
     ("<a>x<!---->y<?p?>z</a>", "0<a>#1 1\"xyz\""),
-    ("<a><!-->x</a>", "0<a>#1 1\"x\""),
-    ("<a><?>x</a>", "0<a>#1 1\"x\""),
-    ("<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;&#x1F600;&#+67;</a>", "0<a>#1 1\"<>&\\\"'AB😀C\""),
+    ("<a>&lt;&gt;&amp;&quot;&apos;&#65;&#x42;&#x1F600;</a>", "0<a>#1 1\"<>&\\\"'AB😀\""),
+    ("<a>&#x2d;&#x2D;&#0065;</a>", "0<a>#1 1\"--A\""),
     ("<a>héllo ✓ 😀 中文</a>", "0<a>#1 1\"héllo ✓ 😀 中文\""),
     ("<a>\u{b}</a>", "0<a>#0"),
     ("<a>\u{c}</a>", "0<a>#0"),

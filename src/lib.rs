@@ -157,16 +157,17 @@
 //! but equivalent DTD texts share one entry — with single-flight
 //! compilation (N concurrent requests for an uncached pair compile once)
 //! and weighted (compile-cost × recency) eviction. Eviction drops an
-//! engine but not what discovery found: each shard keeps a bounded map of
-//! discovery verdicts, so the pair's next miss rebuilds the engine from
-//! its `(λ, path)` (the polynomial §4.1 checks) instead of re-running the
-//! NP-complete search. The registry is lock-striped across
+//! engine but not what discovery found: each pair keeps one slot holding
+//! its discovery verdict beside its engine, so the pair's next miss
+//! rebuilds the engine from its `(λ, path)` (the polynomial §4.1 checks)
+//! instead of re-running the NP-complete search. The registry is
+//! lock-striped across
 //! [`RegistryConfig::shards`](crate::service::RegistryConfig) independent shards
-//! (default 8) keyed by the pair hash: each shard has its own mutex,
-//! single-flight table and verdict map, and warm hits resolve through
-//! a read-locked fast table without ever touching a shard mutex — a hot
-//! `Arc` clone never blocks behind another pair's compile. `shards: 1`
-//! reproduces single-mutex behavior exactly; aggregate
+//! (default 8) keyed by the pair hash: each shard has its own mutex and
+//! one read-locked slot table, and warm hits resolve through that table
+//! without ever touching a shard mutex — a hot `Arc` clone never blocks
+//! behind another pair's compile. `shards: 1` puts every pair behind one
+//! mutex and one engine bound; aggregate
 //! [`stats`](crate::service::EmbeddingRegistry::stats) are a monotone
 //! merge over shards. A `std`-only TCP server and client
 //! ([`service::Server`] / [`service::Client`]) expose `compile`,
