@@ -367,8 +367,8 @@ impl EmbeddingBuilder {
             source,
             target,
             src_graph,
-            lambda.expect("no errors implies λ computed"),
-            paths,
+            Arc::new(lambda.expect("no errors implies λ computed")),
+            Arc::new(paths),
         )
     }
 }
@@ -389,9 +389,9 @@ pub struct CompiledEmbedding {
     pub(crate) source: Arc<Dtd>,
     pub(crate) target: Arc<Dtd>,
     pub(crate) src_graph: SchemaGraph,
-    pub(crate) lambda: TypeMapping,
+    pub(crate) lambda: Arc<TypeMapping>,
     /// The syntactic path function the engine was validated from.
-    pub(crate) paths: PathMapping,
+    pub(crate) paths: Arc<PathMapping>,
     /// Resolved, normalized paths per `(source type, edge slot)`.
     pub(crate) resolved: Vec<Vec<ResolvedPath>>,
     /// The target's minimum-default plans (one `mindef_plans()` call ever).
@@ -425,26 +425,32 @@ impl std::fmt::Debug for CompiledEmbedding {
 }
 
 impl CompiledEmbedding {
-    /// Validate `(λ, path)` and compile the embedding. Both DTDs are taken
-    /// by value (or by [`Arc`] — an `Arc<Dtd>` is accepted as-is, so clones
-    /// of a shared schema are free).
+    /// Validate `(λ, path)` and compile the embedding. The DTDs and both
+    /// mappings are taken by value (or by [`Arc`] — an `Arc` is accepted
+    /// as-is, so an engine rebuilt from another's parts shares them).
     pub fn new(
         source: impl Into<Arc<Dtd>>,
         target: impl Into<Arc<Dtd>>,
-        lambda: TypeMapping,
-        paths: PathMapping,
+        lambda: impl Into<Arc<TypeMapping>>,
+        paths: impl Into<Arc<PathMapping>>,
     ) -> Result<Self, EmbeddingError> {
         let source = source.into();
         let src_graph = SchemaGraph::new(&source);
-        CompiledEmbedding::with_graph(source, target.into(), src_graph, lambda, paths)
+        CompiledEmbedding::with_graph(
+            source,
+            target.into(),
+            src_graph,
+            lambda.into(),
+            paths.into(),
+        )
     }
 
     fn with_graph(
         source: Arc<Dtd>,
         target: Arc<Dtd>,
         src_graph: SchemaGraph,
-        lambda: TypeMapping,
-        paths: PathMapping,
+        lambda: Arc<TypeMapping>,
+        paths: Arc<PathMapping>,
     ) -> Result<Self, EmbeddingError> {
         if lambda.map.len() != source.type_count() {
             return Err(EmbeddingError::ArityMismatch {
@@ -549,7 +555,7 @@ impl CompiledEmbedding {
     }
 
     /// The whole type mapping `λ` the engine was validated from.
-    pub fn type_mapping(&self) -> &TypeMapping {
+    pub fn type_mapping(&self) -> &Arc<TypeMapping> {
         &self.lambda
     }
 
@@ -557,7 +563,7 @@ impl CompiledEmbedding {
     /// normalization. Passed back to [`CompiledEmbedding::new`] with
     /// [`type_mapping`](Self::type_mapping) and the two DTDs, it rebuilds
     /// this engine without searching for it again.
-    pub fn path_mapping(&self) -> &PathMapping {
+    pub fn path_mapping(&self) -> &Arc<PathMapping> {
         &self.paths
     }
 

@@ -8,7 +8,7 @@
 //! distinguishability validity check guarantees at most one can succeed.
 //! Stars walk the children of the multiplicity node in document order.
 
-use xse_dtd::{Dtd, Production, TypeId};
+use xse_dtd::{Production, TypeId};
 use xse_xmltree::{NodeId, TagId, XmlTree};
 
 use crate::resolve::ResolvedStep;
@@ -17,9 +17,17 @@ use crate::{CompiledEmbedding, EmbeddingError};
 /// Follow `steps` downward from `from`, one child per step; `None` when some
 /// step has no matching child. Steps must carry canonical positions (true
 /// after embedding normalization for every navigation the inverse performs).
-pub(crate) fn navigate(
-    target: &Dtd,
+///
+/// The document's tag ids are pre-resolved per target type:
+/// `tags[ty.index()]` is `ty`'s tag in `tree`'s symbol table (as a
+/// [`TagId`], or an `Option<TagId>` that is `None` when the tag never occurs
+/// in the document — then no step of that type can match). Label checks
+/// are integer compares, and each step resolves through the tree's
+/// label-offset index ([`XmlTree::nth_child_with_tag_id`]) instead of
+/// scanning siblings.
+pub(crate) fn navigate_tagged<T: Copy + Into<Option<TagId>>>(
     tree: &XmlTree,
+    tags: &[T],
     from: NodeId,
     steps: &[ResolvedStep],
 ) -> Option<NodeId> {
@@ -28,31 +36,7 @@ pub(crate) fn navigate(
         let k = step
             .pos
             .expect("navigation requires canonical positions on every step");
-        cur = tree
-            .children_with_tag(cur, target.name(step.ty))
-            .nth(k - 1)?;
-    }
-    Some(cur)
-}
-
-/// [`navigate`] with the document's tag ids pre-resolved per target type:
-/// `tags[ty.index()]` is `ty`'s tag in `tree`'s symbol table (`None` when
-/// the tag never occurs in the document — then no step of that type can
-/// match). Label checks become integer compares, and each canonical-position
-/// step resolves through the tree's label-offset index
-/// ([`XmlTree::nth_child_with_tag_id`]) instead of scanning siblings.
-fn navigate_tagged(
-    tree: &XmlTree,
-    tags: &[Option<TagId>],
-    from: NodeId,
-    steps: &[ResolvedStep],
-) -> Option<NodeId> {
-    let mut cur = from;
-    for step in steps {
-        let k = step
-            .pos
-            .expect("navigation requires canonical positions on every step");
-        let want = tags[step.ty.index()]?;
+        let want = tags[step.ty.index()].into()?;
         cur = tree.nth_child_with_tag_id(cur, want, k - 1)?;
     }
     Some(cur)

@@ -273,7 +273,7 @@ pub(crate) fn check_disjunction_distinguishability(
                 if scn == Some(i) {
                     continue;
                 }
-                if crate::inverse::navigate(target, tree, root, &p.steps).is_some() {
+                if crate::inverse::navigate_tagged(tree, tags, root, &p.steps).is_some() {
                     return Err(EmbeddingError::AlternativeAliased {
                         ty: source.name(a).to_string(),
                         probe: p.display(target),

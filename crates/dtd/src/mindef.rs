@@ -99,30 +99,19 @@ impl Dtd {
     pub fn mindef(&self, a: TypeId) -> XmlTree {
         let plans = self.mindef_plans();
         let mut tree = XmlTree::new(self.name(a));
+        let tags: Vec<TagId> = self
+            .types()
+            .map(|ty| tree.intern_tag(self.name(ty)))
+            .collect();
         let root = tree.root();
-        self.mindef_children_with(&plans, a, &mut tree, root);
+        self.mindef_children_tagged(&plans, &tags, a, &mut tree, root);
         tree
     }
 
     /// Append `mindef(A)` as a new child of `parent` inside an existing
-    /// tree, returning the new node. Used by the instance mapping, which
-    /// precomputes the plans once.
-    pub fn mindef_into(
-        &self,
-        plans: &[MindefPlan],
-        a: TypeId,
-        tree: &mut XmlTree,
-        parent: NodeId,
-    ) -> NodeId {
-        let node = tree.add_element(parent, self.name(a));
-        self.mindef_children_with(plans, a, tree, node);
-        node
-    }
-
-    /// [`Dtd::mindef_into`] with the tree's tag table precomputed:
-    /// `tags[ty.index()]` must be `ty`'s name interned in `tree`'s symbol
-    /// table. This is the instance-mapping hot path — default padding is
-    /// emitted without any string hashing.
+    /// tree, returning the new node. `tags[ty.index()]` must be `ty`'s name
+    /// interned in `tree`'s symbol table. This is the instance-mapping hot
+    /// path — default padding is emitted without any string hashing.
     pub fn mindef_into_tagged(
         &self,
         plans: &[MindefPlan],
@@ -132,6 +121,19 @@ impl Dtd {
         parent: NodeId,
     ) -> NodeId {
         let node = tree.add_element_tag(parent, tags[a.index()]);
+        self.mindef_children_tagged(plans, tags, a, tree, node);
+        node
+    }
+
+    /// Append the children of `mindef(A)` under `node`, an `A` node.
+    fn mindef_children_tagged(
+        &self,
+        plans: &[MindefPlan],
+        tags: &[TagId],
+        a: TypeId,
+        tree: &mut XmlTree,
+        node: NodeId,
+    ) {
         match &plans[a.index()] {
             MindefPlan::Text => {
                 tree.add_text(node, DEFAULT_STRING);
@@ -144,36 +146,6 @@ impl Dtd {
             }
             MindefPlan::OneChild(c) => {
                 self.mindef_into_tagged(plans, tags, *c, tree, node);
-            }
-            MindefPlan::None => {
-                panic!(
-                    "mindef({}) requested for an unproductive type — reduce() the DTD first",
-                    self.name(a)
-                )
-            }
-        }
-        node
-    }
-
-    fn mindef_children_with(
-        &self,
-        plans: &[MindefPlan],
-        a: TypeId,
-        tree: &mut XmlTree,
-        node: NodeId,
-    ) {
-        match &plans[a.index()] {
-            MindefPlan::Text => {
-                tree.add_text(node, DEFAULT_STRING);
-            }
-            MindefPlan::Leaf => {}
-            MindefPlan::AllChildren(cs) => {
-                for &c in cs {
-                    self.mindef_into(plans, c, tree, node);
-                }
-            }
-            MindefPlan::OneChild(c) => {
-                self.mindef_into(plans, *c, tree, node);
             }
             MindefPlan::None => {
                 panic!(

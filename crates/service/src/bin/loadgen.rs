@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! xse-loadgen [--mix NAME] [--ops N] [--pairs N] [--seed N]
-//!             [--capacity N] [--workers N] [--shards N]
+//!             [--capacity N] [--shards N]
 //!             [--addr HOST:PORT | --spawn-server | --in-process]
 //!             [--connections N] [--inflight K]
 //!             [--chaos] [--fault-seed N]
@@ -28,8 +28,8 @@
 //!   With N or K above 1, every pair is first compiled once (untimed), so
 //!   the digests are warm-path latency under contention. That needs a TCP
 //!   endpoint (`--spawn-server` or `--addr`) and conflicts with `--chaos`.
-//!   A spawned server gets `max(--workers, N)` workers so every
-//!   connection is served concurrently.
+//!   A spawned server serves each connection on its own thread, up to
+//!   its default cap of 64 connections, so `N` may not exceed that cap.
 //! * `--chaos` (requires `--spawn-server`) interposes a [`FaultProxy`]
 //!   running [`FaultPlan::standard`]`(--fault-seed)` between a retrying
 //!   client and the server: frames are delayed, reset, truncated and
@@ -62,7 +62,6 @@ struct Args {
     pairs: usize,
     seed: u64,
     capacity: usize,
-    workers: usize,
     shards: usize,
     addr: Option<String>,
     spawn_server: bool,
@@ -81,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
         pairs: 8,
         seed: 42,
         capacity: 64,
-        workers: 4,
         shards: RegistryConfig::default().shards,
         addr: None,
         spawn_server: false,
@@ -105,7 +103,6 @@ fn parse_args() -> Result<Args, String> {
             "--pairs" => args.pairs = parse_num(&value("--pairs")?)?,
             "--seed" => args.seed = parse_num(&value("--seed")?)? as u64,
             "--capacity" => args.capacity = parse_num(&value("--capacity")?)?,
-            "--workers" => args.workers = parse_num(&value("--workers")?)?,
             "--shards" => args.shards = parse_num(&value("--shards")?)?,
             "--addr" => args.addr = Some(value("--addr")?),
             "--spawn-server" => args.spawn_server = true,
@@ -131,6 +128,12 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.connections == 0 || args.inflight == 0 {
         return Err("--connections and --inflight must be at least 1".into());
+    }
+    let cap = ServerConfig::default().max_connections;
+    if args.spawn_server && args.connections > cap {
+        return Err(format!(
+            "--spawn-server serves at most {cap} connections; more would be shed"
+        ));
     }
     if args.shards == 0 {
         return Err("--shards must be at least 1".into());
@@ -172,11 +175,8 @@ fn main() -> ExitCode {
         ..RegistryConfig::default()
     }));
     let server_config = ServerConfig {
-        // Each connection holds a worker for the whole replay; fewer
-        // workers than connections would serialize whole connections.
-        workers: args.workers.max(args.connections),
-        // Chaos runs stall connections on purpose; shorter deadlines keep
-        // workers circulating through the injected faults.
+        // Chaos runs stall connections on purpose; shorter deadlines free
+        // their slots and threads sooner.
         read_timeout: Some(if args.chaos {
             Duration::from_secs(2)
         } else {

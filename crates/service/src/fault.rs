@@ -27,9 +27,10 @@
 //! That makes "no misdecoded successes under chaos" checkable: any
 //! decodable frame that transits the proxy is authentic.
 
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -191,10 +192,11 @@ pub struct FaultProxy;
 struct Shared {
     plan: FaultPlan,
     upstream: SocketAddr,
-    stop: Arc<AtomicBool>,
-    /// Clones of every live socket (both sides of every conn), force-shut
-    /// on proxy shutdown so blocked pump reads unblock.
-    socks: Mutex<Vec<TcpStream>>,
+    stop: AtomicBool,
+    /// Clones of both legs of every live proxied connection, keyed by
+    /// connection id and dropped when its pumps exit. Whatever is left
+    /// when the proxy stops is force-shut so blocked pump reads unblock.
+    socks: Mutex<HashMap<u64, [TcpStream; 2]>>,
     log: Mutex<Vec<InjectedFault>>,
 }
 
@@ -202,7 +204,8 @@ struct Shared {
 pub struct FaultProxyHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    /// The accept thread; its scope holds every pump.
+    accept: Option<JoinHandle<()>>,
 }
 
 impl FaultProxy {
@@ -217,58 +220,54 @@ impl FaultProxy {
         let shared = Arc::new(Shared {
             plan,
             upstream,
-            stop: Arc::new(AtomicBool::new(false)),
-            socks: Mutex::new(Vec::new()),
+            stop: AtomicBool::new(false),
+            socks: Mutex::new(HashMap::new()),
             log: Mutex::new(Vec::new()),
         });
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
-                let next_conn = AtomicU64::new(0);
-                let mut pumps = Vec::new();
-                for conn in listener.incoming() {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
+                let shared = &*shared;
+                std::thread::scope(|scope| {
+                    let mut next_id = 0u64;
+                    for conn in listener.incoming() {
+                        if shared.stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let Ok(down) = conn else { continue };
+                        let Ok(up) = TcpStream::connect(shared.upstream) else {
+                            // Upstream gone: refuse by dropping the client.
+                            continue;
+                        };
+                        // Frames are forwarded whole, one write each: no Nagle.
+                        let _ = down.set_nodelay(true);
+                        let _ = up.set_nodelay(true);
+                        let id = next_id;
+                        next_id += 1;
+                        let (Ok(d), Ok(u), Ok(down_w), Ok(up_w)) = (
+                            down.try_clone(),
+                            up.try_clone(),
+                            down.try_clone(),
+                            up.try_clone(),
+                        ) else {
+                            continue;
+                        };
+                        shared.socks.lock().unwrap().insert(id, [d, u]);
+                        for (dir, src, dst) in [
+                            (Direction::ClientToServer, down, up_w),
+                            (Direction::ServerToClient, up, down_w),
+                        ] {
+                            scope.spawn(move || pump(shared, dir, id, src, dst));
+                        }
                     }
-                    let Ok(down) = conn else { continue };
-                    let Ok(up) = TcpStream::connect(shared.upstream) else {
-                        // Upstream gone: refuse by dropping the client.
-                        continue;
-                    };
-                    // Frames are forwarded whole, one write each: no Nagle.
-                    let _ = down.set_nodelay(true);
-                    let _ = up.set_nodelay(true);
-                    let id = next_conn.fetch_add(1, Ordering::Relaxed);
-                    if let (Ok(d), Ok(u)) = (down.try_clone(), up.try_clone()) {
-                        let mut socks = shared.socks.lock().unwrap();
-                        socks.push(d);
-                        socks.push(u);
+                    // Only this thread inserts, so nothing is added after
+                    // this: sever what is left so every pump exits.
+                    for legs in shared.socks.lock().unwrap().values() {
+                        for sock in legs {
+                            let _ = sock.shutdown(Shutdown::Both);
+                        }
                     }
-                    let (Ok(down_r), Ok(up_r)) = (down.try_clone(), up.try_clone()) else {
-                        continue;
-                    };
-                    let c2s = PumpEnds {
-                        src: down_r,
-                        dst: up.try_clone().ok(),
-                        other: down.try_clone().ok(),
-                    };
-                    let s2c = PumpEnds {
-                        src: up_r,
-                        dst: down.try_clone().ok(),
-                        other: up.try_clone().ok(),
-                    };
-                    drop((down, up));
-                    for (dir, ends) in [
-                        (Direction::ClientToServer, c2s),
-                        (Direction::ServerToClient, s2c),
-                    ] {
-                        let shared = Arc::clone(&shared);
-                        pumps.push(std::thread::spawn(move || {
-                            pump(&shared, dir, id, ends);
-                        }));
-                    }
-                }
-                pumps
+                });
             })
         };
         Ok(FaultProxyHandle {
@@ -285,11 +284,16 @@ impl FaultProxyHandle {
         self.addr
     }
 
-    /// Both legs of every proxied connection (for socket-option tests).
+    /// Both legs of every live proxied connection (for socket-option and
+    /// leak tests).
     #[cfg(test)]
     pub(crate) fn sockets(&self) -> Vec<TcpStream> {
         let socks = self.shared.socks.lock().unwrap();
-        socks.iter().filter_map(|s| s.try_clone().ok()).collect()
+        socks
+            .values()
+            .flatten()
+            .filter_map(|s| s.try_clone().ok())
+            .collect()
     }
 
     /// Snapshot of the injected-fault log, in injection order per pump.
@@ -318,14 +322,11 @@ impl FaultProxyHandle {
         if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop (it re-checks the flag per connection).
+        // Unblock the accept loop (it re-checks the flag per connection);
+        // it severs the live connections, and its scope joins the pumps.
         let _ = TcpStream::connect(self.addr);
-        let pumps = self.accept.take().and_then(|h| h.join().ok());
-        for sock in self.shared.socks.lock().unwrap().drain(..) {
-            let _ = sock.shutdown(Shutdown::Both);
-        }
-        for pump in pumps.into_iter().flatten() {
-            let _ = pump.join();
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
         }
     }
 }
@@ -336,27 +337,11 @@ impl Drop for FaultProxyHandle {
     }
 }
 
-struct PumpEnds {
-    /// The side frames are read from.
-    src: TcpStream,
-    /// The side they are forwarded to.
-    dst: Option<TcpStream>,
-    /// A handle back to `src`'s socket for resets (shutting down `src`
-    /// itself only closes our clone's direction bookkeeping, so keep an
-    /// explicit clone to sever both halves).
-    other: Option<TcpStream>,
-}
-
 /// Relay frames `src` → `dst`, injecting faults per the plan. Exits on
 /// EOF, socket error, or an injected reset; severs both sides on exit so
-/// the opposite pump (and the peers) observe the closure promptly.
-fn pump(shared: &Shared, dir: Direction, conn: u64, ends: PumpEnds) {
-    let PumpEnds {
-        mut src,
-        dst,
-        other,
-    } = ends;
-    let Some(mut dst) = dst else { return };
+/// the opposite pump (and the peers) observe the closure promptly, and
+/// drops the connection's entry in [`Shared::socks`].
+fn pump(shared: &Shared, dir: Direction, conn: u64, mut src: TcpStream, mut dst: TcpStream) {
     let mut frame = 0u64;
     loop {
         // 8-byte header: u32-BE payload length, then the u32 request id
@@ -405,14 +390,33 @@ fn pump(shared: &Shared, dir: Direction, conn: u64, ends: PumpEnds) {
         }
     }
     let _ = dst.shutdown(Shutdown::Both);
-    if let Some(o) = other {
-        let _ = o.shutdown(Shutdown::Both);
-    }
+    let _ = src.shutdown(Shutdown::Both);
+    shared.socks.lock().unwrap().remove(&conn);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Client, EmbeddingRegistry, RegistryConfig, Server, ServerConfig};
+    use std::time::Instant;
+
+    #[test]
+    fn closed_connections_leave_no_socket_clones() {
+        let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig::default()));
+        let server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+        let proxy = FaultProxy::spawn(server.addr(), FaultPlan::calm(0)).unwrap();
+        for _ in 0..200 {
+            let mut client = Client::connect(proxy.addr()).unwrap();
+            client.stats().unwrap();
+        }
+        // Each connection's pumps exit once its client hangs up.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while !proxy.sockets().is_empty() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let kept = proxy.sockets().len();
+        assert_eq!(kept, 0, "{kept} socket clones kept after every client left");
+    }
 
     #[test]
     fn decide_is_deterministic_across_the_grid() {

@@ -13,7 +13,8 @@
 //!   fast path, and weighted (compile-cost × recency) eviction
 //!   ([`registry`] docs).
 //! * [`Server`] / [`Client`] — a length-prefixed binary protocol over
-//!   `std::net::TcpStream` with a bounded worker pool. No async runtime.
+//!   `std::net::TcpStream`, one thread per admitted connection up to a
+//!   cap. No async runtime.
 //!   Requests with nonzero ids are pipelined ([`Client::submit`] /
 //!   [`Client::recv`]): up to K in flight, responses matched by id and
 //!   possibly out of order (see *Wire format*).
@@ -112,22 +113,24 @@
 //!   [`ServerConfig::write_timeout`]) bound every socket operation. A
 //!   connection that is *idle* at its read deadline is closed silently
 //!   (keep-alive expiry); one that stalls **mid-frame** is answered with a
-//!   best-effort `timeout` (`11`) error frame and closed, releasing its
-//!   worker back to the pool.
+//!   best-effort `timeout` (`11`) error frame and closed, freeing its
+//!   connection slot.
 //! * **Per-request budget** ([`ServerConfig::request_budget`]): a request
 //!   whose handling exceeds the budget is answered with `timeout` instead
 //!   of its (late) result. Blocking engine calls cannot be interrupted
 //!   mid-flight, so the budget is enforced when the response is produced —
 //!   it bounds what the server *returns*, while the client's own read
 //!   deadline bounds what the client *waits for*.
-//! * **Load shedding** ([`ServerConfig::max_queued`]): when the accept
-//!   queue is full, new connections are answered immediately with an
-//!   `overloaded` (`10`) error frame and closed instead of queueing
-//!   unboundedly. Shedding happens *before* any request is read, so an
-//!   `overloaded` answer guarantees the request was never executed.
-//! * **Graceful drain**: shutdown stops accepting, sheds the queued
-//!   backlog (`overloaded`), lets in-flight requests finish up to
-//!   [`ServerConfig::drain_deadline`], then force-closes whatever remains.
+//! * **Load shedding** ([`ServerConfig::max_connections`]): every
+//!   admitted connection is served at once on its own thread, so no
+//!   client waits for another to hang up. A connection that arrives while
+//!   the cap is reached is answered immediately with an `overloaded`
+//!   (`10`) error frame and closed instead of waiting. Shedding happens
+//!   *before* any request is read, so an `overloaded` answer guarantees
+//!   the request was never executed.
+//! * **Graceful drain**: shutdown stops accepting, lets in-flight
+//!   requests finish up to [`ServerConfig::drain_deadline`], then
+//!   force-closes whatever remains.
 //! * **Client deadlines** ([`ClientConfig`]): `connect`, reads and writes
 //!   all carry timeouts, surfaced as the typed
 //!   [`ServiceError::Timeout`] (distinct from [`ServiceError::Io`]).

@@ -851,15 +851,7 @@ mod tests {
         let pairs = build_pairs(2, 11);
         let reg = Arc::new(EmbeddingRegistry::new(RegistryConfig::default()));
         let connections = 3;
-        let server = Server::bind(
-            ("127.0.0.1", 0),
-            reg,
-            ServerConfig {
-                workers: connections,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
+        let server = Server::bind(("127.0.0.1", 0), reg, ServerConfig::default()).expect("bind");
         let mut endpoints: Vec<Endpoint> = (0..connections)
             .map(|_| Endpoint::Tcp(Client::connect(server.addr()).expect("connect")))
             .collect();

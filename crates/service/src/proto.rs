@@ -82,9 +82,9 @@ pub enum ErrorCode {
     EngineError,
     /// Evict targeted a pair that was not cached.
     NotFound,
-    /// The server is shedding load (accept queue over its bound, or the
-    /// server is draining for shutdown); the request was **not** executed
-    /// and is always safe to retry elsewhere or later.
+    /// The server is shedding load (its connection cap was reached); the
+    /// request was **not** executed and is always safe to retry elsewhere
+    /// or later.
     Overloaded,
     /// A deadline expired: the server's per-request time budget ran out,
     /// or its read deadline fired while a frame was partially received.

@@ -236,12 +236,13 @@ const TEXT_KEY_CAP: usize = 1024;
 const SLOT_CAP: usize = 256;
 
 /// What a `Found` slot rebuilds its engine from: the discovered engine's
-/// own DTDs, `λ` and syntactic path function.
+/// own DTDs, `λ` and syntactic path function, shared with every engine
+/// built from them.
 struct Recipe {
     source: Arc<Dtd>,
     target: Arc<Dtd>,
-    lambda: TypeMapping,
-    paths: PathMapping,
+    lambda: Arc<TypeMapping>,
+    paths: Arc<PathMapping>,
 }
 
 impl Recipe {
@@ -249,8 +250,8 @@ impl Recipe {
         Recipe {
             source: engine.source_arc(),
             target: engine.target_arc(),
-            lambda: engine.type_mapping().clone(),
-            paths: engine.path_mapping().clone(),
+            lambda: Arc::clone(engine.type_mapping()),
+            paths: Arc::clone(engine.path_mapping()),
         }
     }
 
@@ -260,8 +261,8 @@ impl Recipe {
         CompiledEmbedding::new(
             Arc::clone(&self.source),
             Arc::clone(&self.target),
-            self.lambda.clone(),
-            self.paths.clone(),
+            Arc::clone(&self.lambda),
+            Arc::clone(&self.paths),
         )
         .ok()
     }
@@ -1046,6 +1047,26 @@ mod tests {
         let st = reg.stats();
         assert_eq!((st.misses, st.compiles, st.evictions), (4, 4, 3), "{st:?}");
         assert_eq!(st.compiles, st.entries + st.evictions);
+    }
+
+    #[test]
+    fn a_rebuilt_engine_shares_the_discovered_mappings() {
+        let reg = small_registry(1);
+        let (s, t) = wrap_pair();
+        let (_, discovered) = reg.get_or_compile(&s, &t).unwrap();
+        let other = "<!ELEMENT r (a)>\n<!ELEMENT a (#PCDATA)>";
+        reg.get_or_compile(other, other).unwrap();
+        assert_eq!(reg.stats().evictions, 1);
+        let (_, rebuilt) = reg.get_or_compile(&s, &t).unwrap();
+        assert!(!Arc::ptr_eq(&discovered, &rebuilt));
+        assert!(std::ptr::eq(
+            &**rebuilt.path_mapping(),
+            &**discovered.path_mapping()
+        ));
+        assert!(std::ptr::eq(
+            &**rebuilt.type_mapping(),
+            &**discovered.type_mapping()
+        ));
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! `std`-only TCP server: one accept thread plus a bounded worker pool,
-//! hardened against hostile and slow peers.
+//! `std`-only TCP server: one accept thread, and one thread per admitted
+//! connection, hardened against hostile and slow peers.
 //!
-//! Connections are accepted on a dedicated thread and pushed onto a
-//! `Mutex<VecDeque<TcpStream>>`; `workers` pool threads pop connections
-//! and run each one to completion (connection-per-worker). Every
-//! connection is served by one leader/follower loop: the threads serving
-//! it share the read half and the write half, and whichever thread holds
-//! the reader reads the next frame. An id-0 frame is answered before that
-//! thread lets go of the reader, so the legacy lane is strict
-//! request/response lockstep. A nonzero id releases the reader first, so
-//! another thread reads on while the request runs and responses — each
-//! tagged with its request's id — go out in **completion order**. The
+//! The accept thread admits each new connection while fewer than
+//! [`ServerConfig::max_connections`] are being served, and spawns it into a
+//! `std::thread::scope` the accept thread owns, so no client waits for
+//! another to hang up. Every connection is served by one leader/follower
+//! loop: the threads serving it share the read half and the write half, and
+//! whichever thread holds the reader reads the next frame. An id-0 frame is
+//! answered before that thread lets go of the reader, so the legacy lane is
+//! strict request/response lockstep. A nonzero id releases the reader
+//! first, so another thread reads on while the request runs and responses —
+//! each tagged with its request's id — go out in **completion order**. The
 //! second thread is spawned only when a tagged frame releases the reader
 //! and no thread is waiting for it, and a connection never has more than
-//! four threads, the pool worker included. A frame that no thread is free
-//! to read stays in the socket's receive buffer, so a client that
-//! overruns the connection is held back by TCP.
+//! four threads, its own thread included. A frame that no thread is free
+//! to read stays in the socket's receive buffer, so a client that overruns
+//! the connection is held back by TCP.
 //!
 //! Every accepted socket, served or shed, sets `TCP_NODELAY`, and every
 //! response goes out as one whole-frame write straight to the socket (no
@@ -27,26 +27,28 @@
 //!
 //! * Every connection carries **read/write deadlines**
 //!   ([`ServerConfig::read_timeout`] / [`ServerConfig::write_timeout`]),
-//!   so a stalled client can pin a worker for at most one read deadline:
-//!   an idle peer is closed silently, one that went quiet mid-frame gets a
-//!   best-effort `Timeout` error frame first.
+//!   so a stalled client holds its connection slot for at most one read
+//!   deadline: an idle peer is closed silently, one that went quiet
+//!   mid-frame gets a best-effort `Timeout` error frame first.
 //! * Each request has a **time budget**
 //!   ([`ServerConfig::request_budget`]); a response produced after the
 //!   budget is replaced by a `Timeout` error (a blocking engine call
 //!   cannot be interrupted, so the budget is enforced at response time).
-//! * The accept queue is **bounded** ([`ServerConfig::max_queued`]):
-//!   excess connections are answered immediately with an `Overloaded`
-//!   error frame and closed — shed, not queued. Sheds are counted on
-//!   [`ServerHandle::shed_count`].
-//! * **Shutdown drains**: stop accepting, shed the queued backlog, let
-//!   in-flight requests finish up to [`ServerConfig::drain_deadline`],
-//!   then force-close the remaining sockets and join every thread.
+//! * Admission is **bounded** ([`ServerConfig::max_connections`]): a
+//!   connection that arrives while the cap is reached is answered
+//!   immediately with an `Overloaded` error frame and closed — shed, not
+//!   queued. Sheds are counted on [`ServerHandle::shed_count`]. A slot is
+//!   freed before its socket closes, so a client that sees EOF can connect
+//!   again and be admitted.
+//! * **Shutdown drains**: stop accepting, let in-flight requests finish up
+//!   to [`ServerConfig::drain_deadline`], then force-close the remaining
+//!   sockets and join every thread.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
@@ -56,14 +58,17 @@ use crate::registry::EmbeddingRegistry;
 /// Server construction knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Pool threads, each serving one connection at a time (minimum 1).
-    /// A connection that sends tagged requests gets up to three more
-    /// threads of its own while it lasts (see the module docs).
-    pub workers: usize,
+    /// Connections served at once. Each admitted connection runs on its
+    /// own thread, plus up to three followers while it has tagged requests
+    /// in flight (see the module docs), so the worst case is
+    /// `4 × max_connections` serving threads. A connection that arrives
+    /// at the cap is shed: answered with an `Overloaded` error frame and
+    /// closed. `0` sheds every connection.
+    pub max_connections: usize,
     /// Per-connection read deadline. A peer that sends nothing for this
     /// long is disconnected (silently when idle between requests, with a
     /// `Timeout` error frame when it stalled mid-frame). `None` disables
-    /// the deadline — a stalled client then pins its worker indefinitely,
+    /// the deadline — a stalled client then holds its slot indefinitely,
     /// and drain can only finish by force-closing the socket.
     pub read_timeout: Option<Duration>,
     /// Per-connection write deadline; bounds how long a non-reading peer
@@ -73,10 +78,6 @@ pub struct ServerConfig {
     /// answered with a `Timeout` error instead of the late result.
     /// `None` disables the budget.
     pub request_budget: Option<Duration>,
-    /// Accept-queue bound: when this many connections are already queued
-    /// waiting for a worker, new connections are shed (answered with an
-    /// `Overloaded` error frame and closed) instead of queued.
-    pub max_queued: usize,
     /// How long shutdown waits for in-flight connections to finish before
     /// force-closing their sockets.
     pub drain_deadline: Duration,
@@ -85,11 +86,10 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            workers: 4,
+            max_connections: 64,
             read_timeout: Some(Duration::from_secs(5)),
             write_timeout: Some(Duration::from_secs(5)),
             request_budget: Some(Duration::from_secs(10)),
-            max_queued: 64,
             drain_deadline: Duration::from_secs(2),
         }
     }
@@ -103,38 +103,32 @@ pub struct Server;
 pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    queue: Arc<ConnQueue>,
     tracker: Arc<ConnTracker>,
     shed: Arc<AtomicU64>,
     drain_deadline: Duration,
+    /// The accept thread; its scope holds every connection thread.
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
-struct ConnQueue {
-    deque: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-}
-
-/// Clones of the sockets workers are currently serving, so shutdown can
-/// force-close stragglers once the drain deadline passes.
+/// Clones of the sockets being served, keyed by connection id. The map's
+/// size is the admission count, and shutdown force-closes stragglers
+/// through the clones once the drain deadline passes.
 struct ConnTracker {
     conns: Mutex<HashMap<u64, TcpStream>>,
     next: AtomicU64,
 }
 
 impl ConnTracker {
-    fn register(&self, conn: &TcpStream) -> Option<u64> {
+    /// Take a slot for `conn` unless `cap` connections are being served.
+    fn admit(&self, conn: &TcpStream, cap: usize) -> Option<Slot<'_>> {
+        let mut conns = self.conns.lock().unwrap();
+        if conns.len() >= cap {
+            return None;
+        }
         let clone = conn.try_clone().ok()?;
         let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.conns.lock().unwrap().insert(id, clone);
-        Some(id)
-    }
-
-    fn unregister(&self, id: Option<u64>) {
-        if let Some(id) = id {
-            self.conns.lock().unwrap().remove(&id);
-        }
+        conns.insert(id, clone);
+        Some(Slot { tracker: self, id })
     }
 
     fn active(&self) -> usize {
@@ -148,8 +142,23 @@ impl ConnTracker {
     }
 }
 
-/// Everything a worker needs to serve connections.
-struct WorkerCtx {
+/// An admitted connection's place in [`ConnTracker`]. Dropping it frees
+/// the slot, also when serving the connection panicked. The clone dropped
+/// with it keeps the socket open until then, so a peer that sees EOF knows
+/// its slot is already free.
+struct Slot<'a> {
+    tracker: &'a ConnTracker,
+    id: u64,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.tracker.conns.lock().unwrap().remove(&self.id);
+    }
+}
+
+/// Everything a connection's threads need.
+struct ConnCtx {
     registry: Arc<EmbeddingRegistry>,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
@@ -158,7 +167,8 @@ struct WorkerCtx {
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and start serving
-    /// `registry` with `config.workers` pool threads.
+    /// `registry`, one thread per connection up to
+    /// `config.max_connections`.
     ///
     /// # Errors
     /// Propagates the bind failure.
@@ -170,93 +180,57 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(ConnQueue {
-            deque: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        });
         let tracker = Arc::new(ConnTracker {
             conns: Mutex::new(HashMap::new()),
             next: AtomicU64::new(0),
         });
         let shed = Arc::new(AtomicU64::new(0));
-
+        let drain_deadline = config.drain_deadline;
+        let ctx = ConnCtx {
+            registry,
+            config,
+            shutdown: Arc::clone(&shutdown),
+            tracker: Arc::clone(&tracker),
+        };
         let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let queue = Arc::clone(&queue);
             let shed = Arc::clone(&shed);
-            let max_queued = config.max_queued;
-            let write_timeout = config.write_timeout;
             std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(conn) = conn else { continue };
-                    // Every write is a whole frame (see `write_frame`), so
-                    // Nagle has nothing to coalesce and could only delay.
-                    let _ = conn.set_nodelay(true);
-                    let backlog = {
-                        let mut q = queue.deque.lock().unwrap();
-                        if q.len() < max_queued {
-                            q.push_back(conn);
-                            None
-                        } else {
-                            Some(conn)
+                let ctx = &ctx;
+                std::thread::scope(|scope| {
+                    for conn in listener.incoming() {
+                        if ctx.shutdown.load(Ordering::SeqCst) {
+                            break;
                         }
-                    };
-                    match backlog {
-                        None => queue.ready.notify_one(),
-                        Some(conn) => {
-                            // Queue full: shed. Answered outside the queue
-                            // lock; the write deadline bounds how long a
-                            // non-reading peer can stall the accept loop.
+                        let Ok(conn) = conn else { continue };
+                        // Every write is a whole frame (see `write_frame`),
+                        // so Nagle has nothing to coalesce and could only
+                        // delay.
+                        let _ = conn.set_nodelay(true);
+                        let Some(slot) = ctx.tracker.admit(&conn, ctx.config.max_connections)
+                        else {
                             shed.fetch_add(1, Ordering::Relaxed);
-                            shed_connection(conn, write_timeout, "accept queue full");
-                        }
+                            shed_connection(
+                                conn,
+                                ctx.config.write_timeout,
+                                "connection limit reached",
+                            );
+                            continue;
+                        };
+                        // A failed spawn drops the closure, and the slot with it.
+                        let _ = std::thread::Builder::new()
+                            .spawn_scoped(scope, move || serve_connection(conn, slot, ctx));
                     }
-                }
+                });
             })
         };
-
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                let ctx = WorkerCtx {
-                    registry: Arc::clone(&registry),
-                    config: config.clone(),
-                    shutdown: Arc::clone(&shutdown),
-                    tracker: Arc::clone(&tracker),
-                };
-                std::thread::spawn(move || loop {
-                    let conn = {
-                        let mut q = queue.deque.lock().unwrap();
-                        loop {
-                            if ctx.shutdown.load(Ordering::SeqCst) {
-                                break None;
-                            }
-                            if let Some(conn) = q.pop_front() {
-                                break Some(conn);
-                            }
-                            q = queue.ready.wait(q).unwrap();
-                        }
-                    };
-                    match conn {
-                        Some(conn) => serve_connection(conn, &ctx),
-                        None => return,
-                    }
-                })
-            })
-            .collect();
 
         Ok(ServerHandle {
             addr,
             shutdown,
-            queue,
             tracker,
             shed,
-            drain_deadline: config.drain_deadline,
+            drain_deadline,
             accept: Some(accept),
-            workers,
         })
     }
 }
@@ -267,16 +241,16 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Connections shed so far (answered `Overloaded` because the accept
-    /// queue was full, plus any backlog shed during shutdown).
+    /// Connections shed so far: answered `Overloaded` because
+    /// [`ServerConfig::max_connections`] were already being served.
     pub fn shed_count(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Graceful drain: stop accepting, shed the queued backlog, let
-    /// in-flight requests finish up to the drain deadline, force-close
-    /// whatever remains, then join all threads. Idempotent; also invoked
-    /// by `Drop`.
+    /// Graceful drain: stop accepting, let in-flight requests finish up to
+    /// the drain deadline, force-close whatever remains, then join the
+    /// accept thread, whose scope joins every connection thread.
+    /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
@@ -284,38 +258,22 @@ impl ServerHandle {
         // Unblock the accept loop: it only re-checks the flag per incoming
         // connection, so hand it one.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Nobody will serve the queued backlog anymore — shed it rather
-        // than leaving the peers to hit their own read deadlines.
-        let backlog: Vec<TcpStream> = self.queue.deque.lock().unwrap().drain(..).collect();
-        for conn in backlog {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            shed_connection(conn, Some(Duration::from_millis(200)), "server draining");
-        }
-        // Take and release the queue lock before notifying: a worker that
-        // loaded shutdown==false is either still holding the lock (it will
-        // reach wait() before we can acquire, so the notify lands) or
-        // already waiting — either way no wakeup is missed.
-        drop(self.queue.deque.lock().unwrap());
-        self.queue.ready.notify_all();
         // Drain: in-flight connections close themselves after their current
-        // request (workers re-check the flag per request, and read
+        // request (each thread re-checks the flag per frame, and read
         // deadlines bound the wait for a next request that never comes).
         let deadline = Instant::now() + self.drain_deadline;
         while self.tracker.active() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         // Past the deadline: force-close the stragglers' sockets so their
-        // workers' blocking reads/writes fail and the threads exit.
+        // blocking reads/writes fail and the threads exit. A connection
+        // admitted after this sees the flag before it reads a frame.
         self.tracker.force_close_all();
-        for h in self.workers.drain(..) {
+        if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
     }
 }
-
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown();
@@ -349,7 +307,7 @@ fn shed_connection(conn: TcpStream, write_timeout: Option<Duration>, why: &'stat
 
 /// Decode, dispatch, and budget-check one request. `started` is when the
 /// frame was read: the budget covers everything the server does after it.
-fn process_request(payload: &[u8], started: Instant, ctx: &WorkerCtx) -> Response {
+fn process_request(payload: &[u8], started: Instant, ctx: &ConnCtx) -> Response {
     let mut resp = match Request::decode(payload) {
         Ok(req) => crate::handle_request(&ctx.registry, &req),
         // Framing stays intact on a malformed *payload* — only this
@@ -387,7 +345,7 @@ fn answer_read_error(err: FrameError, writer: &mut impl Write) {
         FrameError::Closed | FrameError::Truncated | FrameError::Io(_) => {}
         FrameError::TimedOut { mid_frame } => {
             // Disconnect either way — the deadline is how a stalled
-            // client's worker returns to the pool. A peer that went
+            // client gives up its connection slot. A peer that went
             // quiet mid-frame can still be reading, so tell it why.
             if mid_frame {
                 let resp = Response::Error {
@@ -409,8 +367,8 @@ fn answer_read_error(err: FrameError, writer: &mut impl Write) {
     }
 }
 
-/// Most threads that serve one connection at once, the pool worker
-/// included. A tagged frame that arrives while all of them are busy stays
+/// Most threads that serve one connection at once, the connection's own
+/// thread included. A tagged frame that arrives while all of them are busy stays
 /// unread in the socket's receive buffer: backpressure comes from TCP.
 const CONN_THREADS: usize = 4;
 
@@ -429,28 +387,25 @@ struct ConnState {
     done: AtomicBool,
 }
 
-/// Run one connection to completion, bounded by the configured deadlines
-/// and the drain flag. The pool worker serves frames itself and brings in
-/// followers (see [`serve_frames`]) only when the peer pipelines.
-fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
-    if conn.set_read_timeout(ctx.config.read_timeout).is_err()
-        || conn.set_write_timeout(ctx.config.write_timeout).is_err()
+/// Run one admitted connection to completion, bounded by the configured
+/// deadlines and the drain flag, then free its slot. The connection's own
+/// thread serves frames itself and brings in followers (see
+/// [`serve_frames`]) only when the peer pipelines.
+fn serve_connection(conn: TcpStream, _slot: Slot<'_>, ctx: &ConnCtx) {
+    if conn.set_read_timeout(ctx.config.read_timeout).is_ok()
+        && conn.set_write_timeout(ctx.config.write_timeout).is_ok()
     {
-        return;
+        if let Ok(read_half) = conn.try_clone() {
+            let state = ConnState {
+                reader: Mutex::new(BufReader::new(read_half)),
+                writer: Mutex::new(conn),
+                threads: AtomicUsize::new(1),
+                waiting: AtomicUsize::new(0),
+                done: AtomicBool::new(false),
+            };
+            std::thread::scope(|scope| serve_frames(scope, &state, ctx));
+        }
     }
-    let Ok(read_half) = conn.try_clone() else {
-        return;
-    };
-    let id = ctx.tracker.register(&conn);
-    let state = ConnState {
-        reader: Mutex::new(BufReader::new(read_half)),
-        writer: Mutex::new(conn),
-        threads: AtomicUsize::new(1),
-        waiting: AtomicUsize::new(0),
-        done: AtomicBool::new(false),
-    };
-    std::thread::scope(|scope| serve_frames(scope, &state, ctx));
-    ctx.tracker.unregister(id);
 }
 
 /// One thread of a connection's leader/follower group: take the reader,
@@ -461,7 +416,7 @@ fn serve_connection(conn: TcpStream, ctx: &WorkerCtx) {
 fn serve_frames<'scope>(
     scope: &'scope Scope<'scope, '_>,
     state: &'scope ConnState,
-    ctx: &'scope WorkerCtx,
+    ctx: &'scope ConnCtx,
 ) {
     loop {
         state.waiting.fetch_add(1, Ordering::SeqCst);
@@ -525,7 +480,7 @@ fn reserve_thread(state: &ConnState) -> bool {
 fn spawn_follower<'scope>(
     scope: &'scope Scope<'scope, '_>,
     state: &'scope ConnState,
-    ctx: &'scope WorkerCtx,
+    ctx: &'scope ConnCtx,
 ) {
     let spawned =
         std::thread::Builder::new().spawn_scoped(scope, || serve_frames(scope, state, ctx));
@@ -542,16 +497,12 @@ mod tests {
     #[test]
     fn every_service_socket_disables_nagle() {
         let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig::default()));
-        let config = ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        };
-        let server = Server::bind("127.0.0.1:0", registry, config).unwrap();
+        let server = Server::bind("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
         let proxy = FaultProxy::spawn(server.addr(), FaultPlan::calm(0)).unwrap();
         let mut direct = Client::connect(server.addr()).unwrap();
         let mut proxied = Client::connect(proxy.addr()).unwrap();
-        // A completed round trip means a worker has registered the
-        // server side of each connection.
+        // A completed round trip means the server has admitted each
+        // connection.
         direct.stats().unwrap();
         proxied.stats().unwrap();
 

@@ -29,7 +29,6 @@ fn spawn_server() -> ServerHandle {
             ..RegistryConfig::default()
         })),
         ServerConfig {
-            workers: 2,
             read_timeout: Some(Duration::from_millis(750)),
             ..ServerConfig::default()
         },

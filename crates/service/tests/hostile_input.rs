@@ -1,7 +1,7 @@
 //! Hostile documents through the request dispatcher: a document nested far
 //! deeper than any call stack could recurse must come back as an answer or
 //! a typed error, never take the process down. Each case runs on a thread
-//! with a 2 MiB stack, the default for a server worker.
+//! with a 2 MiB stack, the default for a server connection thread.
 
 use xse_service::{
     handle_request, EmbeddingRegistry, ErrorCode, RegistryConfig, Request, Response,

@@ -23,17 +23,14 @@ fn wrap_pair() -> (String, String) {
     (s1.to_string(), s2.to_string())
 }
 
-fn spawn_server(workers: usize) -> ServerHandle {
+fn spawn_server() -> ServerHandle {
     Server::bind(
         ("127.0.0.1", 0),
         Arc::new(EmbeddingRegistry::new(RegistryConfig {
             capacity: 16,
             ..RegistryConfig::default()
         })),
-        ServerConfig {
-            workers,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("bind ephemeral port")
 }
@@ -171,10 +168,7 @@ fn unknown_response_id_is_a_protocol_error() {
 /// out-of-order by construction, not by scheduling luck.
 #[test]
 fn eight_in_flight_complete_out_of_order_on_the_real_server() {
-    let server = spawn_slow_compile_server(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    });
+    let server = spawn_slow_compile_server(ServerConfig::default());
     let (s, t) = wrap_pair();
     let mut client = PipelinedClient::connect(server.addr()).unwrap();
     let compile_id = client
@@ -218,7 +212,6 @@ fn eight_in_flight_complete_out_of_order_on_the_real_server() {
 #[test]
 fn mid_pipeline_timeout_fails_only_the_slow_request() {
     let server = spawn_slow_compile_server(ServerConfig {
-        workers: 1,
         request_budget: Some(Duration::from_millis(40)),
         ..ServerConfig::default()
     });
@@ -266,7 +259,7 @@ fn mid_pipeline_timeout_fails_only_the_slow_request() {
 /// stays usable.
 #[test]
 fn mid_pipeline_bad_query_fails_only_its_own_request() {
-    let server = spawn_server(1);
+    let server = spawn_server();
     let (s, t) = wrap_pair();
     let mut client = PipelinedClient::connect(server.addr()).unwrap();
 
@@ -325,7 +318,7 @@ fn mid_pipeline_bad_query_fails_only_its_own_request() {
 /// same server concurrently; each lane keeps its own semantics.
 #[test]
 fn legacy_and_pipelined_connections_coexist() {
-    let server = spawn_server(2);
+    let server = spawn_server();
     let (s, t) = wrap_pair();
 
     let mut legacy = Client::connect(server.addr()).unwrap();
@@ -348,7 +341,7 @@ fn legacy_and_pipelined_connections_coexist() {
 /// traffic slice in request order, whatever the completion order was.
 #[test]
 fn call_pipelined_preserves_request_order_across_windows() {
-    let server = spawn_server(1);
+    let server = spawn_server();
     let pairs = loadgen::build_pairs(2, 11);
     let mut client = PipelinedClient::connect(server.addr()).unwrap();
 
@@ -389,10 +382,7 @@ fn call_pipelined_preserves_request_order_across_windows() {
 /// the sleeping compile and miss it.
 #[test]
 fn back_to_back_id0_frames_are_answered_in_lockstep() {
-    let server = spawn_slow_compile_server(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    });
+    let server = spawn_slow_compile_server(ServerConfig::default());
     let (s, t) = wrap_pair();
     let mut conn = TcpStream::connect(server.addr()).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(10)))
@@ -435,7 +425,7 @@ fn counting_sim(s: &xse_dtd::Dtd, t: &xse_dtd::Dtd) -> xse_core::SimilarityMatri
 /// Eight tagged compiles of distinct pairs on one connection run
 /// concurrently (out-of-order execution, not just out-of-order replies),
 /// but never on more than four threads: the per-connection cap, the
-/// pool worker included.
+/// connection's own thread included.
 #[test]
 fn tagged_requests_run_concurrently_up_to_the_thread_cap() {
     let server = Server::bind(
@@ -445,10 +435,7 @@ fn tagged_requests_run_concurrently_up_to_the_thread_cap() {
             sim: counting_sim,
             ..RegistryConfig::default()
         })),
-        ServerConfig {
-            workers: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("bind ephemeral port");
     let mut client = PipelinedClient::connect(server.addr()).unwrap();
@@ -477,7 +464,7 @@ fn tagged_requests_run_concurrently_up_to_the_thread_cap() {
 /// would have raced is still answered afterwards.
 #[test]
 fn call_is_refused_while_tagged_requests_are_in_flight() {
-    let server = spawn_server(1);
+    let server = spawn_server();
     let mut client = Client::connect(server.addr()).unwrap();
     let id = client.submit(&Request::Stats).unwrap();
     let err = client.call(&Request::Stats).unwrap_err();

@@ -1,8 +1,9 @@
-//! Serving-layer robustness: deadlines, load shedding, graceful drain,
-//! and client retry behaviour against a real server.
+//! Serving-layer robustness: admission, deadlines, load shedding,
+//! graceful drain, and client retry behaviour against a real server.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,16 +31,129 @@ fn spawn_with(config: ServerConfig) -> ServerHandle {
     Server::bind(("127.0.0.1", 0), test_registry(8), config).expect("bind ephemeral port")
 }
 
-/// A client that connects, sends half a frame, and goes quiet must be
-/// disconnected within 2× the read deadline — and its worker must return
-/// to the pool, proven by a fresh request succeeding afterwards.
+/// How long the first request of a new client, with a 1 s read deadline,
+/// takes to be answered.
+fn first_answer(addr: SocketAddr) -> Result<Duration, ServiceError> {
+    let config = ClientConfig {
+        read_timeout: Some(Duration::from_secs(1)),
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(addr, &config)?;
+    let t0 = Instant::now();
+    client.stats()?;
+    Ok(t0.elapsed())
+}
+
+/// Four clients in closed request loops do not keep a fifth from being
+/// served: on a default server no connection waits for another to hang up.
 #[test]
-fn stalled_client_is_disconnected_and_frees_its_worker() {
+fn fifth_client_is_served_while_four_loop() {
+    let server = spawn_with(ServerConfig::default());
+    let addr = server.addr();
+    let stop = AtomicBool::new(false);
+    let answer = std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let mut client = Client::connect(addr).unwrap();
+            client.stats().unwrap();
+            let stop = &stop;
+            scope.spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    client.stats().unwrap();
+                }
+            });
+        }
+        let answer = first_answer(addr);
+        stop.store(true, Ordering::SeqCst);
+        answer
+    });
+    let waited = answer.expect("the fifth client's first request");
+    assert!(waited < Duration::from_secs(1), "answered after {waited:?}");
+}
+
+/// Four idle keep-alive clients do not keep a fifth from being served.
+#[test]
+fn fifth_client_is_served_while_four_sit_idle() {
+    let server = spawn_with(ServerConfig::default());
+    let _idle: Vec<Client> = (0..4)
+        .map(|_| {
+            let mut client = Client::connect(server.addr()).unwrap();
+            client.stats().unwrap();
+            client
+        })
+        .collect();
+    let waited = first_answer(server.addr()).expect("the fifth client's first request");
+    assert!(waited < Duration::from_secs(1), "answered after {waited:?}");
+}
+
+/// At a cap of one connection, a second client is shed while the first is
+/// served, and once the first sees its connection close (at the read
+/// deadline) its slot is already free for the next client.
+#[test]
+fn connection_cap_sheds_until_a_slot_frees() {
+    let server = spawn_with(ServerConfig {
+        max_connections: 1,
+        read_timeout: Some(Duration::from_millis(200)),
+        ..ServerConfig::default()
+    });
+    let mut first = Client::connect(server.addr()).unwrap();
+    first.stats().unwrap();
+
+    let mut second = Client::connect(server.addr()).unwrap();
+    match second.stats().unwrap_err() {
+        ServiceError::Remote { code, .. } => assert_eq!(code, ErrorCode::Overloaded),
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    assert_eq!(server.shed_count(), 1);
+
+    let err = first.recv().unwrap_err();
+    assert!(matches!(err, ServiceError::Closed), "{err:?}");
+    let mut third = Client::connect(server.addr()).unwrap();
+    third.stats().unwrap();
+    assert_eq!(server.shed_count(), 1);
+}
+
+/// A similarity hook that always panics, standing in for a bug reached by
+/// one request.
+fn panicking_sim(_: &xse_dtd::Dtd, _: &xse_dtd::Dtd) -> xse_core::SimilarityMatrix {
+    panic!("similarity hook panics on purpose");
+}
+
+/// A request that panics its connection's thread takes only that
+/// connection down: at a cap of one, its slot is free again for the next
+/// client.
+#[test]
+fn a_panicking_request_frees_its_slot() {
+    let registry = Arc::new(EmbeddingRegistry::new(RegistryConfig {
+        sim: panicking_sim,
+        ..RegistryConfig::default()
+    }));
+    let config = ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(("127.0.0.1", 0), registry, config).unwrap();
+    let (s, t) = wrap_pair();
+    let mut first = Client::connect(server.addr()).unwrap();
+    let err = first.compile(&s, &t).unwrap_err();
+    assert!(
+        matches!(err, ServiceError::Closed | ServiceError::Io(_)),
+        "{err:?}"
+    );
+    let mut next = Client::connect(server.addr()).unwrap();
+    next.stats().unwrap();
+    assert_eq!(server.shed_count(), 0);
+}
+
+/// A client that connects, sends half a frame, and goes quiet must be
+/// disconnected within 2× the read deadline — and its connection slot must
+/// be freed, proven by a fresh request succeeding afterwards.
+#[test]
+fn stalled_client_is_disconnected_and_frees_its_slot() {
     let read_timeout = Duration::from_millis(250);
     let server = spawn_with(ServerConfig {
-        // One worker: if the stalled connection pinned it, the follow-up
-        // request could never be served.
-        workers: 1,
+        // One slot: if the stalled connection kept it, the follow-up
+        // request would be shed.
+        max_connections: 1,
         read_timeout: Some(read_timeout),
         ..ServerConfig::default()
     });
@@ -64,7 +178,7 @@ fn stalled_client_is_disconnected_and_frees_its_worker() {
         "disconnect took {waited:?}, over 2× the {read_timeout:?} deadline"
     );
 
-    // The lone worker is free again: a real request completes promptly.
+    // The lone slot is free again: a real request completes promptly.
     let (s, t) = wrap_pair();
     let mut client = Client::connect(server.addr()).unwrap();
     let (sh, th, _) = client.compile(&s, &t).unwrap();
@@ -76,7 +190,7 @@ fn stalled_client_is_disconnected_and_frees_its_worker() {
 #[test]
 fn idle_connection_expires_silently() {
     let server = spawn_with(ServerConfig {
-        workers: 1,
+        max_connections: 1,
         read_timeout: Some(Duration::from_millis(200)),
         ..ServerConfig::default()
     });
@@ -93,13 +207,12 @@ fn idle_connection_expires_silently() {
     );
 }
 
-/// With the accept queue bounded at zero, every connection is shed with a
-/// structured `Overloaded` frame instead of queueing.
+/// With the connection cap at zero, every connection is shed with a
+/// structured `Overloaded` frame instead of being served.
 #[test]
 fn overloaded_server_sheds_with_a_structured_error() {
     let server = spawn_with(ServerConfig {
-        workers: 1,
-        max_queued: 0,
+        max_connections: 0,
         read_timeout: Some(Duration::from_millis(500)),
         ..ServerConfig::default()
     });
@@ -118,8 +231,7 @@ fn overloaded_server_sheds_with_a_structured_error() {
 #[test]
 fn retrying_client_records_shed_retries() {
     let server = spawn_with(ServerConfig {
-        workers: 1,
-        max_queued: 0,
+        max_connections: 0,
         read_timeout: Some(Duration::from_millis(500)),
         ..ServerConfig::default()
     });
@@ -155,12 +267,11 @@ fn retrying_client_records_shed_retries() {
     assert!(server.shed_count() >= 3, "{}", server.shed_count());
 }
 
-/// Graceful drain: shutdown answers queued-but-unserved connections with
-/// `Overloaded`, finishes in-flight work, and joins within the deadline.
+/// Graceful drain: shutdown stops accepting, finishes in-flight work, and
+/// joins within the deadline.
 #[test]
 fn shutdown_drains_within_its_deadline() {
     let mut server = spawn_with(ServerConfig {
-        workers: 2,
         read_timeout: Some(Duration::from_millis(250)),
         drain_deadline: Duration::from_millis(500),
         ..ServerConfig::default()

@@ -34,10 +34,7 @@ fn spawn_server(capacity: usize) -> xse_service::ServerHandle {
     Server::bind(
         ("127.0.0.1", 0),
         test_registry(capacity),
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("bind ephemeral port")
 }
@@ -74,8 +71,8 @@ fn tcp_concurrent_clients_single_flight() {
     let server = spawn_server(8);
     let addr = server.addr();
     let (s, t) = wrap_pair();
-    // More clients than pool workers: queued connections must still be
-    // served, and the uncached pair must compile exactly once.
+    // Six concurrent clients, each served on its own connection thread:
+    // every one is answered, and the uncached pair compiles exactly once.
     std::thread::scope(|scope| {
         for _ in 0..6 {
             let (s, t) = (s.clone(), t.clone());

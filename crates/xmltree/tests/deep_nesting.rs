@@ -1,6 +1,6 @@
 //! Hostile nesting: parsing and serializing documents far deeper than any
 //! call stack could recurse, on a thread with a 2 MiB stack (the default
-//! for spawned threads, and so for server workers).
+//! for spawned threads, and so for server connection threads).
 
 use xse_xmltree::{parse_xml, XmlTree};
 

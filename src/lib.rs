@@ -235,8 +235,9 @@
 //!
 //! The serving layer is built to degrade predictably rather than wedge:
 //! the server enforces per-connection read/write deadlines and a
-//! per-request time budget, sheds connections with a structured
-//! `Overloaded` error frame when its accept queue is full, and drains
+//! per-request time budget, serves each connection on its own thread,
+//! sheds connections with a structured `Overloaded` error frame once its
+//! connection cap is reached, and drains
 //! gracefully on shutdown
 //! ([`ServerConfig`](crate::service::ServerConfig)). The client side
 //! bounds every phase (`connect_timeout`, read/write deadlines on
