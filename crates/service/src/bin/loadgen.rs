@@ -23,7 +23,10 @@
 //!   thread each, each issuing `--ops` requests from its own seeded
 //!   stream (connection 0 replays the single-connection stream).
 //! * `--inflight K` — window: each connection keeps up to K tagged
-//!   requests in flight (default 1, one request at a time).
+//!   requests in flight (default 1, one request at a time). The server
+//!   answers a connection in arrival order, so a window overlaps the
+//!   transfer of requests and answers with the server's compute, not
+//!   requests with each other; `--connections` runs them in parallel.
 //!
 //!   With N or K above 1, every pair is first compiled once (untimed), so
 //!   the digests are warm-path latency under contention. That needs a TCP

@@ -61,10 +61,12 @@ impl Default for ClientConfig {
 ///   time.
 /// * **Pipelined.** [`Client::submit`] sends a request under a fresh
 ///   nonzero id without waiting, and [`Client::recv`] returns whichever
-///   response arrives next together with its id: the server may answer
-///   **out of order**, and the id is the only correlation
-///   ([`Client::call_pipelined`] windows a whole batch and restores
-///   request order). A structured error frame fails only the request
+///   response arrives next together with its id. The id is the only
+///   correlation, since the protocol lets a server answer **out of
+///   order** ([`Client::call_pipelined`] windows a whole batch and
+///   restores request order). This crate's server answers one connection
+///   in arrival order, so a window overlaps transfer with compute; for
+///   requests that run in parallel, open more connections. A structured error frame fails only the request
 ///   whose id it carries; the connection and every other in-flight
 ///   request stay live. The exception is an error frame with id 0: the
 ///   server could not attribute it to a request (oversized frame,

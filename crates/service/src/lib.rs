@@ -16,8 +16,8 @@
 //!   `std::net::TcpStream`, one thread per admitted connection up to a
 //!   cap. No async runtime.
 //!   Requests with nonzero ids are pipelined ([`Client::submit`] /
-//!   [`Client::recv`]): up to K in flight, responses matched by id and
-//!   possibly out of order (see *Wire format*).
+//!   [`Client::recv`]): up to K in flight, responses matched by id (see
+//!   *Wire format*). The server answers each connection in arrival order.
 //! * [`loadgen`] — replays [`TrafficMix`](xse_workloads::traffic) request
 //!   mixes built from the workloads corpora against one or more endpoints
 //!   (in-process, TCP connections with a pipelining window, or retrying
@@ -48,16 +48,19 @@
 //! UTF-8 strings and all integers are big-endian.
 //!
 //! `id` is the **request id**, echoed verbatim in the response frame that
-//! answers the request. The rule is per frame. A request with id `0` is
-//! answered in **lockstep**: the server finishes and answers it before it
-//! reads the next frame, so id-0 requests are answered strictly in order,
-//! exactly as in the pre-pipelining protocol. A request with a **nonzero**
-//! id may complete **out of order**: the client may keep many in flight
-//! ([`Client::submit`]) and the id is the only correlation between a
-//! response and its request. On one connection, id-0 requests must not
-//! overlap tagged ones ([`Client::call`] refuses to). An id-`0` *error*
-//! frame the server emits unprompted (frame-too-large, mid-frame timeout)
-//! cannot be attributed to one request, so it is connection-fatal.
+//! answers the request. A client may keep many requests with **nonzero**
+//! ids in flight on one connection ([`Client::submit`]), and the id is
+//! the only correlation between a response and its request: the protocol
+//! lets a server answer them **out of order**. This crate's [`Server`]
+//! answers each connection in **arrival order**, one request at a time,
+//! so a window of requests on one connection overlaps their transfer with
+//! the server's compute, and requests run in parallel only across
+//! connections. Id `0` marks the legacy lockstep lane: the client sends
+//! one request and waits for its answer, exactly as in the pre-pipelining
+//! protocol. On one connection, id-0 requests must not overlap tagged
+//! ones ([`Client::call`] refuses to). An id-`0` *error* frame the server
+//! emits unprompted (frame-too-large, mid-frame timeout) cannot be
+//! attributed to one request, so it is connection-fatal.
 //!
 //! Every frame goes out **whole, in one write**, and every socket the
 //! service opens or accepts (server, clients, fault proxy) sets

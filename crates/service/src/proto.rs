@@ -11,12 +11,12 @@
 //!
 //! The request id lets a client keep several requests in flight on one
 //! connection: the server echoes each request's id on its response frame,
-//! and pipelined responses may arrive **out of order** — the id is the
-//! only correlation. Id `0` is reserved for legacy unpipelined traffic:
-//! the server answers an id-0 request before it reads the next frame, so
-//! id-0 requests are served strictly in order, one at a time, exactly
-//! like the pre-pipelining protocol. On one connection, id-0 requests
-//! must not overlap nonzero-id ones.
+//! and the id is the only correlation. The protocol permits answers **out
+//! of order**; this crate's server answers each connection in arrival
+//! order. Id `0` is reserved for legacy unpipelined traffic: the client
+//! sends one id-0 request and waits for its answer, exactly like the
+//! pre-pipelining protocol. On one connection, id-0 requests must not
+//! overlap nonzero-id ones.
 
 use std::io::{self, Read, Write};
 
@@ -596,8 +596,14 @@ impl Response {
                 plan_entries: c.u64()?,
                 negative_hits: c.u64()?,
             }),
+            // Only 0 and 1 are encodings of a bool; any other byte would
+            // decode to a value that re-encodes differently.
             resp::EVICTED => Response::Evicted {
-                existed: c.u8()? != 0,
+                existed: match c.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                },
             },
             resp::ERROR => Response::Error {
                 code: ErrorCode::from_u8(c.u8()?),

@@ -4,18 +4,14 @@
 //! The accept thread admits each new connection while fewer than
 //! [`ServerConfig::max_connections`] are being served, and spawns it into a
 //! `std::thread::scope` the accept thread owns, so no client waits for
-//! another to hang up. Every connection is served by one leader/follower
-//! loop: the threads serving it share the read half and the write half, and
-//! whichever thread holds the reader reads the next frame. An id-0 frame is
-//! answered before that thread lets go of the reader, so the legacy lane is
-//! strict request/response lockstep. A nonzero id releases the reader
-//! first, so another thread reads on while the request runs and responses —
-//! each tagged with its request's id — go out in **completion order**. The
-//! second thread is spawned only when a tagged frame releases the reader
-//! and no thread is waiting for it, and a connection never has more than
-//! four threads, its own thread included. A frame that no thread is free
-//! to read stays in the socket's receive buffer, so a client that overruns
-//! the connection is held back by TCP.
+//! another to hang up. A connection's thread reads a frame, answers it
+//! under the frame's request id, and reads the next, so each connection is
+//! answered in **arrival order**, tagged requests and id-0 requests alike.
+//! The protocol lets a server answer tagged requests out of order; this
+//! one never does, and a client that wants requests to run in parallel
+//! opens more connections. A frame sent ahead waits in the socket's
+//! receive buffer, so a client that overruns its connection is held back
+//! by TCP.
 //!
 //! Every accepted socket, served or shed, sets `TCP_NODELAY`, and every
 //! response goes out as one whole-frame write straight to the socket (no
@@ -37,7 +33,9 @@
 //! * Admission is **bounded** ([`ServerConfig::max_connections`]): a
 //!   connection that arrives while the cap is reached is answered
 //!   immediately with an `Overloaded` error frame and closed — shed, not
-//!   queued. Sheds are counted on [`ServerHandle::shed_count`]. A slot is
+//!   queued. The shed's thread drains the peer's input for at most 250 ms
+//!   in all before it closes, so a peer that keeps writing cannot hold it.
+//!   Sheds are counted on [`ServerHandle::shed_count`]. A slot is
 //!   freed before its socket closes, so a client that sees EOF can connect
 //!   again and be admitted.
 //! * **Shutdown drains**: stop accepting, let in-flight requests finish up
@@ -47,9 +45,9 @@
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{JoinHandle, Scope};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::proto::{read_frame, write_frame, ErrorCode, FrameError, Request, Response};
@@ -58,12 +56,11 @@ use crate::registry::EmbeddingRegistry;
 /// Server construction knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Connections served at once. Each admitted connection runs on its
-    /// own thread, plus up to three followers while it has tagged requests
-    /// in flight (see the module docs), so the worst case is
-    /// `4 × max_connections` serving threads. A connection that arrives
-    /// at the cap is shed: answered with an `Overloaded` error frame and
-    /// closed. `0` sheds every connection.
+    /// Connections served at once, each on one thread. A connection that
+    /// arrives at the cap is shed: answered with an `Overloaded` error
+    /// frame and closed after a drain of at most 250 ms on a thread of its
+    /// own. So the worst case is `max_connections` serving threads plus
+    /// the sheds still in their drain. `0` sheds every connection.
     pub max_connections: usize,
     /// Per-connection read deadline. A peer that sends nothing for this
     /// long is disconnected (silently when idle between requests, with a
@@ -106,7 +103,7 @@ pub struct ServerHandle {
     tracker: Arc<ConnTracker>,
     shed: Arc<AtomicU64>,
     drain_deadline: Duration,
-    /// The accept thread; its scope holds every connection thread.
+    /// The accept thread; its scope holds every connection and shed thread.
     accept: Option<JoinHandle<()>>,
 }
 
@@ -157,7 +154,7 @@ impl Drop for Slot<'_> {
     }
 }
 
-/// Everything a connection's threads need.
+/// Everything the accept thread and a connection's thread need.
 struct ConnCtx {
     registry: Arc<EmbeddingRegistry>,
     config: ServerConfig,
@@ -209,11 +206,11 @@ impl Server {
                         let Some(slot) = ctx.tracker.admit(&conn, ctx.config.max_connections)
                         else {
                             shed.fetch_add(1, Ordering::Relaxed);
-                            shed_connection(
-                                conn,
-                                ctx.config.write_timeout,
-                                "connection limit reached",
-                            );
+                            let write_timeout = ctx.config.write_timeout;
+                            // A failed spawn drops the socket unanswered.
+                            let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
+                                shed_connection(conn, write_timeout, "connection limit reached")
+                            });
                             continue;
                         };
                         // A failed spawn drops the closure, and the slot with it.
@@ -249,7 +246,7 @@ impl ServerHandle {
 
     /// Graceful drain: stop accepting, let in-flight requests finish up to
     /// the drain deadline, force-close whatever remains, then join the
-    /// accept thread, whose scope joins every connection thread.
+    /// accept thread, whose scope joins every connection and shed thread.
     /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
@@ -280,34 +277,47 @@ impl Drop for ServerHandle {
     }
 }
 
+/// How long a shed connection is drained, in total, after its
+/// `Overloaded` frame.
+const SHED_DRAIN: Duration = Duration::from_millis(250);
+
 /// Best-effort `Overloaded` answer on a connection that will not be
-/// served, then close. Runs on a short-lived detached thread so the
-/// accept loop never blocks on a shed peer; the thread half-closes and
-/// then drains briefly so the close doesn't turn into an RST that
-/// destroys the error frame before the peer reads it (closing a socket
-/// with unread inbound data resets the connection).
+/// served, then close. Runs on its own thread in the accept thread's
+/// scope, so the accept loop never blocks on a shed peer and shutdown
+/// joins it. After the frame the thread half-closes and drains the peer's
+/// input for at most [`SHED_DRAIN`] in all, so the close doesn't turn into
+/// an RST that destroys the error frame before the peer reads it (closing
+/// a socket with unread inbound data resets the connection), and a peer
+/// that keeps writing cannot hold the thread.
 fn shed_connection(conn: TcpStream, write_timeout: Option<Duration>, why: &'static str) {
-    std::thread::spawn(move || {
-        let _ = conn.set_write_timeout(write_timeout.or(Some(Duration::from_secs(1))));
-        let resp = Response::Error {
-            code: ErrorCode::Overloaded,
-            message: why.to_string(),
-        };
-        let mut writer = &conn;
-        if write_frame(&mut writer, 0, &resp.encode()).is_err() {
+    let _ = conn.set_write_timeout(write_timeout.or(Some(Duration::from_secs(1))));
+    let resp = Response::Error {
+        code: ErrorCode::Overloaded,
+        message: why.to_string(),
+    };
+    let mut writer = &conn;
+    if write_frame(&mut writer, 0, &resp.encode()).is_err() {
+        return;
+    }
+    let _ = conn.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + SHED_DRAIN;
+    let mut sink = [0u8; 4096];
+    let mut reader = &conn;
+    loop {
+        // A zero timeout is rejected, so a spent deadline ends the drain.
+        let left = deadline.saturating_duration_since(Instant::now());
+        if conn.set_read_timeout(Some(left)).is_err()
+            || !matches!(io::Read::read(&mut reader, &mut sink), Ok(n) if n > 0)
+        {
             return;
         }
-        let _ = conn.shutdown(Shutdown::Write);
-        let _ = conn.set_read_timeout(Some(Duration::from_millis(250)));
-        let mut sink = [0u8; 4096];
-        let mut reader = &conn;
-        while matches!(io::Read::read(&mut reader, &mut sink), Ok(n) if n > 0) {}
-    });
+    }
 }
 
-/// Decode, dispatch, and budget-check one request. `started` is when the
-/// frame was read: the budget covers everything the server does after it.
-fn process_request(payload: &[u8], started: Instant, ctx: &ConnCtx) -> Response {
+/// Decode, dispatch, and budget-check one request. The budget covers
+/// everything the server does once the frame has been read.
+fn process_request(payload: &[u8], ctx: &ConnCtx) -> Response {
+    let started = Instant::now();
     let mut resp = match Request::decode(payload) {
         Ok(req) => crate::handle_request(&ctx.registry, &req),
         // Framing stays intact on a malformed *payload* — only this
@@ -367,125 +377,27 @@ fn answer_read_error(err: FrameError, writer: &mut impl Write) {
     }
 }
 
-/// Most threads that serve one connection at once, the connection's own
-/// thread included. A tagged frame that arrives while all of them are busy stays
-/// unread in the socket's receive buffer: backpressure comes from TCP.
-const CONN_THREADS: usize = 4;
-
-/// What the threads serving one connection share. Whichever thread holds
-/// `reader` reads the next frame; every response goes out whole through
-/// `writer`.
-struct ConnState {
-    reader: Mutex<BufReader<TcpStream>>,
-    writer: Mutex<TcpStream>,
-    /// Threads serving the connection, at most [`CONN_THREADS`].
-    threads: AtomicUsize,
-    /// Threads blocked waiting for the reader.
-    waiting: AtomicUsize,
-    /// Set when the connection is over (a read or write failed); each
-    /// thread exits the next time it takes the reader.
-    done: AtomicBool,
-}
-
-/// Run one admitted connection to completion, bounded by the configured
-/// deadlines and the drain flag, then free its slot. The connection's own
-/// thread serves frames itself and brings in followers (see
-/// [`serve_frames`]) only when the peer pipelines.
+/// Run one admitted connection to completion, then free its slot: read a
+/// frame, answer it under the request's id, repeat, in arrival order. The
+/// loop ends when a read or write fails (deadlines included) or the
+/// server drains; a request already read still finishes.
 fn serve_connection(conn: TcpStream, _slot: Slot<'_>, ctx: &ConnCtx) {
-    if conn.set_read_timeout(ctx.config.read_timeout).is_ok()
-        && conn.set_write_timeout(ctx.config.write_timeout).is_ok()
+    if conn.set_read_timeout(ctx.config.read_timeout).is_err()
+        || conn.set_write_timeout(ctx.config.write_timeout).is_err()
     {
-        if let Ok(read_half) = conn.try_clone() {
-            let state = ConnState {
-                reader: Mutex::new(BufReader::new(read_half)),
-                writer: Mutex::new(conn),
-                threads: AtomicUsize::new(1),
-                waiting: AtomicUsize::new(0),
-                done: AtomicBool::new(false),
-            };
-            std::thread::scope(|scope| serve_frames(scope, &state, ctx));
-        }
+        return;
     }
-}
-
-/// One thread of a connection's leader/follower group: take the reader,
-/// read a frame, serve it, repeat. An id-0 frame is served while this
-/// thread still holds the reader, so the legacy lane stays in strict
-/// lockstep. A nonzero id releases the reader first, so another thread
-/// reads on and tagged responses complete out of order.
-fn serve_frames<'scope>(
-    scope: &'scope Scope<'scope, '_>,
-    state: &'scope ConnState,
-    ctx: &'scope ConnCtx,
-) {
-    loop {
-        state.waiting.fetch_add(1, Ordering::SeqCst);
-        let mut reader = state.reader.lock().unwrap();
-        state.waiting.fetch_sub(1, Ordering::SeqCst);
-        // Over or draining: requests already read still finish, but no
-        // new frame is read.
-        if state.done.load(Ordering::SeqCst) || ctx.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let (req_id, payload) = match read_frame(&mut *reader) {
+    let mut reader = BufReader::new(&conn);
+    let mut writer = &conn;
+    while !ctx.shutdown.load(Ordering::SeqCst) {
+        let (req_id, payload) = match read_frame(&mut reader) {
             Ok(frame) => frame,
-            Err(e) => {
-                state.done.store(true, Ordering::SeqCst);
-                answer_read_error(e, &mut *state.writer.lock().unwrap());
-                return;
-            }
+            Err(e) => return answer_read_error(e, &mut writer),
         };
-        let started = Instant::now();
-        // Id 0 keeps the reader until it is answered: strict lockstep. A
-        // tagged request lets go of it first, so the next frame is read
-        // while this one runs.
-        let _lockstep = if req_id == 0 {
-            Some(reader)
-        } else {
-            // While the reader is held no thread stops waiting for it, so
-            // zero means no thread is there to pick it up next.
-            let follow = state.waiting.load(Ordering::SeqCst) == 0 && reserve_thread(state);
-            drop(reader);
-            if follow {
-                spawn_follower(scope, state, ctx);
-            }
-            // Let the thread that takes the reader run now: it only takes
-            // it and blocks waiting for the next frame. Left to run later,
-            // it preempts this request midway; on one CPU that cost
-            // migrate-docs 16-19% at p90 (EXPERIMENTS.md).
-            std::thread::yield_now();
-            None
-        };
-        let resp = process_request(&payload, started, ctx);
-        if write_frame(&mut *state.writer.lock().unwrap(), req_id, &resp.encode()).is_err() {
-            state.done.store(true, Ordering::SeqCst);
+        let resp = process_request(&payload, ctx);
+        if write_frame(&mut writer, req_id, &resp.encode()).is_err() {
             return;
         }
-    }
-}
-
-/// Count one more thread for the connection, unless it is at
-/// [`CONN_THREADS`].
-fn reserve_thread(state: &ConnState) -> bool {
-    state
-        .threads
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-            (n < CONN_THREADS).then_some(n + 1)
-        })
-        .is_ok()
-}
-
-/// Start a follower for a slot taken with [`reserve_thread`], giving the
-/// slot back if the thread cannot be spawned.
-fn spawn_follower<'scope>(
-    scope: &'scope Scope<'scope, '_>,
-    state: &'scope ConnState,
-    ctx: &'scope ConnCtx,
-) {
-    let spawned =
-        std::thread::Builder::new().spawn_scoped(scope, || serve_frames(scope, state, ctx));
-    if spawned.is_err() {
-        state.threads.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

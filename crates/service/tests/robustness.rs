@@ -7,10 +7,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xse_service::proto::ErrorCode;
+use xse_service::proto::{read_frame, ErrorCode};
 use xse_service::{
-    Client, ClientConfig, EmbeddingRegistry, RegistryConfig, RetryPolicy, RetryingClient, Server,
-    ServerConfig, ServerHandle, ServiceError,
+    Client, ClientConfig, EmbeddingRegistry, RegistryConfig, Response, RetryPolicy, RetryingClient,
+    Server, ServerConfig, ServerHandle, ServiceError,
 };
 
 fn wrap_pair() -> (String, String) {
@@ -223,6 +223,42 @@ fn overloaded_server_sheds_with_a_structured_error() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
     assert!(server.shed_count() >= 1, "shed counter must record it");
+}
+
+/// A shed peer that keeps trickling bytes cannot hold the server's shed
+/// thread: the drain after the `Overloaded` frame has one deadline in all,
+/// so the server closes the socket and one of the peer's writes fails
+/// within 2 s.
+#[test]
+fn trickling_shed_peer_is_closed_within_its_drain() {
+    let server = spawn_with(ServerConfig {
+        max_connections: 0,
+        ..ServerConfig::default()
+    });
+    let mut peer = TcpStream::connect(server.addr()).unwrap();
+    peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let (id, payload) = read_frame(&mut peer).expect("the shed notice");
+    assert_eq!(id, 0);
+    assert!(
+        matches!(
+            Response::decode(&payload),
+            Some(Response::Error {
+                code: ErrorCode::Overloaded,
+                ..
+            })
+        ),
+        "{payload:?}"
+    );
+    let t0 = Instant::now();
+    let mut writes = 0;
+    while t0.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(100));
+        if peer.write_all(&[0]).is_err() {
+            return;
+        }
+        writes += 1;
+    }
+    panic!("{writes} writes still succeeded after {:?}", t0.elapsed());
 }
 
 /// A retrying client records its attempts against a persistently-shedding

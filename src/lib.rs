@@ -195,13 +195,15 @@
 //!
 //! Every frame carries a u32 *request id*. Id 0 is answered in lockstep:
 //! [`Client::call`](crate::service::Client::call) and the typed helpers
-//! send one id-0 request and read its answer. A nonzero id may complete
-//! out of order: [`Client::submit`](crate::service::Client::submit) and
+//! send one id-0 request and read its answer. With nonzero ids,
+//! [`Client::submit`](crate::service::Client::submit) and
 //! [`Client::recv`](crate::service::Client::recv) keep a window of
-//! tagged requests in flight on the same connection, and the server,
-//! which serves each connection with up to four threads, matches
-//! responses to requests by id alone. `xse-loadgen --connections N
-//! --inflight K` measures the contended path (see `EXPERIMENTS.md`):
+//! tagged requests in flight on the same connection and match responses
+//! to requests by id alone, since the protocol permits answers out of
+//! order. The server serves each connection on one thread, in arrival
+//! order, so requests run in parallel across connections.
+//! `xse-loadgen --connections N --inflight K` measures the contended path
+//! (see `EXPERIMENTS.md`):
 //!
 //! ```
 //! use std::sync::Arc;
