@@ -45,7 +45,7 @@ pub use graph::{Edge, EdgeKind, EdgeTarget, SchemaGraph};
 pub use hash::DtdHash;
 pub use instance_gen::{GenConfig, InstanceGenerator};
 pub use mindef::MindefPlan;
-pub use parse::DtdParseError;
+pub use parse::{DtdParseError, MAX_GROUP_DEPTH};
 pub use regex::ContentModel;
 pub use types::{Dtd, DtdBuilder, DtdError, Production, TypeId};
 pub use validate::ValidationError;

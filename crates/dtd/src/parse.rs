@@ -16,11 +16,18 @@
 //! is the first declared element unless [`Dtd::parse_with_root`] is used.
 //! General expressions are normalized to the paper's form via
 //! [`Dtd::from_content_models`]; already-normal declarations introduce no
-//! synthetic types.
+//! synthetic types. Groups nest at most [`MAX_GROUP_DEPTH`] deep.
 
 use std::fmt;
 
 use crate::{ContentModel, Dtd, DtdError};
+
+/// Deepest nesting of parenthesized groups a content model may have; the
+/// outermost group is level 1. Normalization, display and hashing recurse
+/// over the content model, so the parser refuses deeper input with a
+/// syntax error instead of letting a later pass run out of stack. The
+/// workloads corpus nests 1 group deep.
+pub const MAX_GROUP_DEPTH: usize = 256;
 
 /// Error from [`Dtd::parse`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,6 +83,7 @@ fn parse_decls(input: &str) -> Result<Vec<(String, ContentModel)>, DtdParseError
     let mut p = P {
         s: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let mut decls = Vec::new();
     loop {
@@ -98,6 +106,8 @@ fn parse_decls(input: &str) -> Result<Vec<(String, ContentModel)>, DtdParseError
 struct P<'a> {
     s: &'a [u8],
     pos: usize,
+    /// Groups open at `pos`.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -108,19 +118,23 @@ impl<'a> P<'a> {
         })
     }
 
+    /// Skip whitespace and comments, in a loop: a run of comments must
+    /// not cost a stack frame each.
     fn ws(&mut self) {
-        while self
-            .s
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-        // Comments between declarations.
-        if self.s[self.pos..].starts_with(b"<!--") {
-            if let Some(i) = self.s[self.pos..].windows(3).position(|w| w == b"-->") {
-                self.pos += i + 3;
-                self.ws();
+        loop {
+            while self
+                .s
+                .get(self.pos)
+                .is_some_and(|c| c.is_ascii_whitespace())
+            {
+                self.pos += 1;
+            }
+            if !self.s[self.pos..].starts_with(b"<!--") {
+                return;
+            }
+            match self.s[self.pos..].windows(3).position(|w| w == b"-->") {
+                Some(i) => self.pos += i + 3,
+                None => return,
             }
         }
     }
@@ -182,8 +196,21 @@ impl<'a> P<'a> {
         }
     }
 
-    /// Parse a parenthesized group; `self.pos` is at `(`.
+    /// Parse a parenthesized group, refusing one nested deeper than
+    /// [`MAX_GROUP_DEPTH`]; `self.pos` is at `(`.
     fn group(&mut self) -> Result<ContentModel, DtdParseError> {
+        if self.depth == MAX_GROUP_DEPTH {
+            return self.err(format!(
+                "content model nests deeper than {MAX_GROUP_DEPTH} groups"
+            ));
+        }
+        self.depth += 1;
+        let m = self.group_body();
+        self.depth -= 1;
+        m
+    }
+
+    fn group_body(&mut self) -> Result<ContentModel, DtdParseError> {
         self.expect("(")?;
         self.ws();
         if self.s[self.pos..].starts_with(b"#PCDATA") {
@@ -326,6 +353,24 @@ mod tests {
             "<!ELEMENT r (a,b|c)><!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>"
         )
         .is_err());
+    }
+
+    #[test]
+    fn group_nesting_is_bounded_at_max_group_depth() {
+        let nested = |n: usize| format!("<!ELEMENT b {}b*{}>", "(".repeat(n), ")*".repeat(n));
+        assert!(Dtd::parse(&nested(MAX_GROUP_DEPTH)).is_ok());
+        for n in [MAX_GROUP_DEPTH + 1, 100_000] {
+            match Dtd::parse(&nested(n)) {
+                Err(DtdParseError::Syntax { msg, .. }) => assert!(msg.contains("nests deeper")),
+                other => panic!("{n} groups: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_long_run_of_comments_parses() {
+        let text = format!("{}<!ELEMENT a EMPTY>", "<!-- -->".repeat(100_000));
+        assert!(Dtd::parse(&text).is_ok());
     }
 
     #[test]

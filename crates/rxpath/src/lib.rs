@@ -28,6 +28,6 @@ mod xrpath;
 
 pub use ast::{Qualifier, XrQuery};
 pub use eval::{eval_at, eval_at_root, Evaluator};
-pub use parser::{parse_query, QueryParseError};
+pub use parser::{parse_query, QueryParseError, MAX_QUERY_DEPTH};
 pub use shape::{normalize_query, shape_key};
 pub use xrpath::{PathStep, XrPath};

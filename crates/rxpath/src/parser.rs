@@ -8,10 +8,24 @@
 //! * `text()`, `position() = k`, string literals in `'…'` or `"…"`
 //! * Kleene star as a postfix `*` on a step or parenthesized group
 //! * `//` — the descendant-or-self axis of the fragment `X`.
+//!
+//! A query nests at most [`MAX_QUERY_DEPTH`] levels deep.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::{Qualifier, XrQuery};
+
+/// Deepest query [`parse_query`] accepts, in levels of its syntax tree. A
+/// leaf step is level 1; each `/` or `|` of a chain, each `*`, `[…]`,
+/// `not`, `and`, `or` and each pair of parentheses adds one level over
+/// what it wraps (`//` adds two). So a chain `a/b/…` of `n` steps is `n`
+/// levels deep, and `b[b[…]]` adds two levels per bracket. Display, shape
+/// keys, automaton construction, evaluation and drop all recurse over the
+/// tree, so the parser refuses deeper input with a parse error instead of
+/// letting a later pass run out of stack. The workloads' query generator
+/// reaches 12 levels at `max_depth: 8`.
+pub const MAX_QUERY_DEPTH: usize = 256;
 
 /// Parse error with byte offset.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,8 +47,14 @@ impl std::error::Error for QueryParseError {}
 /// Parse an `XR` (or fragment-`X`) query.
 pub fn parse_query(input: &str) -> Result<XrQuery, QueryParseError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let q = p.union()?;
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        open: 0,
+        too_deep: false,
+        not_paths: HashMap::new(),
+    };
+    let (q, _) = p.union()?;
     if p.pos != p.tokens.len() {
         return Err(QueryParseError {
             at: p.offset(),
@@ -202,7 +222,22 @@ fn lex(input: &str) -> Result<Vec<(usize, Tok)>, QueryParseError> {
 struct Parser {
     tokens: Vec<(usize, Tok)>,
     pos: usize,
+    /// `union` and `qualifier` calls open at `pos`. Every cycle of the
+    /// grammar passes through one of them, so bounding this bounds the
+    /// parser's own recursion before any tree is built.
+    open: usize,
+    /// Set once the input nests past [`MAX_QUERY_DEPTH`]: the error is
+    /// final, and no alternative parse is tried.
+    too_deep: bool,
+    /// Positions where a qualifier's path failed to parse, with the error.
+    /// The parenthesized-qualifier fallback re-reads those tokens; without
+    /// the memo, nested fallbacks each re-parse the whole inner text, which
+    /// takes time exponential in the nesting.
+    not_paths: HashMap<usize, QueryParseError>,
 }
+
+/// A parsed subtree and its depth in levels (see [`MAX_QUERY_DEPTH`]).
+type Parsed<T> = Result<(T, usize), QueryParseError>;
 
 impl Parser {
     fn offset(&self) -> usize {
@@ -248,54 +283,92 @@ impl Parser {
         matches!(self.peek(), Some(Tok::Name(n)) if n == s)
     }
 
-    /// union := seq ('|' seq)*
-    fn union(&mut self) -> Result<XrQuery, QueryParseError> {
-        let mut q = self.seq()?;
-        while self.eat(&Tok::Pipe) {
-            q = q.or(self.seq()?);
+    /// The depth of a node over subtrees at most `depth` deep, refused
+    /// past [`MAX_QUERY_DEPTH`].
+    fn over(&mut self, depth: usize) -> Result<usize, QueryParseError> {
+        if depth >= MAX_QUERY_DEPTH {
+            self.too_deep()
+        } else {
+            Ok(depth + 1)
         }
-        Ok(q)
+    }
+
+    fn too_deep<T>(&mut self) -> Result<T, QueryParseError> {
+        self.too_deep = true;
+        self.err(format!("query nests deeper than {MAX_QUERY_DEPTH} levels"))
+    }
+
+    /// Run `f` one `union` / `qualifier` level down, refused past
+    /// [`MAX_QUERY_DEPTH`] open levels.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        if self.open == MAX_QUERY_DEPTH {
+            return self.too_deep();
+        }
+        self.open += 1;
+        let parsed = f(self);
+        self.open -= 1;
+        parsed
+    }
+
+    /// union := seq ('|' seq)*
+    fn union(&mut self) -> Parsed<XrQuery> {
+        self.nested(|p| {
+            let (mut q, mut depth) = p.seq()?;
+            while p.eat(&Tok::Pipe) {
+                let (next, d) = p.seq()?;
+                depth = p.over(depth.max(d))?;
+                q = q.or(next);
+            }
+            Ok((q, depth))
+        })
     }
 
     /// seq := postfix (('/' | '//') postfix)*
-    fn seq(&mut self) -> Result<XrQuery, QueryParseError> {
-        let mut q = self.postfix()?;
+    fn seq(&mut self) -> Parsed<XrQuery> {
+        let (mut q, mut depth) = self.postfix()?;
         loop {
             if self.eat(&Tok::Slash) {
-                q = q.then(self.postfix()?);
+                let (next, d) = self.postfix()?;
+                depth = self.over(depth.max(d))?;
+                q = q.then(next);
             } else if self.eat(&Tok::DSlash) {
-                q = q.then(XrQuery::DescOrSelf).then(self.postfix()?);
+                let (next, d) = self.postfix()?;
+                let with_axis = self.over(depth)?;
+                depth = self.over(with_axis.max(d))?;
+                q = q.then(XrQuery::DescOrSelf).then(next);
             } else {
-                return Ok(q);
+                return Ok((q, depth));
             }
         }
     }
 
     /// postfix := atom ('*' | '[' qual ']')*
-    fn postfix(&mut self) -> Result<XrQuery, QueryParseError> {
-        let mut q = self.atom()?;
+    fn postfix(&mut self) -> Parsed<XrQuery> {
+        let (mut q, mut depth) = self.atom()?;
         loop {
             if self.eat(&Tok::Star) {
+                depth = self.over(depth)?;
                 q = q.star();
             } else if self.eat(&Tok::LBrack) {
-                let qual = self.qualifier()?;
+                let (qual, d) = self.qualifier()?;
                 self.expect(Tok::RBrack)?;
+                depth = self.over(depth.max(d))?;
                 q = q.with(qual);
             } else {
-                return Ok(q);
+                return Ok((q, depth));
             }
         }
     }
 
     /// atom := '.' | name | 'text()' | '(' union ')'
-    fn atom(&mut self) -> Result<XrQuery, QueryParseError> {
+    fn atom(&mut self) -> Parsed<XrQuery> {
         if self.eat(&Tok::Dot) {
-            return Ok(XrQuery::Empty);
+            return Ok((XrQuery::Empty, 1));
         }
         if self.eat(&Tok::LParen) {
-            let q = self.union()?;
+            let (q, depth) = self.union()?;
             self.expect(Tok::RParen)?;
-            return Ok(q);
+            return Ok((q, self.over(depth)?));
         }
         match self.peek().cloned() {
             Some(Tok::Name(n)) => {
@@ -304,31 +377,32 @@ impl Parser {
                     if n == "text" {
                         self.pos += 2;
                         self.expect(Tok::RParen)?;
-                        return Ok(XrQuery::Text);
+                        return Ok((XrQuery::Text, 1));
                     }
                     if n == "desc-or-self" {
                         self.pos += 2;
                         self.expect(Tok::RParen)?;
-                        return Ok(XrQuery::DescOrSelf);
+                        return Ok((XrQuery::DescOrSelf, 1));
                     }
                 }
                 self.pos += 1;
-                Ok(XrQuery::label(&n))
+                Ok((XrQuery::label(&n), 1))
             }
             other => self.err(format!("expected a path step, found {other:?}")),
         }
     }
 
     /// qual := andq (('or') andq)*
-    fn qualifier(&mut self) -> Result<Qualifier, QueryParseError> {
-        let mut q = self.and_q()?;
-        loop {
-            if self.eat(&Tok::OrOp) || self.eat_word("or") {
-                q = Qualifier::Or(Box::new(q), Box::new(self.and_q()?));
-            } else {
-                return Ok(q);
+    fn qualifier(&mut self) -> Parsed<Qualifier> {
+        self.nested(|p| {
+            let (mut q, mut depth) = p.and_q()?;
+            while p.eat(&Tok::OrOp) || p.eat_word("or") {
+                let (next, d) = p.and_q()?;
+                depth = p.over(depth.max(d))?;
+                q = Qualifier::Or(Box::new(q), Box::new(next));
             }
-        }
+            Ok((q, depth))
+        })
     }
 
     fn eat_word(&mut self, w: &str) -> bool {
@@ -340,25 +414,32 @@ impl Parser {
         }
     }
 
-    fn and_q(&mut self) -> Result<Qualifier, QueryParseError> {
-        let mut q = self.not_q()?;
-        loop {
-            if self.eat(&Tok::AndOp) || self.eat_word("and") {
-                q = Qualifier::And(Box::new(q), Box::new(self.not_q()?));
-            } else {
-                return Ok(q);
-            }
+    fn and_q(&mut self) -> Parsed<Qualifier> {
+        let (mut q, mut depth) = self.not_q()?;
+        while self.eat(&Tok::AndOp) || self.eat_word("and") {
+            let (next, d) = self.not_q()?;
+            depth = self.over(depth.max(d))?;
+            q = Qualifier::And(Box::new(q), Box::new(next));
         }
+        Ok((q, depth))
     }
 
-    fn not_q(&mut self) -> Result<Qualifier, QueryParseError> {
-        if self.eat(&Tok::NotOp) || self.eat_word("not") {
-            return Ok(Qualifier::Not(Box::new(self.not_q()?)));
+    /// notq := ('not')* primq, read in a loop so a run of `not`s costs no
+    /// stack.
+    fn not_q(&mut self) -> Parsed<Qualifier> {
+        let mut nots = 0usize;
+        while self.eat(&Tok::NotOp) || self.eat_word("not") {
+            nots += 1;
         }
-        self.prim_q()
+        let (mut q, mut depth) = self.prim_q()?;
+        for _ in 0..nots {
+            depth = self.over(depth)?;
+            q = Qualifier::Not(Box::new(q));
+        }
+        Ok((q, depth))
     }
 
-    fn prim_q(&mut self) -> Result<Qualifier, QueryParseError> {
+    fn prim_q(&mut self) -> Parsed<Qualifier> {
         // `true` standing alone.
         if self.name_is("true") {
             let next_continues_path = matches!(
@@ -367,7 +448,7 @@ impl Parser {
             );
             if !next_continues_path {
                 self.pos += 1;
-                return Ok(Qualifier::True);
+                return Ok((Qualifier::True, 1));
             }
         }
         // `position() = k`.
@@ -381,7 +462,7 @@ impl Parser {
                     if k == 0 {
                         return self.err("position() is 1-based");
                     }
-                    return Ok(Qualifier::Position(k));
+                    return Ok((Qualifier::Position(k), 1));
                 }
                 other => return self.err(format!("expected a number, found {other:?}")),
             }
@@ -389,27 +470,34 @@ impl Parser {
         // Try a path (possibly ending `= 'c'`); backtrack to a parenthesized
         // qualifier if that fails.
         let save = self.pos;
-        match self.union() {
-            Ok(p) => {
+        let path = match self.not_paths.get(&save) {
+            Some(e) => Err(e.clone()),
+            None => self.union(),
+        };
+        match path {
+            Ok((p, depth)) => {
+                let depth = self.over(depth)?;
                 if self.eat(&Tok::Eq) {
                     match self.peek().cloned() {
                         Some(Tok::Str(c)) => {
                             self.pos += 1;
-                            return Ok(Qualifier::TextEq(Box::new(p), c));
+                            return Ok((Qualifier::TextEq(Box::new(p), c), depth));
                         }
                         other => {
                             return self.err(format!("expected a string literal, found {other:?}"))
                         }
                     }
                 }
-                Ok(Qualifier::Path(Box::new(p)))
+                Ok((Qualifier::Path(Box::new(p)), depth))
             }
+            Err(path_err) if self.too_deep => Err(path_err),
             Err(path_err) => {
+                self.not_paths.insert(save, path_err.clone());
                 self.pos = save;
                 if self.eat(&Tok::LParen) {
-                    let q = self.qualifier()?;
+                    let (q, depth) = self.qualifier()?;
                     self.expect(Tok::RParen)?;
-                    return Ok(q);
+                    return Ok((q, self.over(depth)?));
                 }
                 Err(path_err)
             }
@@ -540,6 +628,43 @@ mod tests {
         assert!(parse_query("a[text() = unquoted]").is_err());
         assert!(parse_query("a & b").is_err());
         assert!(parse_query("a b").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_query_depth() {
+        let depth = MAX_QUERY_DEPTH;
+        let chain = |n: usize| vec!["b"; n].join("/");
+        let parens = |n: usize| format!("{}b{}", "(".repeat(n - 1), ")".repeat(n - 1));
+        for at_bound in [chain(depth), parens(depth)] {
+            assert!(parse_query(&at_bound).is_ok());
+        }
+        for over in [chain(depth + 1), parens(depth + 1)] {
+            let err = parse_query(&over).unwrap_err();
+            assert!(err.msg.contains("nests deeper"), "{err}");
+        }
+        // Far past the bound, every way of nesting is refused before the
+        // parser's own recursion or the tree gets deep.
+        let n = 100_000;
+        for hostile in [
+            chain(n),
+            parens(n),
+            format!("{}b{}", "b[".repeat(n), "]".repeat(n)),
+            format!("b[{}b]", "not ".repeat(n)),
+            format!("b{}", "*".repeat(n)),
+        ] {
+            let err = parse_query(&hostile).unwrap_err();
+            assert!(err.msg.contains("nests deeper"), "{err}");
+        }
+    }
+
+    #[test]
+    fn nested_qualifier_fallbacks_parse_in_polynomial_time() {
+        // Each level is first tried as a path, which fails at its `or`,
+        // then re-read as a parenthesized qualifier. Without the memo of
+        // failed paths this takes ~2^60 steps.
+        let n = 60;
+        let q = format!("b[{}c{}]", "(b[".repeat(n), "] or c)".repeat(n));
+        assert!(parse_query(&q).is_ok());
     }
 
     #[test]

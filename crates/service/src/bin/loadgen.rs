@@ -22,8 +22,8 @@
 //! * `--connections N` — endpoints: N TCP connections replay at once, one
 //!   thread each, each issuing `--ops` requests from its own seeded
 //!   stream (connection 0 replays the single-connection stream).
-//! * `--inflight K` — window: each connection keeps up to K tagged
-//!   requests in flight (default 1, one request at a time). The server
+//! * `--inflight K` — window: each connection keeps up to K requests in
+//!   flight (default 1, one request at a time). The server
 //!   answers a connection in arrival order, so a window overlaps the
 //!   transfer of requests and answers with the server's compute, not
 //!   requests with each other; `--connections` runs them in parallel.

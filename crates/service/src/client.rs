@@ -1,10 +1,10 @@
 //! Blocking TCP clients for the embedding service: a deadline-bounded
-//! [`Client`], which answers one request at a time on the legacy id-0
-//! lane or keeps several tagged requests in flight on the same
-//! connection, and a [`RetryingClient`] wrapper that reconnects and
-//! retries with exponential backoff and deterministic seeded jitter.
+//! [`Client`], which keeps one or more requests in flight on one
+//! connection and reads their answers in the order it sent them, and a
+//! [`RetryingClient`] wrapper that reconnects and retries with exponential
+//! backoff and deterministic seeded jitter.
 
-use std::collections::HashSet;
+use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -52,38 +52,48 @@ impl Default for ClientConfig {
     }
 }
 
-/// One connection to a running [`Server`](crate::Server), used in one of
-/// two ways (not both at once):
+/// One connection to a running [`Server`](crate::Server), an ordered lane:
+/// the server answers the connection's requests in the order it read them.
 ///
-/// * **Lockstep.** [`Client::call`] and the typed helpers send each
-///   request with id 0, the wire protocol's legacy unpipelined marker,
-///   and wait for its answer; the server answers id 0 in order, one at a
-///   time.
-/// * **Pipelined.** [`Client::submit`] sends a request under a fresh
-///   nonzero id without waiting, and [`Client::recv`] returns whichever
-///   response arrives next together with its id. The id is the only
-///   correlation, since the protocol lets a server answer **out of
-///   order** ([`Client::call_pipelined`] windows a whole batch and
-///   restores request order). This crate's server answers one connection
-///   in arrival order, so a window overlaps transfer with compute; for
-///   requests that run in parallel, open more connections. A structured error frame fails only the request
-///   whose id it carries; the connection and every other in-flight
-///   request stay live. The exception is an error frame with id 0: the
-///   server could not attribute it to a request (oversized frame,
-///   read-deadline expiry), so it is connection-fatal and surfaces as
-///   [`ServiceError::Remote`].
+/// [`Client::submit`] sends a request under a fresh nonzero id without
+/// waiting, and [`Client::recv`] reads the next answer, which belongs to
+/// the oldest request still unanswered. The echoed id only checks that
+/// the two sides agree. A window of requests overlaps their transfer with
+/// the server's compute; for requests that run in parallel, open more
+/// connections. [`Client::call`] and the typed helpers are `submit` then
+/// `recv`, and [`Client::call_pipelined`] windows a whole batch.
+///
+/// A structured error frame fails only the request it answers; the
+/// connection and every later request stay live. The server sends an
+/// error frame with id 0 when it cannot read a request's id (shed
+/// connection, oversized frame, read deadline mid-frame) and then closes,
+/// so such a frame answers the oldest unanswered request and the next
+/// read reports [`ServiceError::Closed`].
 ///
 /// For several concurrent callers, open one client each.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     next_id: u32,
-    inflight: HashSet<u32>,
+    /// Ids of the requests sent and not yet answered, oldest first.
+    inflight: VecDeque<u32>,
 }
 
 /// The name [`Client`] had in its pipelined role, kept as an alias for
 /// code written against it.
 pub type PipelinedClient = Client;
+
+/// Resolve `addr` to at least one socket address.
+fn resolve(addr: impl ToSocketAddrs) -> Result<Vec<SocketAddr>, ServiceError> {
+    let addrs: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|e| ServiceError::Io(format!("address resolution failed: {e}")))?
+        .collect();
+    if addrs.is_empty() {
+        return Err(ServiceError::Io("address resolved to nothing".into()));
+    }
+    Ok(addrs)
+}
 
 impl Client {
     /// Connect with the default [`ClientConfig`] deadlines.
@@ -104,16 +114,9 @@ impl Client {
         addr: impl ToSocketAddrs,
         config: &ClientConfig,
     ) -> Result<Client, ServiceError> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| ServiceError::Io(format!("address resolution failed: {e}")))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(ServiceError::Io("address resolved to nothing".into()));
-        }
         let mut last = None;
-        for a in &addrs {
-            match connect_one(a, config.connect_timeout) {
+        for a in resolve(addr)? {
+            match connect_one(&a, config.connect_timeout) {
                 Ok(conn) => return Client::from_stream(conn, config),
                 Err(e) => last = Some(e),
             }
@@ -132,7 +135,7 @@ impl Client {
             reader: BufReader::new(read_half),
             writer: conn,
             next_id: 1,
-            inflight: HashSet::new(),
+            inflight: VecDeque::new(),
         })
     }
 
@@ -142,75 +145,34 @@ impl Client {
         &self.writer
     }
 
-    /// Send one id-0 request frame without waiting for the response. Kept
-    /// apart from [`Client::read_response`] so [`RetryingClient`] can tell
-    /// a pre-send failure from a post-send one — the retry-safety
-    /// boundary.
-    fn send_request(&mut self, req: &Request) -> Result<(), ServiceError> {
-        self.send_tagged(0, req)
-    }
-
-    /// Send one request frame tagged with `request_id`.
-    fn send_tagged(&mut self, request_id: u32, req: &Request) -> Result<(), ServiceError> {
-        write_frame(&mut self.writer, request_id, &req.encode()).map_err(|e| {
-            if proto::is_timeout(e.kind()) {
-                ServiceError::Timeout("write deadline expired sending the request".into())
-            } else {
-                ServiceError::Io(e.to_string())
-            }
-        })
-    }
-
-    /// Wait for the answer to an id-0 request; a response carrying a
-    /// nonzero id is a [`ServiceError::Protocol`] error.
-    fn read_response(&mut self) -> Result<Response, ServiceError> {
-        let (id, resp) = self.read_tagged()?;
-        if id != 0 {
-            return Err(ServiceError::Protocol(format!(
-                "id-0 request answered with response id {id}"
-            )));
+    /// Refuse to start a call while submitted requests are unanswered:
+    /// the call would read an earlier request's answer as its own.
+    fn ensure_idle(&self) -> Result<(), ServiceError> {
+        if self.inflight.is_empty() {
+            Ok(())
+        } else {
+            Err(ServiceError::Protocol(format!(
+                "{} submitted requests are unanswered; receive them first",
+                self.inflight.len()
+            )))
         }
-        Ok(resp)
     }
 
-    /// Wait for one response frame and its echoed request id.
-    fn read_tagged(&mut self) -> Result<(u32, Response), ServiceError> {
-        let (id, payload) = read_frame(&mut self.reader).map_err(|e| match e {
-            FrameError::TooLarge(n) => {
-                ServiceError::Protocol(format!("server announced a {n}-byte frame"))
-            }
-            FrameError::Closed => ServiceError::Closed,
-            FrameError::Truncated => ServiceError::Protocol("response truncated mid-frame".into()),
-            FrameError::TimedOut { .. } => {
-                ServiceError::Timeout("read deadline expired awaiting the response".into())
-            }
-            FrameError::Io(e) => ServiceError::Io(e.to_string()),
-        })?;
-        let resp = Response::decode(&payload)
-            .ok_or_else(|| ServiceError::Protocol("undecodable response payload".into()))?;
-        Ok((id, resp))
-    }
-
-    /// Send one request with id 0 and wait for its response frame.
+    /// Send one request and wait for its answer.
     ///
     /// # Errors
     /// [`ServiceError::Protocol`] when submitted requests are still in
-    /// flight (an id-0 request must not overlap tagged ones), or when the
-    /// response is truncated, undecodable or carries a nonzero id;
+    /// flight (their answers come first), or when the response is
+    /// truncated, undecodable or carries the wrong id;
     /// [`ServiceError::Timeout`] when a read or write deadline expires;
     /// [`ServiceError::Closed`] when the server closed cleanly between
     /// frames; [`ServiceError::Io`] otherwise. A [`Response::Error`] is a
     /// *successful* call — match on it (or use the typed helpers, which
     /// surface it as [`ServiceError::Remote`]).
     pub fn call(&mut self, req: &Request) -> Result<Response, ServiceError> {
-        if !self.inflight.is_empty() {
-            return Err(ServiceError::Protocol(format!(
-                "{} tagged requests in flight; an id-0 call must not overlap them",
-                self.inflight.len()
-            )));
-        }
-        self.send_request(req)?;
-        self.read_response()
+        self.ensure_idle()?;
+        self.submit(req)?;
+        Ok(self.recv()?.1)
     }
 
     /// `compile`: returns `(source_hash, target_hash, |σ|)`.
@@ -338,7 +300,7 @@ impl Client {
 
     /// Send `req` without waiting, returning the id its response will
     /// echo. Ids are assigned 1, 2, 3, … (wrapping past `u32::MAX` back
-    /// to 1 — 0 is the legacy unpipelined marker and is never assigned).
+    /// to 1 — 0 is left to the server's connection-level error frames).
     ///
     /// # Errors
     /// [`ServiceError::Timeout`] when the write deadline expires,
@@ -346,71 +308,86 @@ impl Client {
     pub fn submit(&mut self, req: &Request) -> Result<u32, ServiceError> {
         let id = self.next_id;
         self.next_id = self.next_id.checked_add(1).unwrap_or(1);
-        self.send_tagged(id, req)?;
-        self.inflight.insert(id);
+        write_frame(&mut self.writer, id, &req.encode()).map_err(|e| {
+            if proto::is_timeout(e.kind()) {
+                ServiceError::Timeout("write deadline expired sending the request".into())
+            } else {
+                ServiceError::Io(e.to_string())
+            }
+        })?;
+        self.inflight.push_back(id);
         Ok(id)
     }
 
-    /// Wait for the next response (whatever request it answers) and
-    /// return it with its id.
+    /// Wait for the next response, which answers the oldest unanswered
+    /// request, and return it with that request's id. An id-0 error frame
+    /// answers that request too (see [`Client`]).
     ///
     /// # Errors
     /// Transport errors as in [`Client::call`];
-    /// [`ServiceError::Protocol`] when the id matches no in-flight
-    /// request; [`ServiceError::Remote`] for an id-0 error frame
-    /// (connection-fatal, not attributable to any one request).
+    /// [`ServiceError::Protocol`] when the frame carries any other id (the
+    /// two sides disagree on the lane, so the connection is unusable);
+    /// [`ServiceError::Remote`] for an id-0 error frame while nothing is
+    /// in flight.
     pub fn recv(&mut self) -> Result<(u32, Response), ServiceError> {
-        let (id, resp) = self.read_tagged()?;
-        if id == 0 {
-            return Err(match resp {
-                Response::Error { code, message } => ServiceError::Remote { code, message },
-                other => ServiceError::Protocol(format!(
-                    "id-0 frame on a pipelined connection: {other:?}"
+        let (id, payload) = read_frame(&mut self.reader).map_err(|e| match e {
+            FrameError::TooLarge(n) => {
+                ServiceError::Protocol(format!("server announced a {n}-byte frame"))
+            }
+            FrameError::Closed => ServiceError::Closed,
+            FrameError::Truncated => ServiceError::Protocol("response truncated mid-frame".into()),
+            FrameError::TimedOut { .. } => {
+                ServiceError::Timeout("read deadline expired awaiting the response".into())
+            }
+            FrameError::Io(e) => ServiceError::Io(e.to_string()),
+        })?;
+        let resp = Response::decode(&payload)
+            .ok_or_else(|| ServiceError::Protocol("undecodable response payload".into()))?;
+        let connection_error = id == 0 && matches!(resp, Response::Error { .. });
+        match self.inflight.front() {
+            Some(&head) if id == head || connection_error => {
+                self.inflight.pop_front();
+                Ok((head, resp))
+            }
+            Some(&head) => Err(ServiceError::Protocol(format!(
+                "expected response id {head}, got {id}"
+            ))),
+            None => Err(match resp {
+                Response::Error { code, message } if id == 0 => {
+                    ServiceError::Remote { code, message }
+                }
+                _ => ServiceError::Protocol(format!(
+                    "response id {id} arrived with no request in flight"
                 )),
-            });
+            }),
         }
-        if !self.inflight.remove(&id) {
-            return Err(ServiceError::Protocol(format!(
-                "response id {id} matches no in-flight request"
-            )));
-        }
-        Ok((id, resp))
     }
 
     /// Run `reqs` through the connection keeping at most `window` in
-    /// flight, and return the responses **in request order** regardless
-    /// of the order the server completed them.
+    /// flight, and return the responses in request order, which is the
+    /// order they arrive in.
     ///
     /// # Errors
-    /// The first transport error aborts the batch (per-request failures
-    /// arrive as `Ok(Response::Error { .. })` entries instead).
+    /// [`ServiceError::Protocol`] when submitted requests are still in
+    /// flight, as in [`Client::call`]. The first transport error aborts
+    /// the batch (per-request failures arrive as `Ok(Response::Error { ..
+    /// })` entries instead).
     pub fn call_pipelined(
         &mut self,
         reqs: &[Request],
         window: usize,
     ) -> Result<Vec<Response>, ServiceError> {
-        let window = window.max(1);
-        let mut ordered: Vec<Option<Response>> = vec![None; reqs.len()];
-        let mut id_to_index = std::collections::HashMap::new();
-        let mut next = 0usize;
-        let mut done = 0usize;
-        while done < reqs.len() {
-            while next < reqs.len() && self.in_flight() < window {
-                let id = self.submit(&reqs[next])?;
-                id_to_index.insert(id, next);
-                next += 1;
+        self.ensure_idle()?;
+        let mut unsent = reqs.iter();
+        let mut answers = Vec::with_capacity(reqs.len());
+        while answers.len() < reqs.len() {
+            while self.in_flight() < window.max(1) {
+                let Some(req) = unsent.next() else { break };
+                self.submit(req)?;
             }
-            let (id, resp) = self.recv()?;
-            let index = id_to_index.remove(&id).ok_or_else(|| {
-                ServiceError::Protocol(format!("response id {id} not part of this batch"))
-            })?;
-            ordered[index] = Some(resp);
-            done += 1;
+            answers.push(self.recv()?.1);
         }
-        Ok(ordered
-            .into_iter()
-            .map(|r| r.expect("all filled"))
-            .collect())
+        Ok(answers)
     }
 }
 
@@ -549,15 +526,8 @@ impl RetryingClient {
         config: ClientConfig,
         policy: RetryPolicy,
     ) -> Result<RetryingClient, ServiceError> {
-        let addrs: Vec<SocketAddr> = addr
-            .to_socket_addrs()
-            .map_err(|e| ServiceError::Io(format!("address resolution failed: {e}")))?
-            .collect();
-        if addrs.is_empty() {
-            return Err(ServiceError::Io("address resolved to nothing".into()));
-        }
         Ok(RetryingClient {
-            addrs,
+            addrs: resolve(addr)?,
             config,
             policy,
             rng: StdRng::seed_from_u64(policy.seed),
@@ -613,14 +583,14 @@ impl RetryingClient {
             }
         }
         let conn = self.conn.as_mut().expect("connected above");
-        if let Err(e) = conn.send_request(req) {
+        if let Err(e) = conn.submit(req) {
             // The write may have partially reached the server — treat as
             // post-send. The connection is dead either way.
             self.conn = None;
             return (Err(e), Retryability::IfIdempotent);
         }
-        match conn.read_response() {
-            Ok(resp) => {
+        match conn.recv() {
+            Ok((_, resp)) => {
                 let class = classify_response(&resp);
                 // A pre-execution rejection usually precedes a server-side
                 // close (e.g. shed connections); reconnect for the retry.

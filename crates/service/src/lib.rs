@@ -14,10 +14,10 @@
 //!   ([`registry`] docs).
 //! * [`Server`] / [`Client`] — a length-prefixed binary protocol over
 //!   `std::net::TcpStream`, one thread per admitted connection up to a
-//!   cap. No async runtime.
-//!   Requests with nonzero ids are pipelined ([`Client::submit`] /
-//!   [`Client::recv`]): up to K in flight, responses matched by id (see
-//!   *Wire format*). The server answers each connection in arrival order.
+//!   cap. No async runtime. The server answers each connection in arrival
+//!   order, so a client can keep up to K requests in flight on one
+//!   connection ([`Client::submit`] / [`Client::recv`]) and read their
+//!   answers in the order it sent them (see *Wire format*).
 //! * [`loadgen`] — replays [`TrafficMix`](xse_workloads::traffic) request
 //!   mixes built from the workloads corpora against one or more endpoints
 //!   (in-process, TCP connections with a pipelining window, or retrying
@@ -47,20 +47,26 @@
 //! **opcode**; all variable-length fields are `u32`-BE length-prefixed
 //! UTF-8 strings and all integers are big-endian.
 //!
-//! `id` is the **request id**, echoed verbatim in the response frame that
-//! answers the request. A client may keep many requests with **nonzero**
-//! ids in flight on one connection ([`Client::submit`]), and the id is
-//! the only correlation between a response and its request: the protocol
-//! lets a server answer them **out of order**. This crate's [`Server`]
-//! answers each connection in **arrival order**, one request at a time,
-//! so a window of requests on one connection overlaps their transfer with
-//! the server's compute, and requests run in parallel only across
-//! connections. Id `0` marks the legacy lockstep lane: the client sends
-//! one request and waits for its answer, exactly as in the pre-pipelining
-//! protocol. On one connection, id-0 requests must not overlap tagged
-//! ones ([`Client::call`] refuses to). An id-`0` *error* frame the server
-//! emits unprompted (frame-too-large, mid-frame timeout) cannot be
-//! attributed to one request, so it is connection-fatal.
+//! Nesting is bounded as well. A DTD content model may nest at most
+//! [`MAX_GROUP_DEPTH`](xse_dtd::MAX_GROUP_DEPTH) (256) parenthesized
+//! groups, and a query at most
+//! [`MAX_QUERY_DEPTH`](xse_rxpath::MAX_QUERY_DEPTH) (256) levels of its
+//! syntax tree. Deeper input is answered `BadDtd` / `BadQuery`, so no
+//! request can exhaust a connection thread's stack.
+//!
+//! A connection is **one ordered lane**: the server answers a
+//! connection's frames in the order it read them, one request at a time.
+//! A client may keep many requests in flight on one connection
+//! ([`Client::submit`]); each answer belongs to the oldest unanswered
+//! request. A window of requests overlaps their transfer with the
+//! server's compute, and requests run in parallel only across
+//! connections. `id` is the **request id**, echoed verbatim in the
+//! response frame; it checks that client and server agree on the order,
+//! and a mismatch is a protocol error. Clients number requests from 1 and
+//! leave id `0` to the server: it tags the error frames it sends when it
+//! cannot read a request's id (`overloaded` on a shed connection,
+//! `FrameTooLarge`, a mid-frame `timeout`). Such a frame answers the
+//! oldest unanswered request, and the server then closes the connection.
 //!
 //! Every frame goes out **whole, in one write**, and every socket the
 //! service opens or accepts (server, clients, fault proxy) sets

@@ -16,10 +16,10 @@
 //! [`StdRng`] (endpoint `i` seeds `seed ^ i·φ`, so endpoint 0 replays the
 //! same stream whatever the endpoint count): op kinds, pair choices and
 //! payload choices are deterministic per `(mix, seed, pairs)`. A TCP
-//! endpoint keeps up to [`LoadConfig::inflight`] tagged requests in
-//! flight; every other endpoint answers one request at a time.
+//! endpoint keeps up to [`LoadConfig::inflight`] requests in flight;
+//! every other endpoint answers one request at a time.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -168,19 +168,15 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
+    /// One request, answered before it returns: the replay of the
+    /// in-process and retrying endpoints, and the one-shot calls of
+    /// [`prewarm`] and [`run`]'s closing `Stats` on any endpoint.
     fn exec(&mut self, req: &Request) -> Result<Response, ServiceError> {
         match self {
             Endpoint::InProcess(reg) => Ok(crate::handle_request(reg, req)),
             Endpoint::Tcp(client) => client.call(req),
             Endpoint::Retry(client) => client.call(req),
         }
-    }
-
-    /// A broken plain TCP connection cannot carry further requests; the
-    /// retrying endpoint re-dials per call and the in-process one cannot
-    /// fail at transport level.
-    fn survives_transport_errors(&self) -> bool {
-        !matches!(self, Endpoint::Tcp(_))
     }
 
     fn retry_stats(&self) -> Option<RetryStats> {
@@ -200,9 +196,9 @@ pub struct LoadConfig {
     pub ops: usize,
     /// RNG seed: endpoint `i` samples its stream from `seed ^ i·φ`.
     pub seed: u64,
-    /// Requests an [`Endpoint::Tcp`] keeps in flight: above 1 it
-    /// pipelines tagged requests, at 1 it calls on the id-0 lane. Other
-    /// endpoints always answer one request at a time.
+    /// Requests an [`Endpoint::Tcp`] keeps in flight on its connection
+    /// (0 counts as 1). Other endpoints always answer one request at a
+    /// time.
     pub inflight: usize,
 }
 
@@ -426,7 +422,7 @@ pub fn prewarm(endpoint: &mut Endpoint, pairs: &[SchemaPair]) -> Result<(), Serv
 /// Structured error responses are counted and the replay continues.
 /// Transport failures are counted; on a plain [`Endpoint::Tcp`] they also
 /// end that endpoint's stream (a broken connection cannot carry further
-/// requests), while the retrying and in-process endpoints press on. The
+/// requests), while the retrying endpoint re-dials and presses on. The
 /// closing `Stats` request goes to the endpoints in order until one
 /// answers; if none does, the summary's registry counters read zero.
 pub fn run(endpoints: &mut [Endpoint], pairs: &[SchemaPair], cfg: &LoadConfig) -> LoadSummary {
@@ -496,45 +492,39 @@ fn replay(
     cfg: &LoadConfig,
 ) -> ReplayOutcome {
     if let Endpoint::Tcp(client) = endpoint {
-        if cfg.inflight > 1 {
-            return pipeline(client, stream, cfg.inflight);
-        }
+        return pipeline(client, stream, cfg.inflight.max(1));
     }
     let mut out = ReplayOutcome::default();
     for (op, req) in stream {
         let start = Instant::now();
         match endpoint.exec(&req) {
             Ok(resp) => out.record(op, &req, &resp, start.elapsed()),
-            Err(e) => {
-                out.transport_failure(&e);
-                if !endpoint.survives_transport_errors() {
-                    break;
-                }
-            }
+            Err(e) => out.transport_failure(&e),
         }
     }
     out
 }
 
-/// Replay `stream` on one connection, keeping up to `window` tagged
-/// requests in flight. Latency is submit→receive, so under a deep window
-/// it includes time spent queued behind the connection's other requests:
-/// the latency a pipelined caller observes.
+/// Replay `stream` on one connection, keeping up to `window` requests in
+/// flight. Answers arrive in submission order, so the oldest pending
+/// request is the one each answer belongs to. Latency is submit→receive,
+/// so under a deep window it includes time spent queued behind the
+/// connection's other requests: the latency a pipelined caller observes.
 fn pipeline(
     client: &mut Client,
     mut stream: impl Iterator<Item = Sampled>,
     window: usize,
 ) -> ReplayOutcome {
     let mut out = ReplayOutcome::default();
-    let mut pending: HashMap<u32, (ServiceOp, Request, Instant)> = HashMap::new();
+    let mut pending: VecDeque<(ServiceOp, Request, Instant)> = VecDeque::new();
     loop {
         // Fill the window first, then block on one completion.
         if pending.len() < window {
             if let Some((op, req)) = stream.next() {
                 let started = Instant::now();
                 match client.submit(&req) {
-                    Ok(id) => {
-                        pending.insert(id, (op, req, started));
+                    Ok(_) => {
+                        pending.push_back((op, req, started));
                         continue;
                     }
                     Err(e) => {
@@ -548,8 +538,8 @@ fn pipeline(
             break;
         }
         match client.recv() {
-            Ok((id, resp)) => {
-                let (op, req, started) = pending.remove(&id).expect("recv validated the id");
+            Ok((_, resp)) => {
+                let (op, req, started) = pending.pop_front().expect("checked nonempty");
                 out.record(op, &req, &resp, started.elapsed());
             }
             Err(e) => {
@@ -870,5 +860,35 @@ mod tests {
         // Prewarmed and never evicted: only the prewarm compiles missed.
         assert_eq!(summary.registry.misses, pairs.len() as u64);
         assert!(summary.retry.is_none());
+    }
+
+    /// A shed arrives as an id-0 `Overloaded` frame whatever the window, so
+    /// a pipelined connection counts it as a shed, as a lockstep one does,
+    /// and not as a transport failure.
+    #[test]
+    fn pipelined_replay_counts_a_shed_as_overloaded() {
+        let pairs = build_pairs(1, 11);
+        let reg = Arc::new(EmbeddingRegistry::new(RegistryConfig::default()));
+        let server = Server::bind(
+            ("127.0.0.1", 0),
+            reg,
+            ServerConfig {
+                max_connections: 0,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let mut endpoints = [Endpoint::Tcp(
+            Client::connect(server.addr()).expect("connect"),
+        )];
+        let cfg = LoadConfig {
+            mix: TrafficMix::translate_heavy(),
+            ops: 8,
+            seed: 5,
+            inflight: 4,
+        };
+        let summary = run(&mut endpoints, &pairs, &cfg);
+        assert!(summary.shed >= 1, "{}", summary.to_json());
+        assert!(summary.errors.overloaded >= 1, "{}", summary.to_json());
     }
 }

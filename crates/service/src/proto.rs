@@ -9,14 +9,14 @@
 //!
 //! # Request ids and pipelining
 //!
-//! The request id lets a client keep several requests in flight on one
-//! connection: the server echoes each request's id on its response frame,
-//! and the id is the only correlation. The protocol permits answers **out
-//! of order**; this crate's server answers each connection in arrival
-//! order. Id `0` is reserved for legacy unpipelined traffic: the client
-//! sends one id-0 request and waits for its answer, exactly like the
-//! pre-pipelining protocol. On one connection, id-0 requests must not
-//! overlap nonzero-id ones.
+//! A server answers a connection's frames in the order it read them, so a
+//! client can keep several requests in flight on one connection and pair
+//! each answer with its oldest unanswered request. The server echoes each
+//! request's id on its response frame, which lets the client check that
+//! the two sides agree. Clients number requests from 1; id `0` tags the
+//! error frames a server sends when it cannot read a request's id, each
+//! answering the oldest unanswered request before the server closes the
+//! connection.
 
 use std::io::{self, Read, Write};
 
@@ -273,8 +273,8 @@ pub fn is_timeout(kind: io::ErrorKind) -> bool {
 }
 
 /// Write one frame: `u32`-BE payload length, `u32`-BE request id, then
-/// the payload. Request id 0 marks legacy unpipelined traffic (see the
-/// [module docs](self)).
+/// the payload. Request id 0 is the server's, for connection-level error
+/// frames (see the [module docs](self)).
 ///
 /// The header and payload are assembled into one buffer and handed to a
 /// single `write_all`, so a frame leaves as one send. Sent as two, the
@@ -306,11 +306,11 @@ pub fn write_frame(w: &mut impl Write, request_id: u32, payload: &[u8]) -> io::R
 /// Read one frame, returning `(request_id, payload)`. The
 /// [`MAX_FRAME_LEN`] cap is enforced *before* reading the body (the full
 /// 8-byte header is consumed first). An oversized announcement is
-/// answered by the server with an **id-0** error frame — the connection
-/// is closing, and an id-0 error frame nobody asked for marks exactly
-/// such connection-fatal errors. Clean closes ([`FrameError::Closed`]) are
-/// distinguished from mid-frame disconnects ([`FrameError::Truncated`])
-/// and read-deadline expiries ([`FrameError::TimedOut`]).
+/// answered by the server with an **id-0** error frame, which answers the
+/// oldest unanswered request before the connection closes. Clean closes
+/// ([`FrameError::Closed`]) are distinguished from mid-frame disconnects
+/// ([`FrameError::Truncated`]) and read-deadline expiries
+/// ([`FrameError::TimedOut`]).
 pub fn read_frame(r: &mut impl Read) -> Result<(u32, Vec<u8>), FrameError> {
     let mut header = [0u8; 8];
     fill(r, &mut header, true)?;
@@ -755,7 +755,8 @@ mod tests {
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap(), (7, b"hello".to_vec()));
 
-        // Id 0 (the legacy marker) round-trips like any other.
+        // Id 0 (the server's connection-level tag) round-trips like any
+        // other.
         let mut buf = Vec::new();
         write_frame(&mut buf, 0, b"x").unwrap();
         let mut r = &buf[..];

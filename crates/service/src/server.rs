@@ -6,12 +6,10 @@
 //! `std::thread::scope` the accept thread owns, so no client waits for
 //! another to hang up. A connection's thread reads a frame, answers it
 //! under the frame's request id, and reads the next, so each connection is
-//! answered in **arrival order**, tagged requests and id-0 requests alike.
-//! The protocol lets a server answer tagged requests out of order; this
-//! one never does, and a client that wants requests to run in parallel
-//! opens more connections. A frame sent ahead waits in the socket's
-//! receive buffer, so a client that overruns its connection is held back
-//! by TCP.
+//! answered in **arrival order**, as the wire contract requires. A client
+//! that wants requests to run in parallel opens more connections. A frame
+//! sent ahead waits in the socket's receive buffer, so a client that
+//! overruns its connection is held back by TCP.
 //!
 //! Every accepted socket, served or shed, sets `TCP_NODELAY`, and every
 //! response goes out as one whole-frame write straight to the socket (no
@@ -347,9 +345,9 @@ fn process_request(payload: &[u8], ctx: &ConnCtx) -> Response {
 }
 
 /// Answer a frame-read failure (best effort); the connection is over
-/// either way. Connection-level failures are tagged with id 0, which
-/// marks them as fatal to the whole connection rather than to any one
-/// request.
+/// either way. The failed frame's id was never read, so the answer is
+/// tagged with id 0; the client takes it as the answer to its oldest
+/// unanswered request.
 fn answer_read_error(err: FrameError, writer: &mut impl Write) {
     match err {
         FrameError::Closed | FrameError::Truncated | FrameError::Io(_) => {}

@@ -289,28 +289,27 @@ fn pipelined_chaos_soak_never_misdecodes() {
         let mut conn = conn;
         // Window of 4 in flight; any transport error abandons the whole
         // connection (ids in flight are unrecoverable once framing dies).
-        let mut ids = Vec::new();
+        let mut sent = Vec::new();
         let mut broken = false;
         for req in &reqs {
             match conn.submit(req) {
-                Ok(id) => ids.push((id, req)),
+                Ok(id) => sent.push((id, req)),
                 Err(_) => {
                     broken = true;
                     break;
                 }
             }
         }
-        for _ in 0..ids.len() {
+        for &(sent_id, req) in &sent {
             if broken {
                 break;
             }
             match conn.recv() {
                 Ok((id, resp)) => {
-                    let req = ids
-                        .iter()
-                        .find(|(i, _)| *i == id)
-                        .map(|(_, r)| *r)
-                        .expect("recv only yields submitted ids");
+                    assert_eq!(
+                        id, sent_id,
+                        "round {round}: answers must come back in submission order"
+                    );
                     assert!(
                         loadgen::response_matches(req, &resp),
                         "round {round}: id {id} answered with wrong-kind {resp:?}"

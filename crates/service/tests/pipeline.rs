@@ -1,8 +1,9 @@
-//! Pipelining end-to-end: request-id correlation under shuffled response
-//! ordering, per-request error isolation mid-pipeline, arrival-order
-//! answers on the real server, one request at a time per connection with
-//! parallelism across connections, strict lockstep on the id-0 lane, and
-//! legacy/pipelined coexistence.
+//! Pipelining end-to-end: the ordered-lane contract (answers in
+//! submission order, an out-of-order id is a protocol error, an id-0 error
+//! frame answers the oldest request), per-request error isolation
+//! mid-pipeline, arrival-order answers on the real server, one request at
+//! a time per connection with parallelism across connections, and
+//! lockstep and windowed clients side by side.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
@@ -14,7 +15,7 @@ use xse_service::loadgen;
 use xse_service::proto::{read_frame, write_frame};
 use xse_service::{
     Client, EmbeddingRegistry, ErrorCode, PipelinedClient, RegistryConfig, Request, Response,
-    Server, ServerConfig, ServerHandle,
+    Server, ServerConfig, ServerHandle, ServiceError,
 };
 
 fn wrap_pair() -> (String, String) {
@@ -59,9 +60,9 @@ fn spawn_slow_compile_server(config: ServerConfig) -> ServerHandle {
 }
 
 /// A scripted stand-in server: accepts one connection, reads `n` request
-/// frames, then answers them in an arbitrary caller-chosen order with
-/// caller-chosen payloads. This pins the *client-side* pipelining
-/// contract without depending on real scheduling.
+/// frames, answers with caller-chosen ids and payloads in a caller-chosen
+/// order, then closes. This pins the *client-side* pipelining contract
+/// without depending on real scheduling.
 fn scripted_peer(
     n: usize,
     respond: impl FnOnce(Vec<(u32, Vec<u8>)>) -> Vec<(u32, Response)> + Send + 'static,
@@ -84,11 +85,33 @@ fn scripted_peer(
     addr
 }
 
-/// Shuffled response ordering round-trips correctly: the scripted peer
-/// answers (3, 1, 2) for submissions (1, 2, 3), and a mid-pipeline
-/// `Timeout` error frame fails only its own request.
+/// The lane is ordered: a peer that answers submissions (1, 2) with ids
+/// (2, 1) breaks the contract, and the first `recv` is a protocol error
+/// naming both ids rather than a misattributed answer.
 #[test]
-fn shuffled_responses_match_by_id_and_timeout_isolates() {
+fn out_of_order_answer_is_a_protocol_error() {
+    let addr = scripted_peer(2, |_| {
+        vec![
+            (2, Response::Stats(xse_service::RegistryStats::default())),
+            (1, Response::Evicted { existed: false }),
+        ]
+    });
+    let mut client = PipelinedClient::connect(addr).unwrap();
+    client.submit(&Request::Stats).unwrap();
+    client.submit(&Request::Stats).unwrap();
+    match client.recv() {
+        Err(ServiceError::Protocol(msg)) => {
+            assert!(msg.contains('1') && msg.contains('2'), "{msg}")
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+}
+
+/// In-order answers round-trip, and a `Timeout` error frame mid-window
+/// fails only the request it answers: the scripted peer answers ids
+/// (1, 2, 3) in order, with the error on id 2.
+#[test]
+fn in_order_answers_with_a_mid_window_timeout_fail_only_their_own_request() {
     let addr = scripted_peer(3, |seen| {
         assert_eq!(
             seen.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
@@ -96,7 +119,6 @@ fn shuffled_responses_match_by_id_and_timeout_isolates() {
             "client must number requests 1, 2, 3"
         );
         vec![
-            (3, Response::Stats(xse_service::RegistryStats::default())),
             (1, Response::Evicted { existed: false }),
             (
                 2,
@@ -105,6 +127,7 @@ fn shuffled_responses_match_by_id_and_timeout_isolates() {
                     message: "budget exceeded".into(),
                 },
             ),
+            (3, Response::Stats(xse_service::RegistryStats::default())),
         ]
     });
 
@@ -112,8 +135,8 @@ fn shuffled_responses_match_by_id_and_timeout_isolates() {
     let (s, t) = wrap_pair();
     let reqs = [
         Request::Evict {
-            source_dtd: s.clone(),
-            target_dtd: t.clone(),
+            source_dtd: s,
+            target_dtd: t,
         },
         Request::Stats,
         Request::Stats,
@@ -122,11 +145,6 @@ fn shuffled_responses_match_by_id_and_timeout_isolates() {
     assert_eq!(ids, vec![1, 2, 3]);
     assert_eq!(client.in_flight(), 3);
 
-    // Completion order is the peer's (3, 1, 2); each response lands on
-    // its own request, and the Timeout poisons only id 2.
-    let (id, resp) = client.recv().unwrap();
-    assert_eq!(id, 3);
-    assert!(matches!(resp, Response::Stats(_)), "{resp:?}");
     let (id, resp) = client.recv().unwrap();
     assert_eq!(id, 1);
     assert!(
@@ -145,11 +163,48 @@ fn shuffled_responses_match_by_id_and_timeout_isolates() {
         ),
         "{resp:?}"
     );
+    let (id, resp) = client.recv().unwrap();
+    assert_eq!(id, 3);
+    assert!(matches!(resp, Response::Stats(_)), "{resp:?}");
     assert_eq!(client.in_flight(), 0);
 }
 
-/// An unknown response id is a protocol violation, surfaced as a typed
-/// error instead of being silently dropped or misattributed.
+/// An id-0 error frame is the server reporting on the oldest request it
+/// has not answered (here a shed: `Overloaded`, then close), so it
+/// answers that request, and the next read sees the close.
+#[test]
+fn id0_error_frame_answers_the_oldest_request() {
+    let addr = scripted_peer(2, |_| {
+        vec![(
+            0,
+            Response::Error {
+                code: ErrorCode::Overloaded,
+                message: "connection limit reached".into(),
+            },
+        )]
+    });
+    let mut client = PipelinedClient::connect(addr).unwrap();
+    client.submit(&Request::Stats).unwrap();
+    client.submit(&Request::Stats).unwrap();
+    let (id, resp) = client.recv().unwrap();
+    assert_eq!(id, 1);
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::Overloaded,
+                ..
+            }
+        ),
+        "{resp:?}"
+    );
+    assert_eq!(client.in_flight(), 1);
+    assert_eq!(client.recv().unwrap_err(), ServiceError::Closed);
+}
+
+/// A response id other than the oldest request's is a protocol
+/// violation, surfaced as a typed error naming the id instead of being
+/// silently dropped or misattributed.
 #[test]
 fn unknown_response_id_is_a_protocol_error() {
     let addr = scripted_peer(1, |_| vec![(77, Response::Evicted { existed: true })]);
@@ -309,8 +364,8 @@ fn mid_pipeline_bad_query_fails_only_its_own_request() {
     assert!(matches!(more[0], Response::Stats(_)));
 }
 
-/// Compatibility: a legacy id-0 client and a pipelined client share the
-/// same server concurrently; each lane keeps its own semantics.
+/// A lockstep client (`call` and the typed helpers) and a windowed
+/// client share the server at once, and each sees its own answers.
 #[test]
 fn legacy_and_pipelined_connections_coexist() {
     let server = spawn_server();
@@ -327,7 +382,8 @@ fn legacy_and_pipelined_connections_coexist() {
         .unwrap();
     assert!(responses.iter().all(|r| matches!(r, Response::Stats(_))));
 
-    // Legacy lane still strictly in-order after the pipelined traffic.
+    // The lockstep client still reads its own answers after the windowed
+    // traffic.
     let stats = legacy.stats().unwrap();
     assert_eq!(stats.compiles, 1);
 }
@@ -369,12 +425,13 @@ fn call_pipelined_preserves_request_order_across_windows() {
     }
 }
 
-/// The legacy lane is strict lockstep even when the peer does not wait:
-/// two id-0 frames written back to back on one raw socket — a compile
-/// whose similarity hook sleeps 150 ms, then `Stats` — are answered in
-/// submission order, both with id 0, and the `Stats` answer already
-/// counts the compile. Served concurrently, the `Stats` would overtake
-/// the sleeping compile and miss it.
+/// The server echoes whatever id a frame carries, 0 included, and answers
+/// in arrival order even when the peer does not wait: two id-0 frames
+/// written back to back on one raw socket — a compile whose similarity
+/// hook sleeps 150 ms, then `Stats` — are answered in submission order,
+/// both with id 0, and the `Stats` answer already counts the compile.
+/// Served concurrently, the `Stats` would overtake the sleeping compile
+/// and miss it.
 #[test]
 fn back_to_back_id0_frames_are_answered_in_lockstep() {
     let server = spawn_slow_compile_server(ServerConfig::default());
@@ -472,9 +529,10 @@ fn one_request_at_a_time_per_connection_in_parallel_across_connections() {
     assert_eq!(peak, 2, "compiles overlapping on two connections");
 }
 
-/// An id-0 call must not overlap tagged requests on one connection: the
-/// client refuses it with a protocol error, and the tagged request it
-/// would have raced is still answered afterwards.
+/// `call` reads the next answer on the lane, so while submitted requests
+/// are unanswered it would read one of theirs: the client refuses it with
+/// a protocol error, and the submitted request is still answered
+/// afterwards.
 #[test]
 fn call_is_refused_while_tagged_requests_are_in_flight() {
     let server = spawn_server();

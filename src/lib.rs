@@ -193,15 +193,15 @@
 //! assert!(engine.apply(&parse_xml("<r><a>x</a></r>").unwrap()).is_ok());
 //! ```
 //!
-//! Every frame carries a u32 *request id*. Id 0 is answered in lockstep:
-//! [`Client::call`](crate::service::Client::call) and the typed helpers
-//! send one id-0 request and read its answer. With nonzero ids,
-//! [`Client::submit`](crate::service::Client::submit) and
-//! [`Client::recv`](crate::service::Client::recv) keep a window of
-//! tagged requests in flight on the same connection and match responses
-//! to requests by id alone, since the protocol permits answers out of
-//! order. The server serves each connection on one thread, in arrival
-//! order, so requests run in parallel across connections.
+//! A connection is one ordered lane: the server answers its requests in
+//! the order it read them, on one thread, so requests run in parallel
+//! only across connections. [`Client::submit`](crate::service::Client::submit)
+//! sends a request without waiting and
+//! [`Client::recv`](crate::service::Client::recv) reads the oldest
+//! request's answer, so a window of requests can be in flight on one
+//! connection; [`Client::call`](crate::service::Client::call) and the
+//! typed helpers are the two in a row. Every frame carries a u32 *request
+//! id*, which the server echoes and the client checks.
 //! `xse-loadgen --connections N --inflight K` measures the contended path
 //! (see `EXPERIMENTS.md`):
 //!
@@ -221,15 +221,13 @@
 //!     .unwrap();
 //! let second = client.submit(&Request::Stats).unwrap();
 //! assert_eq!(client.in_flight(), 2);
-//! // Responses are matched to requests by id, whatever order they land in.
-//! for _ in 0..2 {
-//!     let (id, resp) = client.recv().unwrap();
-//!     match resp {
-//!         Response::Compiled { .. } => assert_eq!(id, first),
-//!         Response::Stats(_) => assert_eq!(id, second),
-//!         other => panic!("unexpected {other:?}"),
-//!     }
-//! }
+//! // Answers arrive in submission order, each under its request's id.
+//! let (id, resp) = client.recv().unwrap();
+//! assert_eq!(id, first);
+//! assert!(matches!(resp, Response::Compiled { .. }), "{resp:?}");
+//! let (id, resp) = client.recv().unwrap();
+//! assert_eq!(id, second);
+//! assert!(matches!(resp, Response::Stats(_)), "{resp:?}");
 //! assert_eq!(client.in_flight(), 0);
 //! ```
 //!
