@@ -132,8 +132,9 @@ impl<'a> P<'a> {
             if !self.s[self.pos..].starts_with(b"<!--") {
                 return;
             }
-            match self.s[self.pos..].windows(3).position(|w| w == b"-->") {
-                Some(i) => self.pos += i + 3,
+            // Search past the opener, so `<!-->` does not close itself.
+            match self.s[self.pos + 4..].windows(3).position(|w| w == b"-->") {
+                Some(i) => self.pos += 4 + i + 3,
                 None => return,
             }
         }

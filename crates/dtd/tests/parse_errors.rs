@@ -118,3 +118,23 @@ fn errors_do_not_mask_valid_parses() {
     Dtd::parse("<!ELEMENT r ((a,b)|c)><!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>")
         .unwrap();
 }
+
+#[test]
+fn a_comment_closes_only_after_its_opener() {
+    // `<!-->` is an opener followed by `>`, not an empty comment.
+    assert_eq!(
+        syntax_err("<!--><!ELEMENT a EMPTY>"),
+        (0, "expected \"<!ELEMENT\"".into())
+    );
+    assert_eq!(
+        syntax_err("<!ELEMENT a EMPTY> <!--->"),
+        (19, "expected \"<!ELEMENT\"".into())
+    );
+    for input in [
+        "<!----><!ELEMENT a EMPTY>",
+        "<!-- x --><!ELEMENT a EMPTY>",
+        "<!ELEMENT a EMPTY><!---->",
+    ] {
+        Dtd::parse(input).unwrap_or_else(|e| panic!("{input:?}: {e}"));
+    }
+}

@@ -188,7 +188,13 @@ fn lex(input: &str) -> Result<Vec<(usize, Tok)>, QueryParseError> {
                 let mut n = 0usize;
                 while let Some(&(_, c)) = chars.peek() {
                     if let Some(d) = c.to_digit(10) {
-                        n = n * 10 + d as usize;
+                        n = n
+                            .checked_mul(10)
+                            .and_then(|n| n.checked_add(d as usize))
+                            .ok_or_else(|| QueryParseError {
+                                at,
+                                msg: "number too large".into(),
+                            })?;
                         chars.next();
                     } else {
                         break;
@@ -628,6 +634,18 @@ mod tests {
         assert!(parse_query("a[text() = unquoted]").is_err());
         assert!(parse_query("a & b").is_err());
         assert!(parse_query("a b").is_err());
+    }
+
+    #[test]
+    fn an_overflowing_number_is_an_error_at_its_offset() {
+        let max = usize::MAX;
+        let q = parse_query(&format!("a[position() = {max}]")).unwrap();
+        assert_eq!(q, XrQuery::label("a").with(Qualifier::Position(max)));
+        for digits in [format!("{max}0"), "99999999999999999999999".into()] {
+            let err = parse_query(&format!("a[position() = {digits}]")).unwrap_err();
+            assert_eq!(err.at, 15, "{err}");
+            assert_eq!(err.msg, "number too large");
+        }
     }
 
     #[test]

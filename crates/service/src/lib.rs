@@ -10,8 +10,7 @@
 //! * [`EmbeddingRegistry`] — a concurrent cache keyed by the canonical
 //!   content hashes of the (source, target) DTD pair, lock-striped into
 //!   shards with per-shard single-flight compilation, a read-lock warm
-//!   fast path, and weighted (compile-cost × recency) eviction
-//!   ([`registry`] docs).
+//!   fast path, and least recently used eviction ([`registry`] docs).
 //! * [`Server`] / [`Client`] — a length-prefixed binary protocol over
 //!   `std::net::TcpStream`, one thread per admitted connection up to a
 //!   cap. No async runtime. The server answers each connection in arrival

@@ -14,9 +14,8 @@
 //! [`RegistryConfig::shards`] independent shards by a stable mix of the
 //! pair's two content hashes, so a build or eviction on one shard never
 //! blocks requests routed to another. Each shard keeps all it knows about
-//! a pair in one slot of one reader-writer table: a state, the pair's one
-//! recency clock (the shard tick of its last use) and its latest build
-//! cost. The state is one of
+//! a pair in one slot of one reader-writer table: a state and the pair's
+//! one recency clock (the shard tick of its last use). The state is one of
 //!
 //! * `Building`: the single-flight mark. The first request for an
 //!   uncached pair sets it and builds outside every lock; concurrent
@@ -57,10 +56,10 @@
 //! neither touches that build's own slot:
 //!
 //! * **Engines.** A shard holds at most `⌈capacity / shards⌉` live
-//!   engines, scored by **compile-cost × recency**: the stalest recency
-//!   generation (the power-of-two bucket of the slot's age in shard
-//!   ticks) loses first, and within a generation the engine that was
-//!   *cheapest to build* goes. The victim keeps its recipe.
+//!   engines. The least recently used one goes: the live slot with the
+//!   oldest shard tick. Ticks are unique per shard, so the victim is a
+//!   function of the order of requests alone. The victim keeps its recipe,
+//!   so undoing an eviction costs a rebuild, never a search.
 //! * **Slots.** A shard holds at most 256 slots. Victims go in this order:
 //!   expired `Unembeddable`, then soonest-expiring `Unembeddable`, then the
 //!   least recently used `Found` without an engine. A slot that is
@@ -285,16 +284,13 @@ struct Slot {
     /// Shard tick of the most recent use (higher = more recent). Atomic so
     /// the warm path can bump it under a shared read lock.
     last_used: AtomicU64,
-    /// Wall-clock nanoseconds the latest build took.
-    compile_nanos: u64,
 }
 
 impl Slot {
-    fn new(state: State, tick: u64, compile_nanos: u64) -> Slot {
+    fn new(state: State, tick: u64) -> Slot {
         Slot {
             state,
             last_used: AtomicU64::new(tick),
-            compile_nanos,
         }
     }
 
@@ -408,29 +404,9 @@ impl Shard {
     }
 }
 
-/// The engine bound's victim score for a slot `age` shard ticks old whose
-/// build took `cost` nanoseconds; the highest score loses its engine
-/// first.
-///
-/// Ages are grouped into power-of-two *recency generations*; a staler
-/// generation always loses first, and within a generation the engine that
-/// was cheapest to build goes (its loss costs the least to undo). The key
-/// is a final deterministic tiebreak so eviction is a pure function of
-/// observable slot state.
-fn victim_score(age: u64, cost: u64, key: PairKey) -> (u32, Reverse<u64>, (u128, u128)) {
-    // floor(log2(age + 1)): 0 is "just used", each generation doubles.
-    let generation = 63 - age.saturating_add(1).leading_zeros().min(63);
-    (
-        generation,
-        Reverse(cost.max(1)),
-        (key.source.as_u128(), key.target.as_u128()),
-    )
-}
-
 /// Concurrent map from DTD pairs to compiled embeddings, with lock-striped
-/// shards, single-flight builds, a mutex-free warm path, and weighted
-/// (compile-cost × recency) eviction. See the [module docs](self) for the
-/// design.
+/// shards, single-flight builds, a mutex-free warm path, and least recently
+/// used eviction. See the [module docs](self) for the design.
 pub struct EmbeddingRegistry {
     shards: Vec<Shard>,
     /// Memo: exact DTD text → canonical hash. The warm path resolves both
@@ -535,7 +511,7 @@ impl EmbeddingRegistry {
         source_dtd: &str,
         target_dtd: &str,
     ) -> Result<(PairKey, Arc<CompiledEmbedding>), ServiceError> {
-        let (key, mut parsed) = self.resolve(source_dtd, target_dtd)?;
+        let key = self.resolve(source_dtd, target_dtd)?;
         let shard = self.shard(key);
 
         // The warm fast path: a shared read lock, an Arc clone, and a few
@@ -578,7 +554,7 @@ impl EmbeddingRegistry {
             }
             inner.misses += 1;
             // Mark the slot and take its recipe, if discovery left one.
-            break match table.insert(key, Slot::new(State::Building, 0, 0)) {
+            break match table.insert(key, Slot::new(State::Building, 0)) {
                 Some(Slot {
                     state: State::Found(recipe, _),
                     ..
@@ -589,10 +565,9 @@ impl EmbeddingRegistry {
         drop(inner);
 
         // We own the `Building` slot; build outside every lock. A recipe
-        // skips parsing, the similarity matrix and the search. The memoized
-        // path skipped parsing too, so discovery may have to do it now
-        // (both texts parsed when they entered the memo, but propagate
-        // errors regardless).
+        // skips parsing, the similarity matrix and the search; discovery
+        // parses both texts (they parsed when they entered the memo, but
+        // propagate errors regardless).
         let mut guard = PendingGuard {
             shard,
             key,
@@ -603,13 +578,8 @@ impl EmbeddingRegistry {
         let rebuilt = found.is_some();
         let mut nanos = t0.elapsed().as_nanos() as u64;
         if !rebuilt {
-            let (source, target) = match parsed.take() {
-                Some(pair) => pair,
-                None => (
-                    parse_dtd(source_dtd, "source")?,
-                    parse_dtd(target_dtd, "target")?,
-                ),
-            };
+            let source = parse_dtd(source_dtd, "source")?;
+            let target = parse_dtd(target_dtd, "target")?;
             let att = (self.config.sim)(&source, &target);
             let t0 = Instant::now();
             let engine = find_embedding(&source, &target, &att, &self.config.discovery);
@@ -636,15 +606,15 @@ impl EmbeddingRegistry {
                 }
                 let engine = Arc::new(engine);
                 let state = State::Found(recipe, Some(Arc::clone(&engine)));
-                table.insert(key, Slot::new(state, tick, nanos));
-                self.trim_engines(&mut inner, &mut table, key, tick);
+                table.insert(key, Slot::new(state, tick));
+                self.trim_engines(&mut inner, &mut table, key);
                 Ok((key, engine))
             }
             None => {
                 match self.config.negative_ttl {
                     Some(ttl) => {
                         let state = State::Unembeddable(Instant::now() + ttl);
-                        table.insert(key, Slot::new(state, tick, nanos))
+                        table.insert(key, Slot::new(state, tick))
                     }
                     None => table.remove(&key),
                 };
@@ -672,29 +642,26 @@ impl EmbeddingRegistry {
         outcome
     }
 
-    /// Enforce the engine bound after `key`'s engine went live at shard
-    /// tick `now`. Each victim, never `key`, keeps its recipe.
+    /// Enforce the engine bound after `key`'s engine went live: the live
+    /// engine with the oldest `last_used` tick goes. Each victim, never
+    /// `key`, keeps its recipe.
     fn trim_engines(
         &self,
         inner: &mut ShardInner,
         table: &mut HashMap<PairKey, Slot>,
         key: PairKey,
-        now: u64,
     ) {
         let live = table.values().filter(|s| s.engine().is_some()).count();
         for _ in self.shard_capacity..live {
             let victim = table
                 .iter_mut()
-                .filter(|(k, _)| **k != key)
-                .filter_map(|(k, slot)| match &mut slot.state {
-                    State::Found(_, engine) if engine.is_some() => {
-                        let age = now.saturating_sub(slot.last_used.load(Ordering::Relaxed));
-                        Some((victim_score(age, slot.compile_nanos, *k), engine))
-                    }
+                .filter(|(k, slot)| **k != key && slot.engine().is_some())
+                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
+                .and_then(|(_, slot)| match &mut slot.state {
+                    State::Found(_, engine) => engine.take(),
                     _ => None,
-                })
-                .max_by(|a, b| a.0.cmp(&b.0));
-            if let Some(engine) = victim.and_then(|(_, engine)| engine.take()) {
+                });
+            if let Some(engine) = victim {
                 inner.retire(&engine);
             }
         }
@@ -710,7 +677,7 @@ impl EmbeddingRegistry {
     /// # Errors
     /// [`ServiceError::BadDtd`] when either text fails to parse.
     pub fn evict(&self, source_dtd: &str, target_dtd: &str) -> Result<bool, ServiceError> {
-        let (key, _) = self.resolve(source_dtd, target_dtd)?;
+        let key = self.resolve(source_dtd, target_dtd)?;
         let shard = self.shard(key);
         let mut inner = shard.inner.lock().unwrap();
         let mut table = shard.table.write().unwrap();
@@ -728,34 +695,24 @@ impl EmbeddingRegistry {
     }
 
     /// Resolve both texts to the pair's key through the text memo. A memo
-    /// hit parses nothing and returns `None` for the parsed pair; a miss
-    /// parses both texts (so a bad text is always [`ServiceError::BadDtd`]
-    /// and never enters the memo), memoizes their hashes and returns the
-    /// parsed DTDs for a compile to reuse.
-    fn resolve(
-        &self,
-        source_dtd: &str,
-        target_dtd: &str,
-    ) -> Result<(PairKey, Option<(Dtd, Dtd)>), ServiceError> {
+    /// hit parses nothing; a miss runs [`EmbeddingRegistry::key_for`] (so a
+    /// bad text is always [`ServiceError::BadDtd`] and never enters the
+    /// memo) and memoizes both hashes.
+    fn resolve(&self, source_dtd: &str, target_dtd: &str) -> Result<PairKey, ServiceError> {
         {
             let memo = self.text_keys.read().unwrap();
             if let (Some(&source), Some(&target)) = (memo.get(source_dtd), memo.get(target_dtd)) {
-                return Ok((PairKey { source, target }, None));
+                return Ok(PairKey { source, target });
             }
         }
-        let source = parse_dtd(source_dtd, "source")?;
-        let target = parse_dtd(target_dtd, "target")?;
-        let key = PairKey {
-            source: source.content_hash(),
-            target: target.content_hash(),
-        };
+        let key = Self::key_for(source_dtd, target_dtd)?;
         let mut memo = self.text_keys.write().unwrap();
         memo.insert(source_dtd.to_string(), key.source);
         memo.insert(target_dtd.to_string(), key.target);
         trim_to_capacity(&mut memo, TEXT_KEY_CAP, |text, _| {
             (text != source_dtd && text != target_dtd).then_some(())
         });
-        Ok((key, Some((source, target))))
+        Ok(key)
     }
 
     /// Point-in-time aggregate counters: the field-wise sum of every
@@ -842,7 +799,7 @@ mod tests {
     /// had settled it at shard tick `last_used`.
     fn plant(reg: &EmbeddingRegistry, key: PairKey, state: State, last_used: u64) {
         let _inner = reg.shards[0].inner.lock().unwrap();
-        let slot = Slot::new(state, last_used, 0);
+        let slot = Slot::new(state, last_used);
         reg.shards[0].table.write().unwrap().insert(key, slot);
     }
 
@@ -1248,9 +1205,8 @@ mod tests {
         let k0 = reg.get_or_compile(schemas[0], schemas[0]).unwrap().0;
         let k1 = reg.get_or_compile(schemas[1], schemas[1]).unwrap().0;
         assert_ne!(k0, k1);
-        // Touch k0 repeatedly so k1 falls a whole recency generation
-        // behind — then the weighted policy must pick k1 regardless of
-        // the two entries' compile costs.
+        // Touch k0 repeatedly so k1 is the least recently used engine;
+        // the engine bound must pick k1.
         for _ in 0..3 {
             reg.get_or_compile(schemas[0], schemas[0]).unwrap();
         }
@@ -1266,28 +1222,75 @@ mod tests {
     }
 
     #[test]
-    fn eviction_order_is_generation_first_then_cost() {
-        // The policy itself is a pure function; pin its shape directly.
-        let ka = EmbeddingRegistry::key_for(
-            "<!ELEMENT r (a)>\n<!ELEMENT a (#PCDATA)>",
-            "<!ELEMENT r (a)>\n<!ELEMENT a (#PCDATA)>",
-        )
-        .unwrap();
-        let kb = EmbeddingRegistry::key_for(
-            "<!ELEMENT r (b)>\n<!ELEMENT b (#PCDATA)>",
-            "<!ELEMENT r (b)>\n<!ELEMENT b (#PCDATA)>",
-        )
-        .unwrap();
-        // A whole generation staler always loses, even when far costlier.
-        assert!(victim_score(7, 1_000_000, ka) > victim_score(2, 10, kb));
-        assert!(victim_score(2, 10, kb) <= victim_score(7, 1_000_000, ka));
-        // Same generation (ages 4..=6 share floor(log2(age+1)) == 2):
-        // the cheaper compile is the better victim.
-        assert!(victim_score(4, 10, ka) > victim_score(6, 1_000_000, kb));
-        assert!(victim_score(6, 1_000_000, kb) <= victim_score(4, 10, ka));
-        // Full tie: broken deterministically by key bits, antisymmetric.
-        let by_key = victim_score(3, 50, ka) > victim_score(3, 50, kb);
-        assert_ne!(by_key, victim_score(3, 50, kb) > victim_score(3, 50, ka));
+    fn eviction_drops_the_least_recently_used_engine() {
+        let reg = small_registry_ttl(2, None);
+        let tick_of = |key: PairKey| {
+            let table = reg.shards[0].table.read().unwrap();
+            table[&key].last_used.load(Ordering::Relaxed)
+        };
+        // A: a search, the costlier build, settled at tick 1.
+        let (s, t) = wrap_pair();
+        let a = reg.get_or_compile(&s, &t).unwrap().0;
+        // B: discovered at tick 2, then evicted and rebuilt at tick 3, so
+        // B's engine is both the cheaper build and the more recent use.
+        let b_dtd = "<!ELEMENT r (b)>\n<!ELEMENT b (#PCDATA)>";
+        let b = reg.get_or_compile(b_dtd, b_dtd).unwrap().0;
+        assert!(reg.evict(b_dtd, b_dtd).unwrap());
+        reg.get_or_compile(b_dtd, b_dtd).unwrap();
+        assert_eq!(build_counts(&reg, b), (2, 1));
+        assert_eq!((tick_of(a), tick_of(b)), (1, 3));
+        // Three failed searches take ticks 4..=6, so at C's tick 7 A and B
+        // are 6 and 4 ticks old: one power-of-two age bucket, where only
+        // build cost could tell them apart.
+        let (x, y) = impossible_pair();
+        for _ in 0..3 {
+            reg.get_or_compile(x, y).unwrap_err();
+        }
+        assert_eq!(reg.shards[0].tick.load(Ordering::Relaxed), 6);
+        let c_dtd = "<!ELEMENT r (c)>\n<!ELEMENT c (#PCDATA)>";
+        let c = reg.get_or_compile(c_dtd, c_dtd).unwrap().0;
+        // The oldest use loses its engine, whatever it cost to build.
+        assert_eq!(live_keys(&reg), HashSet::from([b, c]));
+        assert_eq!(reg.stats().evictions, 2);
+    }
+
+    #[test]
+    fn one_request_order_leaves_one_set_of_live_engines() {
+        let (s, t) = wrap_pair();
+        let identity: Vec<String> = (0..4)
+            .map(|i| format!("<!ELEMENT r (e{i})>\n<!ELEMENT e{i} (#PCDATA)>"))
+            .collect();
+        let mut pairs: Vec<(&str, &str)> = identity.iter().map(|d| (&**d, &**d)).collect();
+        pairs.push((&s, &t));
+        pairs.push(impossible_pair());
+        let regs = [small_registry(2), small_registry(2)];
+        // Pair indices; every fourth step evicts instead of requesting.
+        let order = [
+            0, 1, 0, 2, 4, 0, 1, 1, 3, 4, 0, 4, 5, 2, 2, 0, 1, 4, 3, 3, 0, 5, 4, 1, 2, 0, 4, 0, 3,
+            1, 1, 2,
+        ];
+        for (step, &i) in order.iter().enumerate() {
+            let (s, t) = pairs[i];
+            let live: Vec<HashSet<PairKey>> = regs
+                .iter()
+                .map(|reg| {
+                    if step % 4 == 3 {
+                        reg.evict(s, t).unwrap();
+                    } else {
+                        let _ = reg.get_or_compile(s, t);
+                    }
+                    live_keys(reg)
+                })
+                .collect();
+            assert_eq!(live[0], live[1], "step {step}");
+        }
+        // Every counter but the build time agrees too.
+        let [first, second] = regs.map(|reg| RegistryStats {
+            compile_nanos: 0,
+            ..reg.stats()
+        });
+        assert_eq!(first, second);
+        assert!(first.evictions > 0 && first.hits > 0, "{first:?}");
     }
 
     #[test]

@@ -393,7 +393,7 @@ proptest! {
     /// sequence of (get, fail, evict) ops over good and non-embeddable
     /// pairs, shard counts 1, 2 and 8 produce the same per-op outcomes
     /// and the same final counters (capacity exceeds the key count, so
-    /// the weighted-eviction policy never has to pick a victim and the
+    /// the eviction policy never has to pick a victim and the
     /// per-shard capacity split cannot diverge).
     #[test]
     fn shard_counts_are_observationally_equivalent(seed in 0u64..10_000) {

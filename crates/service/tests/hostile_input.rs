@@ -1,13 +1,14 @@
 //! Hostile input through the request dispatcher: a document, DTD content
-//! model or query nested far deeper than any call stack could recurse must
-//! come back as an answer or a typed error, never take the process down.
-//! Each case runs on a thread with a 2 MiB stack, the default for a server
-//! connection thread.
+//! model or query nested far deeper than any call stack could recurse, or a
+//! number too large for any counter, must come back as an answer or a typed
+//! error, never take the process down. Each case runs on a thread with a
+//! 2 MiB stack, the default for a server connection thread.
 
 use xse_dtd::MAX_GROUP_DEPTH;
 use xse_rxpath::MAX_QUERY_DEPTH;
 use xse_service::{
-    handle_request, EmbeddingRegistry, ErrorCode, RegistryConfig, Request, Response,
+    handle_request, Client, EmbeddingRegistry, ErrorCode, RegistryConfig, Request, Response,
+    Server, ServerConfig,
 };
 
 const STACK: usize = 2 << 20;
@@ -155,6 +156,28 @@ fn query_nested_100_000_predicates_deep_is_a_bad_query() {
     let query = format!("{}b{}", "b[".repeat(DEPTH), "]".repeat(DEPTH));
     let resp = dispatch(vec![translate(query)]);
     assert_code(&resp[0], ErrorCode::BadQuery);
+}
+
+/// A position past `usize::MAX`: the query lexer refuses the number instead
+/// of overflowing, and over TCP the same connection serves the next request.
+#[test]
+fn query_with_an_overflowing_number_is_a_bad_query() {
+    let query = "b[position() = 99999999999999999999999]";
+    let resp = dispatch(vec![translate(query.into())]);
+    assert_code(&resp[0], ErrorCode::BadQuery);
+
+    let registry = EmbeddingRegistry::new(RegistryConfig::default());
+    let mut server = Server::bind(("127.0.0.1", 0), registry.into(), ServerConfig::default())
+        .expect("bind ephemeral port");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let resp = client.call(&translate(query.into())).expect("answered");
+    assert_code(&resp, ErrorCode::BadQuery);
+    let dtd = "<!ELEMENT b (b*)>";
+    client
+        .translate(dtd, dtd, "b[position() = 2]")
+        .expect("served");
+    drop(client);
+    server.shutdown();
 }
 
 /// Input at exactly the parsers' bounds is served through every pass

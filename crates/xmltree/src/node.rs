@@ -325,74 +325,6 @@ impl XmlTree {
         id
     }
 
-    /// Insert a new element labeled `tag` as the `pos`-th (0-based) child of
-    /// `parent`, shifting later siblings right (`pos` clamps to the end).
-    pub fn insert_element(&mut self, parent: NodeId, pos: usize, tag: impl AsRef<str>) -> NodeId {
-        let tag = self.symbols.intern(tag.as_ref());
-        self.invalidate();
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(NodeRec {
-            parent: parent.0,
-            next_sibling: NIL,
-            first_child: NIL,
-            last_child: NIL,
-            child_count: 0,
-            tag: tag.0,
-            text_start: 0,
-            text_len: 0,
-        });
-        // Find the splice point: the (pos-1)-th child, or None for the front.
-        let mut before = NIL;
-        let mut cur = self.nodes[parent.index()].first_child;
-        for _ in 0..pos {
-            if cur == NIL {
-                break;
-            }
-            before = cur;
-            cur = self.nodes[cur as usize].next_sibling;
-        }
-        if before == NIL {
-            let first = self.nodes[parent.index()].first_child;
-            self.nodes[id.index()].next_sibling = first;
-            self.nodes[parent.index()].first_child = id.0;
-        } else {
-            let after = self.nodes[before as usize].next_sibling;
-            self.nodes[id.index()].next_sibling = after;
-            self.nodes[before as usize].next_sibling = id.0;
-        }
-        let p = &mut self.nodes[parent.index()];
-        if p.last_child == before || p.last_child == NIL {
-            p.last_child = id.0;
-        }
-        p.child_count += 1;
-        id
-    }
-
-    /// Reorder the children of `parent` to the given permutation of its
-    /// current child list.
-    ///
-    /// # Panics
-    /// Panics if `order` is not a permutation of the current children.
-    pub fn reorder_children(&mut self, parent: NodeId, order: &[NodeId]) {
-        let current: Vec<NodeId> = self.children_linked(parent).collect();
-        assert_eq!(current.len(), order.len(), "reorder: wrong arity");
-        let mut sorted_a = current;
-        let mut sorted_b: Vec<NodeId> = order.to_vec();
-        sorted_a.sort_unstable();
-        sorted_b.sort_unstable();
-        assert_eq!(sorted_a, sorted_b, "reorder: not a permutation");
-        self.invalidate();
-        for w in order.windows(2) {
-            self.nodes[w[0].index()].next_sibling = w[1].0;
-        }
-        if let (Some(&first), Some(&last)) = (order.first(), order.last()) {
-            self.nodes[last.index()].next_sibling = NIL;
-            let p = &mut self.nodes[parent.index()];
-            p.first_child = first.0;
-            p.last_child = last.0;
-        }
-    }
-
     /// The node's kind (element or text), borrowed from the arena.
     pub fn kind(&self, id: NodeId) -> NodeKind<'_> {
         let r = self.rec(id);
@@ -456,21 +388,6 @@ impl XmlTree {
     /// Number of children of `id` (O(1), no CSR required).
     pub fn child_count(&self, id: NodeId) -> usize {
         self.rec(id).child_count as usize
-    }
-
-    /// The ordered children of `id` via the intrusive links, without
-    /// touching (or building) the CSR cache. Internal mutation helpers use
-    /// this to avoid invalidation churn.
-    fn children_linked(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let mut cur = self.rec(id).first_child;
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let out = NodeId(cur);
-            cur = self.nodes[cur as usize].next_sibling;
-            Some(out)
-        })
     }
 
     /// The first child of `id` by the intrusive links (no CSR needed).
@@ -879,24 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_element_at_position() {
-        let mut t = XmlTree::new("r");
-        let a = t.add_element(t.root(), "a");
-        let c = t.add_element(t.root(), "c");
-        let b = t.insert_element(t.root(), 1, "b");
-        assert_eq!(t.children(t.root()), &[a, b, c]);
-        // Out-of-range positions clamp to the end.
-        let d = t.insert_element(t.root(), 99, "d");
-        assert_eq!(t.children(t.root()).last(), Some(&d));
-        // Insertion at the front relinks first_child.
-        let z = t.insert_element(t.root(), 0, "z");
-        assert_eq!(t.children(t.root()), &[z, a, b, c, d]);
-        // And appends after a front-insert still land at the end.
-        let e = t.add_element(t.root(), "e");
-        assert_eq!(t.children(t.root()), &[z, a, b, c, d, e]);
-    }
-
-    #[test]
     fn text_nodes_are_leaves_with_values() {
         let (t, _, cno) = school();
         let txt = t.children(cno)[0];
@@ -1032,27 +931,6 @@ mod tests {
         let mut t3 = XmlTree::new("r");
         t3.add_text(t3.root(), "a");
         assert!(!t1.equals(&t3));
-    }
-
-    #[test]
-    fn reorder_children_permutes() {
-        let mut t = XmlTree::new("r");
-        let a = t.add_element(t.root(), "a");
-        let b = t.add_element(t.root(), "b");
-        t.reorder_children(t.root(), &[b, a]);
-        assert_eq!(t.children(t.root()), &[b, a]);
-        // Appends after a reorder land after the new last child.
-        let c = t.add_element(t.root(), "c");
-        assert_eq!(t.children(t.root()), &[b, a, c]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a permutation")]
-    fn reorder_rejects_non_permutation() {
-        let mut t = XmlTree::new("r");
-        let a = t.add_element(t.root(), "a");
-        t.add_element(t.root(), "b");
-        t.reorder_children(t.root(), &[a, a]);
     }
 
     #[test]

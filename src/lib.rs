@@ -156,7 +156,7 @@
 //! ([`DtdHash`](crate::dtd::DtdHash)) of the reduced DTD pair — permuted
 //! but equivalent DTD texts share one entry — with single-flight
 //! compilation (N concurrent requests for an uncached pair compile once)
-//! and weighted (compile-cost × recency) eviction. Eviction drops an
+//! and least recently used eviction. Eviction drops an
 //! engine but not what discovery found: each pair keeps one slot holding
 //! its discovery verdict beside its engine, so the pair's next miss
 //! rebuilds the engine from its `(λ, path)` (the polynomial §4.1 checks)
