@@ -1,9 +1,10 @@
-//! Serving-layer micro-slice: the registry's warm hit path vs. a fresh
-//! compile, plus the full `handle_request` dispatcher round-trip.
+//! Serving-layer micro-slice: the registry's warm hit path vs. the rebuild
+//! of an evicted engine, plus the full `handle_request` dispatcher
+//! round-trip.
 //!
 //! `XSE_SCALE_SMOKE=1` shrinks sample counts so CI can run the whole bench
 //! as a regression gate; the correctness assertions (warm hits share one
-//! `Arc`, warm lookup at least 10× faster than evict-and-recompile) run in
+//! `Arc`, warm lookup at least 10× faster than parsing the pair) run in
 //! both modes.
 
 use std::sync::Arc;
@@ -31,10 +32,13 @@ fn registry_with_shards(shards: usize) -> Arc<EmbeddingRegistry> {
 
 /// Regression gate for the serving claim: resolving an already-compiled
 /// pair (hash-memoized text lookup + `Arc` clone) must be at least 10×
-/// faster than evicting and recompiling it. The real margin is orders of
-/// magnitude; if the hit path ever re-parses or re-runs discovery, this
-/// trips long before the e2e latency gate does.
-fn assert_warm_hit_beats_recompile() {
+/// faster than parsing both texts and hashing them
+/// ([`EmbeddingRegistry::key_for`]), the least work a hit path that
+/// re-parses does. The real margin is more than an order of magnitude; if
+/// the hit path ever re-parses, re-runs the §4.1 checks or re-runs
+/// discovery, this trips long before the e2e latency gate does.
+/// Evict-then-get is no reference: it copies the engine the registry kept.
+fn assert_warm_hit_beats_a_parse() {
     let (s, t) = wrap_pair();
     let reg = registry();
     let (_, first) = reg.get_or_compile(&s, &t).unwrap();
@@ -59,16 +63,15 @@ fn assert_warm_hit_beats_recompile() {
             std::hint::black_box(reg.get_or_compile(&s, &t).unwrap());
         }
     });
-    let t_cold = median(&|| {
+    let t_parse = median(&|| {
         for _ in 0..32 {
-            reg.evict(&s, &t).unwrap();
-            std::hint::black_box(reg.get_or_compile(&s, &t).unwrap());
+            std::hint::black_box(EmbeddingRegistry::key_for(&s, &t).unwrap());
         }
     });
     assert!(
-        t_warm * 10 <= t_cold,
-        "warm hit path ({t_warm:?}/32 ops) not 10x faster than \
-         evict-and-recompile ({t_cold:?}/32 ops)"
+        t_warm * 10 <= t_parse,
+        "warm hit path ({t_warm:?}/32 ops) not 10x faster than parsing \
+         the pair ({t_parse:?}/32 ops)"
     );
 }
 
@@ -139,7 +142,7 @@ fn assert_sharded_warm_hit_not_regressed() {
 }
 
 fn bench(c: &mut Criterion) {
-    assert_warm_hit_beats_recompile();
+    assert_warm_hit_beats_a_parse();
     assert_negative_cache_absorbs_repeat_failures();
     assert_sharded_warm_hit_not_regressed();
 
@@ -160,7 +163,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| warm_one.get_or_compile(&s, &t).unwrap().1.size())
     });
 
-    g.bench_function("get_or_compile/cold", |b| {
+    g.bench_function("get_or_compile/rebuild", |b| {
         b.iter(|| {
             warm.evict(&s, &t).unwrap();
             warm.get_or_compile(&s, &t).unwrap().1.size()

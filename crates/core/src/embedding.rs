@@ -366,7 +366,7 @@ impl EmbeddingBuilder {
         CompiledEmbedding::with_graph(
             source,
             target,
-            src_graph,
+            &src_graph,
             Arc::new(lambda.expect("no errors implies λ computed")),
             Arc::new(paths),
         )
@@ -378,9 +378,12 @@ impl EmbeddingBuilder {
 ///
 /// Construction ([`EmbeddingBuilder::build`] or [`CompiledEmbedding::new`])
 /// checks the §4.1 validity conditions, canonicalizes positions
-/// (DESIGN.md §3), and precomputes everything the per-document operations
-/// need: the source schema graph, the resolved paths, the target's minimum
-/// default plans, and the per-edge translation automata used by `Tr`.
+/// (DESIGN.md §3), and keeps what the per-document operations read: the
+/// resolved paths and the target's minimum default plans. No per-edge
+/// automata are precomputed; `Tr` compiles the path chains a query
+/// touches. Every part but the plan cache is immutable and held behind an
+/// [`Arc`], so [`without_plans`](Self::without_plans) copies a validated
+/// engine without checking or compiling anything.
 /// The result has no lifetime parameter and is `Send + Sync`: store it,
 /// share it behind an [`Arc`], and map documents from many threads — or let
 /// [`CompiledEmbedding::apply_batch`](Self::apply_batch) fan a batch out
@@ -388,18 +391,13 @@ impl EmbeddingBuilder {
 pub struct CompiledEmbedding {
     pub(crate) source: Arc<Dtd>,
     pub(crate) target: Arc<Dtd>,
-    pub(crate) src_graph: SchemaGraph,
     pub(crate) lambda: Arc<TypeMapping>,
     /// The syntactic path function the engine was validated from.
     pub(crate) paths: Arc<PathMapping>,
     /// Resolved, normalized paths per `(source type, edge slot)`.
-    pub(crate) resolved: Vec<Vec<ResolvedPath>>,
+    pub(crate) resolved: Arc<[Vec<ResolvedPath>]>,
     /// The target's minimum-default plans (one `mindef_plans()` call ever).
-    pub(crate) plans: Vec<MindefPlan>,
-    /// Per `(source type, edge slot)`: the path compiled to a linear ANFA
-    /// chain — the translation table `Tr` copies from instead of
-    /// recompiling paths per query.
-    pub(crate) chains: Vec<Vec<xse_anfa::Anfa>>,
+    pub(crate) plans: Arc<[MindefPlan]>,
     /// Bounded cache of compiled [`TranslatePlan`](crate::TranslatePlan)s,
     /// keyed by canonical query shape.
     pub(crate) plan_cache: crate::translate::PlanCache,
@@ -439,7 +437,7 @@ impl CompiledEmbedding {
         CompiledEmbedding::with_graph(
             source,
             target.into(),
-            src_graph,
+            &src_graph,
             lambda.into(),
             paths.into(),
         )
@@ -448,7 +446,7 @@ impl CompiledEmbedding {
     fn with_graph(
         source: Arc<Dtd>,
         target: Arc<Dtd>,
-        src_graph: SchemaGraph,
+        src_graph: &SchemaGraph,
         lambda: Arc<TypeMapping>,
         paths: Arc<PathMapping>,
     ) -> Result<Self, EmbeddingError> {
@@ -495,18 +493,30 @@ impl CompiledEmbedding {
         // Disjunction distinguishability (needs all paths resolved).
         let plans = target.mindef_plans();
         crate::validity::check_disjunction_distinguishability(&source, &target, &resolved, &plans)?;
-        let chains = crate::translate::chain_tables(&target, &resolved);
         Ok(CompiledEmbedding {
             source,
             target,
-            src_graph,
             lambda,
             paths,
-            resolved,
-            plans,
-            chains,
+            resolved: resolved.into(),
+            plans: plans.into(),
             plan_cache: crate::translate::PlanCache::default(),
         })
+    }
+
+    /// This engine with an empty plan cache. Every other part is shared,
+    /// not copied: the copy runs no check and compiles nothing, and it
+    /// answers every operation exactly as `self` does.
+    pub fn without_plans(&self) -> CompiledEmbedding {
+        CompiledEmbedding {
+            source: Arc::clone(&self.source),
+            target: Arc::clone(&self.target),
+            lambda: Arc::clone(&self.lambda),
+            paths: Arc::clone(&self.paths),
+            resolved: Arc::clone(&self.resolved),
+            plans: Arc::clone(&self.plans),
+            plan_cache: crate::translate::PlanCache::default(),
+        }
     }
 
     /// Validate against a similarity matrix: `att(A, λ(A)) > 0` for all `A`
@@ -599,9 +609,9 @@ impl CompiledEmbedding {
                 self.target.name(self.lambda.get(a))
             );
         }
+        let graph = SchemaGraph::new(&self.source);
         for a in self.source.types() {
-            for (edge, rp) in self
-                .src_graph
+            for (edge, rp) in graph
                 .edges_from(a)
                 .iter()
                 .zip(self.resolved[a.index()].iter())
@@ -708,6 +718,35 @@ pub(crate) mod tests {
             e.path(r, 0).display(&s2),
             "x[position() = 1]/a[position() = 1]"
         );
+    }
+
+    #[test]
+    fn without_plans_shares_the_validated_state_with_a_cold_plan_cache() {
+        let (s1, s2) = wrap();
+        let e = wrap_compiled(&s1, &s2);
+        let q = xse_rxpath::parse_query("b/c").unwrap();
+        e.translate(&q).unwrap();
+        e.translate(&q).unwrap();
+        assert_eq!(e.plan_stats().entries, 1);
+
+        let copy = e.without_plans();
+        assert_eq!(copy.plan_stats(), crate::PlanCacheStats::default());
+        for a in s1.types() {
+            assert!(std::ptr::eq(copy.paths_of(a), e.paths_of(a)));
+        }
+        assert!(std::ptr::eq(copy.mindef_plans(), e.mindef_plans()));
+        assert_eq!(copy.describe(), e.describe());
+        let doc = xse_xmltree::parse_xml("<r><a>x</a><b><c>1</c><c>2</c></b></r>").unwrap();
+        assert_eq!(
+            copy.apply(&doc).unwrap().tree.to_xml(),
+            e.apply(&doc).unwrap().tree.to_xml()
+        );
+        // The copy compiles its own plan, the same automaton as the
+        // original's cached one.
+        let (mine, theirs) = (copy.translate(&q).unwrap(), e.translate(&q).unwrap());
+        assert!(!Arc::ptr_eq(&mine, &theirs));
+        assert_eq!(mine.anfa.to_string(), theirs.anfa.to_string());
+        assert_eq!(copy.plan_stats().misses, 1);
     }
 
     #[test]

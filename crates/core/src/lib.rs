@@ -19,8 +19,10 @@
 //!   errors instead of panicking;
 //! * [`CompiledEmbedding`] is the validated engine — **owned** (no lifetime
 //!   parameter, both DTDs held via `Arc`), **`Send + Sync`**, with the
-//!   schema graphs, canonicalized paths, minimum-default plans and `Tr`
-//!   translation tables all precomputed at build time;
+//!   canonicalized paths and minimum-default plans computed once at build
+//!   time and shared by every copy
+//!   ([`CompiledEmbedding::without_plans`]); `Tr` compiles the path chains
+//!   a query touches and caches the plan per query shape;
 //! * every failure anywhere in the pipeline is one
 //!   [`EmbeddingError`] (`#[non_exhaustive]`).
 //!

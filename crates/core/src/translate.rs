@@ -32,11 +32,10 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use xse_anfa::{Anfa, Annot, CompiledAnfa, EvalScratch, StateId, Trans};
-use xse_dtd::{Dtd, Production, TypeId};
+use xse_dtd::{Production, TypeId};
 use xse_rxpath::{shape_key, Qualifier, XrQuery};
 use xse_xmltree::{NodeId, XmlTree};
 
-use crate::resolve::ResolvedPath;
 use crate::{trim_to_capacity, CompiledEmbedding, EmbeddingError};
 
 /// What a final state's matches correspond to on the source side —
@@ -331,7 +330,6 @@ impl CompiledEmbedding {
             finals: Vec::new(),
         };
         let start = out.anfa.start();
-        let mut hits = 0usize;
         let child_of = |slot: usize| -> Option<TypeId> {
             match prod {
                 Production::Concat(cs) => cs.get(slot).copied(),
@@ -357,28 +355,14 @@ impl CompiledEmbedding {
                     continue;
                 }
             }
-            let chain = self.chain_automaton(
+            let chain = self.chain(
                 a,
                 slot,
                 occurrence.filter(|_| matches!(prod, Production::Star(_))),
+                Lab::Type(cty),
             );
-            let finals = out.splice(
-                start,
-                &Trl {
-                    anfa: chain,
-                    finals: Vec::new(),
-                },
-            );
-            debug_assert!(finals.is_empty());
-            // The chain's final is its last state; recover it from the
-            // import: path_chain marks finals, so collect them directly.
-            hits += 1;
-            let _ = hits;
-            for f in out.anfa.finals() {
-                if !out.finals.iter().any(|&(g, _)| g == f) {
-                    out.finals.push((f, Lab::Type(cty)));
-                }
-            }
+            let finals = out.splice(start, &chain);
+            out.finals.extend(finals);
         }
         out
     }
@@ -388,23 +372,42 @@ impl CompiledEmbedding {
         if !matches!(self.source.production(a), Production::Str) {
             return Trl::fail();
         }
-        let chain = self.chain_automaton(a, 0, None);
-        let finals: Vec<(StateId, Lab)> =
-            chain.finals().into_iter().map(|f| (f, Lab::Str)).collect();
-        Trl {
-            anfa: chain,
-            finals,
-        }
+        self.chain(a, 0, None, Lab::Str)
     }
 
-    /// The linear automaton of the path at `(a, slot)`. Unpositioned chains
-    /// come straight out of the precomputed translation table; `mult_pos`
-    /// (an extra `position()` check at the multiplicity step, used when a
-    /// source star child is selected by position) forces a fresh compile.
-    fn chain_automaton(&self, a: TypeId, slot: usize, mult_pos: Option<usize>) -> Anfa {
-        match mult_pos {
-            None => self.chains[a.index()][slot].clone(),
-            Some(_) => compile_chain(&self.target, &self.resolved[a.index()][slot], mult_pos),
+    /// The path at `(a, slot)` compiled to a linear automaton whose one
+    /// final, its last state, is labeled `lab`; `mult_pos` attaches an
+    /// extra `position()` check at the multiplicity step (used when a
+    /// source star child is selected by position).
+    fn chain(&self, a: TypeId, slot: usize, mult_pos: Option<usize>, lab: Lab) -> Trl {
+        let rp = &self.resolved[a.index()][slot];
+        let mut m = Anfa::new();
+        let mut cur = m.start();
+        let mult_idx = rp.first_star_step();
+        for (i, step) in rp.steps.iter().enumerate() {
+            let next = m.add_state();
+            m.add_transition(cur, Trans::Label(self.target.name(step.ty).into()), next);
+            if step.needs_pos_check {
+                if let Some(k) = step.pos {
+                    m.annotate(next, Annot::Position(k));
+                }
+            }
+            if Some(i) == mult_idx {
+                if let Some(k) = mult_pos {
+                    m.annotate(next, Annot::Position(k));
+                }
+            }
+            cur = next;
+        }
+        if rp.text_tail {
+            let next = m.add_state();
+            m.add_transition(cur, Trans::Text, next);
+            cur = next;
+        }
+        m.set_final(cur, true);
+        Trl {
+            anfa: m,
+            finals: vec![(cur, lab)],
         }
     }
 
@@ -702,52 +705,6 @@ fn positions_to_annot(pos_only: &[&Qualifier]) -> Annot {
         .map(|q| conv(q))
         .reduce(|a, b| Annot::And(Box::new(a), Box::new(b)))
         .expect("nonempty")
-}
-
-/// Compile a resolved path into a linear automaton; `mult_pos` attaches
-/// an extra `position()` check at the multiplicity step (used when a
-/// source star child is selected by position).
-fn compile_chain(target: &Dtd, rp: &ResolvedPath, mult_pos: Option<usize>) -> Anfa {
-    let mut m = Anfa::new();
-    let mut cur = m.start();
-    let mult_idx = rp.first_star_step();
-    for (i, step) in rp.steps.iter().enumerate() {
-        let next = m.add_state();
-        m.add_transition(cur, Trans::Label(target.name(step.ty).into()), next);
-        if step.needs_pos_check {
-            if let Some(k) = step.pos {
-                m.annotate(next, Annot::Position(k));
-            }
-        }
-        if Some(i) == mult_idx {
-            if let Some(k) = mult_pos {
-                m.annotate(next, Annot::Position(k));
-            }
-        }
-        cur = next;
-    }
-    if rp.text_tail {
-        let next = m.add_state();
-        m.add_transition(cur, Trans::Text, next);
-        cur = next;
-    }
-    m.set_final(cur, true);
-    m
-}
-
-/// Precompile every `(source type, edge slot)` path into its base chain
-/// automaton — the translation table a [`CompiledEmbedding`] carries so
-/// `Tr` clones chains instead of rebuilding them per query.
-pub(crate) fn chain_tables(target: &Dtd, resolved: &[Vec<ResolvedPath>]) -> Vec<Vec<Anfa>> {
-    resolved
-        .iter()
-        .map(|per_type| {
-            per_type
-                .iter()
-                .map(|rp| compile_chain(target, rp, None))
-                .collect()
-        })
-        .collect()
 }
 
 /// Attach `annot` at the multiplicity state of the (single) star path of

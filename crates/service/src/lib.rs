@@ -87,9 +87,9 @@
 //! | `0x06` | `evict`     | `s`, `t`                |
 //!
 //! `evict` drops the pair's cached engine and any failed-discovery
-//! verdict. A found embedding's `(λ, path)` stays, so the next request
-//! rebuilds the same engine without searching again (see the
-//! [`registry`] docs).
+//! verdict. A found embedding's validated state stays, so the next request
+//! gets the same engine back without searching or checking again (see
+//! the [`registry`] docs).
 //!
 //! Response opcodes (server → client):
 //!

@@ -80,7 +80,9 @@ pub enum ErrorCode {
     /// The engine rejected an otherwise well-formed request (apply/invert
     /// failure, internal error).
     EngineError,
-    /// Evict targeted a pair that was not cached.
+    /// Reserved: no request produces it. (An `Evict` of a pair that is
+    /// not cached answers `Evicted { existed: false }`.) The code stays
+    /// decodable so the wire numbering does not shift.
     NotFound,
     /// The server is shedding load (its connection cap was reached); the
     /// request was **not** executed and is always safe to retry elsewhere

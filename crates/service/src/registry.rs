@@ -17,14 +17,14 @@
 //! a pair in one slot of one reader-writer table: a state and the pair's
 //! one recency clock (the shard tick of its last use). The state is one of
 //!
-//! * `Building`: the single-flight mark. The first request for an
-//!   uncached pair sets it and builds outside every lock; concurrent
-//!   requests sleep on the shard condvar (counted as
-//!   [`RegistryStats::single_flight_waits`]). A build that panics removes
+//! * `Building`: the single-flight mark. The first request for a pair
+//!   the shard has no verdict on sets it and runs discovery outside every
+//!   lock; concurrent requests sleep on the shard condvar (counted as
+//!   [`RegistryStats::single_flight_waits`]). A search that panics removes
 //!   the slot and wakes them, so a failure never wedges the key.
 //! * `Found`: discovery found an embedding. The slot keeps the discovered
-//!   engine's DTDs, `λ` and syntactic path function (the *recipe*), and
-//!   the engine itself unless it was evicted.
+//!   engine without its plan cache (the *recipe*), and the live engine
+//!   unless it was evicted.
 //! * `Unembeddable`: discovery failed. Until [`RegistryConfig::negative_ttl`]
 //!   has passed, identical requests fail fast with `NoEmbedding` (counted
 //!   as [`RegistryStats::negative_hits`]), since failing costs as much as
@@ -39,13 +39,17 @@
 //! # Search once, rebuild after
 //!
 //! Finding an embedding is the NP-complete step (the paper's Thm 5.1);
-//! checking and compiling a known `(λ, path)` is polynomial. A miss on a
-//! `Found` slot therefore *rebuilds* the engine from its recipe with
-//! [`CompiledEmbedding::new`], which re-runs every §4.1 check but skips
-//! text parsing, the similarity matrix and `find_embedding`. The DTDs are
-//! the discovered engine's own, so a permuted DTD text rebuilds exactly
-//! the embedding first discovered, and since discovery is deterministic
-//! per pair and [`DiscoveryConfig`], a rebuild answers byte for byte as a
+//! checking a known `(λ, path)` is polynomial, and the recipe has already
+//! passed those checks. Compiled state therefore lives in every `Found`
+//! slot: the resolved paths, the target's minimum-default plans, both
+//! DTDs and both mappings, all immutable and shared behind `Arc`s. A miss
+//! on a `Found` slot *rebuilds* the engine with
+//! [`CompiledEmbedding::without_plans`]: a few `Arc` clones and an empty
+//! plan cache, no check and no compile, so it is settled under the shard
+//! lock like a hit and never takes the `Building` mark. The rebuilt engine
+//! is the discovered one, so a permuted DTD text gets exactly the
+//! embedding first discovered, and since discovery is deterministic per
+//! pair and [`DiscoveryConfig`], a rebuild answers byte for byte as a
 //! fresh search would. [`EmbeddingRegistry::evict`] takes the engine out
 //! of a `Found` slot and keeps the recipe, and drops an `Unembeddable`
 //! slot so the pair is searched again.
@@ -56,10 +60,12 @@
 //! neither touches that build's own slot:
 //!
 //! * **Engines.** A shard holds at most `⌈capacity / shards⌉` live
-//!   engines. The least recently used one goes: the live slot with the
-//!   oldest shard tick. Ticks are unique per shard, so the victim is a
-//!   function of the order of requests alone. The victim keeps its recipe,
-//!   so undoing an eviction costs a rebuild, never a search.
+//!   engines; the bound counts live engines and, with them, their plan
+//!   caches, which are all an eviction frees. The least recently used one
+//!   goes: the live slot with the oldest shard tick. Ticks are unique per
+//!   shard, so the victim is a function of the order of requests alone.
+//!   The victim keeps its recipe, so undoing an eviction costs a rebuild,
+//!   never a search.
 //! * **Slots.** A shard holds at most 256 slots. Victims go in this order:
 //!   expired `Unembeddable`, then soonest-expiring `Unembeddable`, then the
 //!   least recently used `Found` without an engine. A slot that is
@@ -83,7 +89,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use xse_core::{trim_to_capacity, CompiledEmbedding, PathMapping, SimilarityMatrix, TypeMapping};
+use xse_core::{trim_to_capacity, CompiledEmbedding, SimilarityMatrix};
 use xse_discovery::{find_embedding, DiscoveryConfig};
 use xse_dtd::{Dtd, DtdHash};
 
@@ -151,7 +157,7 @@ pub struct RegistryStats {
     pub hits: u64,
     /// Requests that found no engine and started a build.
     pub misses: u64,
-    /// Engines built, by discovery or by a rebuild from a recipe.
+    /// Engines made live, by discovery or by a rebuild from a recipe.
     pub compiles: u64,
     /// Requests that blocked on another request's in-flight compile
     /// (neither a hit nor a miss).
@@ -160,8 +166,8 @@ pub struct RegistryStats {
     pub evictions: u64,
     /// Engines currently cached.
     pub entries: u64,
-    /// Total wall-clock nanoseconds spent building engines: discovery,
-    /// including failed runs, or rebuild.
+    /// Total wall-clock nanoseconds spent in discovery, including failed
+    /// runs. A rebuild copies validated state and is not timed.
     pub compile_nanos: u64,
     /// Translation-plan cache hits summed over live engines *plus* every
     /// engine evicted so far (plan counters are folded into a retired
@@ -234,46 +240,13 @@ const TEXT_KEY_CAP: usize = 1024;
 /// next miss searches again.
 const SLOT_CAP: usize = 256;
 
-/// What a `Found` slot rebuilds its engine from: the discovered engine's
-/// own DTDs, `λ` and syntactic path function, shared with every engine
-/// built from them.
-struct Recipe {
-    source: Arc<Dtd>,
-    target: Arc<Dtd>,
-    lambda: Arc<TypeMapping>,
-    paths: Arc<PathMapping>,
-}
-
-impl Recipe {
-    fn of(engine: &CompiledEmbedding) -> Recipe {
-        Recipe {
-            source: engine.source_arc(),
-            target: engine.target_arc(),
-            lambda: Arc::clone(engine.type_mapping()),
-            paths: Arc::clone(engine.path_mapping()),
-        }
-    }
-
-    /// Re-run the §4.1 checks and compile. `None` would mean the recipe no
-    /// longer validates; the caller then searches again.
-    fn rebuild(&self) -> Option<CompiledEmbedding> {
-        CompiledEmbedding::new(
-            Arc::clone(&self.source),
-            Arc::clone(&self.target),
-            Arc::clone(&self.lambda),
-            Arc::clone(&self.paths),
-        )
-        .ok()
-    }
-}
-
 /// What a shard knows about a pair (see the module docs).
 enum State {
-    /// A build is in flight; waiters sleep on the shard condvar.
+    /// Discovery is in flight; waiters sleep on the shard condvar.
     Building,
-    /// Discovery found an embedding: its recipe, and the engine unless it
-    /// was evicted.
-    Found(Recipe, Option<Arc<CompiledEmbedding>>),
+    /// Discovery found an embedding: the recipe (the discovered engine
+    /// without its plans) and the live engine unless it was evicted.
+    Found(CompiledEmbedding, Option<Arc<CompiledEmbedding>>),
     /// Discovery found none; the verdict holds until this instant.
     Unembeddable(Instant),
 }
@@ -311,7 +284,7 @@ struct ShardInner {
     misses: u64,
     /// Engines built by a successful `find_embedding` run.
     discovered: u64,
-    /// Engines rebuilt from a recipe.
+    /// Engines copied from a recipe.
     rebuilt: u64,
     single_flight_waits: u64,
     evictions: u64,
@@ -526,15 +499,27 @@ impl EmbeddingRegistry {
 
         let mut waited = false;
         let mut inner = shard.inner.lock().unwrap();
-        let recipe = loop {
+        loop {
             // Table writes happen with `inner` held, so what we read here
             // stays true until we let go of it.
             let mut table = shard.table.write().unwrap();
-            if let Some(slot) = table.get(&key) {
-                match &slot.state {
+            if let Some(slot) = table.get_mut(&key) {
+                match &mut slot.state {
                     State::Found(_, Some(engine)) => {
+                        let engine = Arc::clone(engine);
                         shard.touch(slot, !waited);
-                        return Ok((key, Arc::clone(engine)));
+                        return Ok((key, engine));
+                    }
+                    // A rebuild copies state that already passed the §4.1
+                    // checks, so it is settled under the lock, like a hit.
+                    State::Found(recipe, live @ None) => {
+                        inner.misses += 1;
+                        inner.rebuilt += 1;
+                        let engine = Arc::new(recipe.without_plans());
+                        *live = Some(Arc::clone(&engine));
+                        shard.touch(slot, false);
+                        self.trim_engines(&mut inner, &mut table, key);
+                        return Ok((key, engine));
                     }
                     State::Building => {
                         drop(table);
@@ -549,46 +534,29 @@ impl EmbeddingRegistry {
                         inner.negative_hits += 1;
                         return Err(ServiceError::NoEmbedding);
                     }
-                    State::Found(_, None) | State::Unembeddable(_) => {}
+                    State::Unembeddable(_) => {}
                 }
             }
             inner.misses += 1;
-            // Mark the slot and take its recipe, if discovery left one.
-            break match table.insert(key, Slot::new(State::Building, 0)) {
-                Some(Slot {
-                    state: State::Found(recipe, _),
-                    ..
-                }) => Some(recipe),
-                _ => None,
-            };
-        };
+            table.insert(key, Slot::new(State::Building, 0));
+            break;
+        }
         drop(inner);
 
-        // We own the `Building` slot; build outside every lock. A recipe
-        // skips parsing, the similarity matrix and the search; discovery
-        // parses both texts (they parsed when they entered the memo, but
-        // propagate errors regardless).
+        // We own the `Building` slot; search outside every lock. Both
+        // texts parsed when they entered the memo, but propagate errors
+        // regardless.
         let mut guard = PendingGuard {
             shard,
             key,
             armed: true,
         };
+        let source = parse_dtd(source_dtd, "source")?;
+        let target = parse_dtd(target_dtd, "target")?;
+        let att = (self.config.sim)(&source, &target);
         let t0 = Instant::now();
-        let mut found = recipe.and_then(|recipe| Some((recipe.rebuild()?, recipe)));
-        let rebuilt = found.is_some();
-        let mut nanos = t0.elapsed().as_nanos() as u64;
-        if !rebuilt {
-            let source = parse_dtd(source_dtd, "source")?;
-            let target = parse_dtd(target_dtd, "target")?;
-            let att = (self.config.sim)(&source, &target);
-            let t0 = Instant::now();
-            let engine = find_embedding(&source, &target, &att, &self.config.discovery);
-            nanos += t0.elapsed().as_nanos() as u64;
-            found = engine.map(|engine| {
-                let recipe = Recipe::of(&engine);
-                (engine, recipe)
-            });
-        }
+        let found = find_embedding(&source, &target, &att, &self.config.discovery);
+        let nanos = t0.elapsed().as_nanos() as u64;
 
         // Settle the slot, then wake waiters: they find the engine or the
         // verdict instead of racing into their own searches.
@@ -598,12 +566,9 @@ impl EmbeddingRegistry {
         let mut table = shard.table.write().unwrap();
         let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let outcome = match found {
-            Some((engine, recipe)) => {
-                if rebuilt {
-                    inner.rebuilt += 1;
-                } else {
-                    inner.discovered += 1;
-                }
+            Some(engine) => {
+                inner.discovered += 1;
+                let recipe = engine.without_plans();
                 let engine = Arc::new(engine);
                 let state = State::Found(recipe, Some(Arc::clone(&engine)));
                 table.insert(key, Slot::new(state, tick));
@@ -1027,6 +992,23 @@ mod tests {
     }
 
     #[test]
+    fn a_rebuild_shares_the_validated_paths() {
+        let reg = small_registry(4);
+        let (s, t) = wrap_pair();
+        let (_, discovered) = reg.get_or_compile(&s, &t).unwrap();
+        assert!(reg.evict(&s, &t).unwrap());
+        let (_, rebuilt) = reg.get_or_compile(&s, &t).unwrap();
+        assert!(!Arc::ptr_eq(&discovered, &rebuilt));
+        // The rebuild resolved nothing: its paths are the discovered
+        // engine's own allocation.
+        let root = discovered.source().root();
+        assert!(std::ptr::eq(
+            rebuilt.paths_of(root),
+            discovered.paths_of(root)
+        ));
+    }
+
+    #[test]
     fn permuted_text_after_eviction_rebuilds_the_discovered_embedding() {
         let reg = small_registry(4);
         let (s, t) = wrap_pair();
@@ -1085,7 +1067,7 @@ mod tests {
         // Every engine-less filler slot was used after anything the
         // registry builds below, whose shard ticks start at 1.
         for (i, k) in filler.iter().enumerate() {
-            let state = State::Found(Recipe::of(&engine), None);
+            let state = State::Found(engine.without_plans(), None);
             plant(&reg, *k, state, 1000 + i as u64);
         }
 

@@ -395,7 +395,8 @@ fn warm_cache_p50_at_least_10x_better_than_cold() {
     assert_eq!(warm.op_errors, 0, "{}", warm.to_json());
     // Cold: each op runs alone on a fresh registry, so it pays discovery
     // and compilation. (An evict before the op would not do: the registry
-    // keeps the pair's verdict and rebuilds the engine without searching.)
+    // keeps the pair's validated engine and copies it back without
+    // searching or checking anything.)
     let mut cold_nanos: Vec<u64> = (0..40)
         .map(|i| {
             let cold = loadgen::run(

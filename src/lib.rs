@@ -159,8 +159,9 @@
 //! and least recently used eviction. Eviction drops an
 //! engine but not what discovery found: each pair keeps one slot holding
 //! its discovery verdict beside its engine, so the pair's next miss
-//! rebuilds the engine from its `(λ, path)` (the polynomial §4.1 checks)
-//! instead of re-running the NP-complete search. The registry is
+//! rebuilds the engine by copying the state that already passed the §4.1
+//! checks (a few `Arc` clones, no check and no compile) instead of
+//! re-running the NP-complete search. The registry is
 //! lock-striped across
 //! [`RegistryConfig::shards`](crate::service::RegistryConfig) independent shards
 //! (default 8) keyed by the pair hash: each shard has its own mutex and
@@ -252,8 +253,8 @@
 //! what discovery concluded for each DTD pair, so a failing pair fails
 //! fast until its verdict's TTL
 //! ([`RegistryConfig::negative_ttl`](crate::service::RegistryConfig))
-//! runs out and an evicted engine is rebuilt from its kept `(λ, path)`
-//! without searching again;
+//! runs out and an evicted engine is rebuilt from its kept, already
+//! validated state without searching again;
 //! and a deterministic in-process chaos proxy
 //! ([`service::fault::FaultProxy`])
 //! injects delays, resets, truncations and opcode corruption on a seeded
