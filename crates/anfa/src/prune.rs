@@ -4,7 +4,7 @@
 //! completed automaton, which removes states that cannot reach a final
 //! state"; an automaton with no final states is the `Fail` automaton.
 
-use crate::{Anfa, StateId, Trans};
+use crate::{Anfa, StateId};
 
 impl Anfa {
     /// `true` iff no final state is reachable from the start — the automaton
@@ -98,30 +98,6 @@ impl Anfa {
         }
         seen
     }
-
-    /// Prune and report whether the automaton degenerated to `Fail`.
-    pub fn prune_check(&mut self) -> bool {
-        self.prune();
-        self.is_fail()
-    }
-
-    /// Remove ε-self-loops and duplicate transitions (cheap cosmetic
-    /// normalization after many concatenations).
-    pub fn simplify_transitions(&mut self) {
-        for (i, st) in self.states.iter_mut().enumerate() {
-            st.transitions
-                .retain(|(t, to)| !(matches!(t, Trans::Eps) && to.index() == i));
-            let mut seen = Vec::new();
-            st.transitions.retain(|tr| {
-                if seen.contains(tr) {
-                    false
-                } else {
-                    seen.push(tr.clone());
-                    true
-                }
-            });
-        }
-    }
 }
 
 fn prune_annot(a: &mut crate::Annot) {
@@ -163,7 +139,6 @@ mod tests {
         assert!(m.is_fail());
         m.prune();
         assert_eq!(m.state_count(), 1, "only the start survives");
-        assert!(m.prune_check());
     }
 
     #[test]
@@ -174,18 +149,7 @@ mod tests {
             let m0 = Anfa::from_query(&parsed).unwrap();
             let mut m1 = m0.clone();
             m1.prune();
-            m1.simplify_transitions();
             assert_eq!(m0.eval_root(&tree), m1.eval_root(&tree), "{q}");
         }
-    }
-
-    #[test]
-    fn simplify_removes_dup_and_self_eps() {
-        let mut m = Anfa::label("a");
-        let f = m.finals()[0];
-        m.add_transition(m.start(), Trans::Label("a".into()), f);
-        m.add_transition(f, Trans::Eps, f);
-        m.simplify_transitions();
-        assert_eq!(m.transition_count(), 1);
     }
 }

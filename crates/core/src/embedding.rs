@@ -208,15 +208,15 @@ impl EmbeddingBuilder {
         self
     }
 
-    /// Provide the complete type mapping explicitly (used by discovery and
-    /// tests; overrides any `map_type` calls).
+    /// Provide the complete type mapping explicitly (overrides any
+    /// `map_type` calls).
     pub fn with_lambda(mut self, lambda: TypeMapping) -> Self {
         self.lambda = Some(lambda);
         self
     }
 
-    /// Provide a pre-filled path function (used by discovery; `edge` calls
-    /// may still override individual slots afterwards).
+    /// Provide a pre-filled path function (`edge` calls may still override
+    /// individual slots afterwards).
     pub fn with_paths(mut self, paths: PathMapping) -> Self {
         self.paths = paths;
         self
@@ -368,7 +368,7 @@ impl EmbeddingBuilder {
             target,
             &src_graph,
             Arc::new(lambda.expect("no errors implies λ computed")),
-            Arc::new(paths),
+            &paths,
         )
     }
 }
@@ -378,9 +378,10 @@ impl EmbeddingBuilder {
 ///
 /// Construction ([`EmbeddingBuilder::build`] or [`CompiledEmbedding::new`])
 /// checks the §4.1 validity conditions, canonicalizes positions
-/// (DESIGN.md §3), and keeps what the per-document operations read: the
-/// resolved paths and the target's minimum default plans. No per-edge
-/// automata are precomputed; `Tr` compiles the path chains a query
+/// (DESIGN.md §3), and keeps what the per-document operations read: both
+/// DTDs, λ, the resolved paths and the target's minimum default plans. The
+/// given path function is not kept; the resolved paths record it. No
+/// per-edge automata are precomputed; `Tr` compiles the path chains a query
 /// touches. Every part but the plan cache is immutable and held behind an
 /// [`Arc`], so [`without_plans`](Self::without_plans) copies a validated
 /// engine without checking or compiling anything.
@@ -392,8 +393,6 @@ pub struct CompiledEmbedding {
     pub(crate) source: Arc<Dtd>,
     pub(crate) target: Arc<Dtd>,
     pub(crate) lambda: Arc<TypeMapping>,
-    /// The syntactic path function the engine was validated from.
-    pub(crate) paths: Arc<PathMapping>,
     /// Resolved, normalized paths per `(source type, edge slot)`.
     pub(crate) resolved: Arc<[Vec<ResolvedPath>]>,
     /// The target's minimum-default plans (one `mindef_plans()` call ever).
@@ -423,24 +422,18 @@ impl std::fmt::Debug for CompiledEmbedding {
 }
 
 impl CompiledEmbedding {
-    /// Validate `(λ, path)` and compile the embedding. The DTDs and both
-    /// mappings are taken by value (or by [`Arc`] — an `Arc` is accepted
-    /// as-is, so an engine rebuilt from another's parts shares them).
+    /// Validate `(λ, path)` and compile the embedding. The DTDs and λ are
+    /// taken by value or by [`Arc`]; the path function is only borrowed,
+    /// since validation reads it once to resolve every path.
     pub fn new(
         source: impl Into<Arc<Dtd>>,
         target: impl Into<Arc<Dtd>>,
         lambda: impl Into<Arc<TypeMapping>>,
-        paths: impl Into<Arc<PathMapping>>,
+        paths: &PathMapping,
     ) -> Result<Self, EmbeddingError> {
         let source = source.into();
         let src_graph = SchemaGraph::new(&source);
-        CompiledEmbedding::with_graph(
-            source,
-            target.into(),
-            &src_graph,
-            lambda.into(),
-            paths.into(),
-        )
+        CompiledEmbedding::with_graph(source, target.into(), &src_graph, lambda.into(), paths)
     }
 
     fn with_graph(
@@ -448,7 +441,7 @@ impl CompiledEmbedding {
         target: Arc<Dtd>,
         src_graph: &SchemaGraph,
         lambda: Arc<TypeMapping>,
-        paths: Arc<PathMapping>,
+        paths: &PathMapping,
     ) -> Result<Self, EmbeddingError> {
         if lambda.map.len() != source.type_count() {
             return Err(EmbeddingError::ArityMismatch {
@@ -497,7 +490,6 @@ impl CompiledEmbedding {
             source,
             target,
             lambda,
-            paths,
             resolved: resolved.into(),
             plans: plans.into(),
             plan_cache: crate::translate::PlanCache::default(),
@@ -512,7 +504,6 @@ impl CompiledEmbedding {
             source: Arc::clone(&self.source),
             target: Arc::clone(&self.target),
             lambda: Arc::clone(&self.lambda),
-            paths: Arc::clone(&self.paths),
             resolved: Arc::clone(&self.resolved),
             plans: Arc::clone(&self.plans),
             plan_cache: crate::translate::PlanCache::default(),
@@ -562,19 +553,6 @@ impl CompiledEmbedding {
     /// `λ(a)`.
     pub fn lambda(&self, a: TypeId) -> TypeId {
         self.lambda.get(a)
-    }
-
-    /// The whole type mapping `λ` the engine was validated from.
-    pub fn type_mapping(&self) -> &Arc<TypeMapping> {
-        &self.lambda
-    }
-
-    /// The path function exactly as it was given, before resolution and
-    /// normalization. Passed back to [`CompiledEmbedding::new`] with
-    /// [`type_mapping`](Self::type_mapping) and the two DTDs, it rebuilds
-    /// this engine without searching for it again.
-    pub fn path_mapping(&self) -> &Arc<PathMapping> {
-        &self.paths
     }
 
     /// The resolved path of edge `slot` of source type `a`.
@@ -699,28 +677,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn kept_mappings_rebuild_the_same_engine() {
-        let (s1, s2) = wrap();
-        let e = wrap_compiled(&s1, &s2);
-        let rebuilt = CompiledEmbedding::new(
-            e.source_arc(),
-            e.target_arc(),
-            e.type_mapping().clone(),
-            e.path_mapping().clone(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.describe(), e.describe());
-        assert_eq!(rebuilt.size(), e.size());
-        // The kept paths are the given ones, not their normalized forms.
-        let r = s1.type_id("r").unwrap();
-        assert_eq!(e.path_mapping().get(r, 0).to_string(), "x/a");
-        assert_eq!(
-            e.path(r, 0).display(&s2),
-            "x[position() = 1]/a[position() = 1]"
-        );
-    }
-
-    #[test]
     fn without_plans_shares_the_validated_state_with_a_cold_plan_cache() {
         let (s1, s2) = wrap();
         let e = wrap_compiled(&s1, &s2);
@@ -731,6 +687,7 @@ pub(crate) mod tests {
 
         let copy = e.without_plans();
         assert_eq!(copy.plan_stats(), crate::PlanCacheStats::default());
+        assert!(Arc::ptr_eq(&copy.lambda, &e.lambda));
         for a in s1.types() {
             assert!(std::ptr::eq(copy.paths_of(a), e.paths_of(a)));
         }
@@ -773,7 +730,7 @@ pub(crate) mod tests {
     fn missing_paths_are_an_arity_error() {
         let (s1, s2) = wrap();
         let lambda = TypeMapping::by_name_pairs(&s1, &s2, &[("b", "w")]).unwrap();
-        let e = CompiledEmbedding::new(s1, s2, lambda, PathMapping::default()).unwrap_err();
+        let e = CompiledEmbedding::new(s1, s2, lambda, &PathMapping::default()).unwrap_err();
         assert!(matches!(e, EmbeddingError::ArityMismatch { .. }));
     }
 

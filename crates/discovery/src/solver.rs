@@ -380,7 +380,7 @@ impl<'e> Env<'e> {
             Arc::clone(self.source_arc),
             Arc::clone(self.target_arc),
             lambda,
-            paths,
+            &paths,
         ) {
             Ok(e) => {
                 if e.check_similarity(self.att).is_ok() {

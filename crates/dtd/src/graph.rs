@@ -72,24 +72,17 @@ pub struct Edge {
 pub struct SchemaGraph {
     /// Outgoing edges per type, indexed by `TypeId`.
     out: Vec<Vec<Edge>>,
-    /// Incoming edges per type.
-    into: Vec<Vec<Edge>>,
-    /// Strongly connected component index per type (Tarjan order:
-    /// components are numbered in reverse topological order).
-    scc: Vec<u32>,
-    scc_count: usize,
 }
 
 impl SchemaGraph {
     /// Build the schema graph of `dtd`.
     pub fn new(dtd: &Dtd) -> Self {
-        let n = dtd.type_count();
-        let mut out = vec![Vec::new(); n];
-        let mut into = vec![Vec::new(); n];
+        let mut out = vec![Vec::new(); dtd.type_count()];
         for t in dtd.types() {
+            let edges = &mut out[t.index()];
             match dtd.production(t) {
                 Production::Empty => {}
-                Production::Str => out[t.index()].push(Edge {
+                Production::Str => edges.push(Edge {
                     parent: t,
                     slot: 0,
                     target: EdgeTarget::Str,
@@ -100,47 +93,33 @@ impl SchemaGraph {
                     for (slot, &c) in cs.iter().enumerate() {
                         let occ = seen.entry(c).or_insert(0);
                         *occ += 1;
-                        let e = Edge {
+                        edges.push(Edge {
                             parent: t,
                             slot,
                             target: EdgeTarget::Type(c),
                             kind: EdgeKind::And { occurrence: *occ },
-                        };
-                        out[t.index()].push(e);
-                        into[c.index()].push(e);
+                        });
                     }
                 }
                 Production::Disjunction { alts, .. } => {
                     for (slot, &c) in alts.iter().enumerate() {
-                        let e = Edge {
+                        edges.push(Edge {
                             parent: t,
                             slot,
                             target: EdgeTarget::Type(c),
                             kind: EdgeKind::Or,
-                        };
-                        out[t.index()].push(e);
-                        into[c.index()].push(e);
+                        });
                     }
                 }
-                Production::Star(c) => {
-                    let e = Edge {
-                        parent: t,
-                        slot: 0,
-                        target: EdgeTarget::Type(*c),
-                        kind: EdgeKind::Star,
-                    };
-                    out[t.index()].push(e);
-                    into[c.index()].push(e);
-                }
+                Production::Star(c) => edges.push(Edge {
+                    parent: t,
+                    slot: 0,
+                    target: EdgeTarget::Type(*c),
+                    kind: EdgeKind::Star,
+                }),
             }
         }
-        let (scc, scc_count) = tarjan_scc(&out, n);
-        SchemaGraph {
-            out,
-            into,
-            scc,
-            scc_count,
-        }
+        SchemaGraph { out }
     }
 
     /// Outgoing edges of `t` in production order.
@@ -148,137 +127,10 @@ impl SchemaGraph {
         &self.out[t.index()]
     }
 
-    /// Incoming edges of `t`.
-    pub fn edges_into(&self, t: TypeId) -> &[Edge] {
-        &self.into[t.index()]
-    }
-
-    /// The outgoing edges of `t` that lead to element type `child` (there
-    /// can be several for repeated concatenation children).
-    pub fn edges_between(&self, t: TypeId, child: TypeId) -> impl Iterator<Item = &Edge> {
-        self.out[t.index()]
-            .iter()
-            .filter(move |e| e.target == EdgeTarget::Type(child))
-    }
-
     /// Total number of edges.
     pub fn edge_count(&self) -> usize {
         self.out.iter().map(Vec::len).sum()
     }
-
-    /// Strongly-connected-component index of `t`. Components are numbered in
-    /// reverse topological order: if there is an edge from component `x` to
-    /// component `y ≠ x`, then `x > y`.
-    pub fn scc_of(&self, t: TypeId) -> u32 {
-        self.scc[t.index()]
-    }
-
-    /// Number of strongly connected components.
-    pub fn scc_count(&self) -> usize {
-        self.scc_count
-    }
-
-    /// `true` iff `a` and `b` are in the same strongly connected component
-    /// (i.e. mutually reachable; a type forms a nontrivial SCC with itself
-    /// only via an actual cycle).
-    pub fn same_scc(&self, a: TypeId, b: TypeId) -> bool {
-        self.scc[a.index()] == self.scc[b.index()]
-    }
-
-    /// Element types reachable from `t` (excluding `str` targets), including
-    /// `t` itself.
-    pub fn reachable_from(&self, t: TypeId) -> Vec<TypeId> {
-        let mut seen = vec![false; self.out.len()];
-        let mut stack = vec![t];
-        seen[t.index()] = true;
-        let mut order = Vec::new();
-        while let Some(x) = stack.pop() {
-            order.push(x);
-            for e in &self.out[x.index()] {
-                if let EdgeTarget::Type(c) = e.target {
-                    if !seen[c.index()] {
-                        seen[c.index()] = true;
-                        stack.push(c);
-                    }
-                }
-            }
-        }
-        order
-    }
-}
-
-/// Iterative Tarjan SCC over the type graph. Returns the component index per
-/// node and the number of components. Components are numbered in the order
-/// Tarjan completes them, which is reverse topological order of the
-/// condensation.
-fn tarjan_scc(out: &[Vec<Edge>], n: usize) -> (Vec<u32>, usize) {
-    const UNSET: u32 = u32::MAX;
-    let mut index = vec![UNSET; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp = vec![UNSET; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut comp_count = 0u32;
-
-    // Explicit DFS stack: (node, next edge index).
-    let mut dfs: Vec<(usize, usize)> = Vec::new();
-    for start in 0..n {
-        if index[start] != UNSET {
-            continue;
-        }
-        dfs.push((start, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start as u32);
-        on_stack[start] = true;
-
-        while let Some(&mut (v, ref mut ei)) = dfs.last_mut() {
-            let edges = &out[v];
-            let mut descended = false;
-            while *ei < edges.len() {
-                let EdgeTarget::Type(w) = edges[*ei].target else {
-                    *ei += 1;
-                    continue;
-                };
-                let w = w.index();
-                *ei += 1;
-                if index[w] == UNSET {
-                    index[w] = next_index;
-                    low[w] = next_index;
-                    next_index += 1;
-                    stack.push(w as u32);
-                    on_stack[w] = true;
-                    dfs.push((w, 0));
-                    descended = true;
-                    break;
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            }
-            if descended {
-                continue;
-            }
-            // v finished.
-            if low[v] == index[v] {
-                loop {
-                    let w = stack.pop().unwrap() as usize;
-                    on_stack[w] = false;
-                    comp[w] = comp_count;
-                    if w == v {
-                        break;
-                    }
-                }
-                comp_count += 1;
-            }
-            dfs.pop();
-            if let Some(&(u, _)) = dfs.last() {
-                low[u] = low[u].min(low[v]);
-            }
-        }
-    }
-    (comp, comp_count as usize)
 }
 
 #[cfg(test)]
@@ -346,35 +198,6 @@ mod tests {
             })
             .collect();
         assert_eq!(occs, vec![1, 1, 2, 3]);
-        let a = d.type_id("a").unwrap();
-        assert_eq!(g.edges_between(d.root(), a).count(), 3);
-        assert_eq!(g.edges_into(a).len(), 3);
-    }
-
-    #[test]
-    fn scc_identifies_recursion() {
-        let d = fig1_s0();
-        let g = SchemaGraph::new(&d);
-        let class = d.type_id("class").unwrap();
-        let prereq = d.type_id("prereq").unwrap();
-        let regular = d.type_id("regular").unwrap();
-        let cno = d.type_id("cno").unwrap();
-        // class → type → regular → prereq → class is a cycle.
-        assert!(g.same_scc(class, prereq));
-        assert!(g.same_scc(class, regular));
-        assert!(!g.same_scc(class, cno));
-        // Reverse topological numbering: edge from class's SCC to cno's SCC.
-        assert!(g.scc_of(class) > g.scc_of(cno));
-    }
-
-    #[test]
-    fn reachability_covers_the_connected_part() {
-        let d = fig1_s0();
-        let g = SchemaGraph::new(&d);
-        let from_root = g.reachable_from(d.root());
-        assert_eq!(from_root.len(), d.type_count());
-        let project = d.type_id("project").unwrap();
-        assert_eq!(g.reachable_from(project), vec![project]);
     }
 
     #[test]
@@ -383,17 +206,5 @@ mod tests {
         let g = SchemaGraph::new(&d);
         // db:1 class:3 cno:1 title:1 type:2 regular:1 prereq:1 project:0
         assert_eq!(g.edge_count(), 10);
-    }
-
-    #[test]
-    fn acyclic_graph_has_one_scc_per_type() {
-        let d = Dtd::builder("r")
-            .concat("r", &["a", "b"])
-            .str_type("a")
-            .empty("b")
-            .build()
-            .unwrap();
-        let g = SchemaGraph::new(&d);
-        assert_eq!(g.scc_count(), 3);
     }
 }

@@ -99,13 +99,6 @@ impl<'a> InstanceGenerator<'a> {
         tree
     }
 
-    /// Generate a batch of instances with consecutive seeds.
-    pub fn generate_many(&self, first_seed: u64, count: usize) -> Vec<XmlTree> {
-        (0..count)
-            .map(|i| self.generate(first_seed + i as u64))
-            .collect()
-    }
-
     fn fill(
         &self,
         rng: &mut StdRng,
@@ -268,16 +261,6 @@ mod tests {
             assert!(t.len() < 5_000, "seed {seed} exploded: {} nodes", t.len());
             d.validate(&t).unwrap();
         }
-    }
-
-    #[test]
-    fn generate_many_uses_consecutive_seeds() {
-        let d = school_dtd();
-        let g = InstanceGenerator::new(&d, GenConfig::default());
-        let batch = g.generate_many(7, 3);
-        assert_eq!(batch.len(), 3);
-        assert!(batch[0].equals(&g.generate(7)));
-        assert!(batch[2].equals(&g.generate(9)));
     }
 
     #[test]

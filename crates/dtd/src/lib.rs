@@ -16,8 +16,7 @@
 //!   normalizing conversion ([`Dtd::from_content_models`]);
 //! * a parser for `<!ELEMENT …>` declarations ([`Dtd::parse`]);
 //! * **schema graphs** with AND / OR / STAR edges ([`SchemaGraph`],
-//!   [`EdgeKind`]) — the graphs of Figure 1 — including SCC condensation
-//!   used by embedding discovery;
+//!   [`EdgeKind`]) — the graphs of Figure 1;
 //! * **consistency**: detection and removal of useless element types in
 //!   `O(|S|²)` ([`Dtd::useless_types`], [`Dtd::reduce`]);
 //! * **conformance validation** of [`XmlTree`]s ([`Dtd::validate`]);

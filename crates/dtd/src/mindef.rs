@@ -155,34 +155,6 @@ impl Dtd {
             }
         }
     }
-
-    /// Number of nodes in `mindef(A)` without materializing it (text nodes
-    /// included).
-    pub fn mindef_size(&self, a: TypeId) -> usize {
-        let plans = self.mindef_plans();
-        let mut memo = vec![0usize; self.type_count()];
-        self.mindef_size_rec(&plans, a, &mut memo)
-    }
-
-    fn mindef_size_rec(&self, plans: &[MindefPlan], a: TypeId, memo: &mut [usize]) -> usize {
-        if memo[a.index()] != 0 {
-            return memo[a.index()];
-        }
-        let s = match &plans[a.index()] {
-            MindefPlan::Text => 2,
-            MindefPlan::Leaf => 1,
-            MindefPlan::AllChildren(cs) => {
-                1 + cs
-                    .iter()
-                    .map(|&c| self.mindef_size_rec(plans, c, memo))
-                    .sum::<usize>()
-            }
-            MindefPlan::OneChild(c) => 1 + self.mindef_size_rec(plans, *c, memo),
-            MindefPlan::None => panic!("mindef_size of unproductive type"),
-        };
-        memo[a.index()] = s;
-        s
-    }
 }
 
 #[cfg(test)]
@@ -302,14 +274,6 @@ mod tests {
             t.to_xml(),
             "<class><cno>#s</cno><type><project/></type></class>"
         );
-    }
-
-    #[test]
-    fn mindef_size_matches_materialization() {
-        let d = example_4_3_dtd();
-        for t in d.types() {
-            assert_eq!(d.mindef_size(t), d.mindef(t).len(), "type {}", d.name(t));
-        }
     }
 
     #[test]

@@ -37,24 +37,6 @@ pub enum ContentModel {
 }
 
 impl ContentModel {
-    /// `true` when this model is already one of the paper's normal forms
-    /// and needs no synthetic types.
-    pub fn is_normal(&self) -> bool {
-        match self {
-            ContentModel::Str | ContentModel::Empty | ContentModel::Name(_) => true,
-            ContentModel::Seq(items) | ContentModel::Alt(items) => {
-                items.iter().all(|i| matches!(i, ContentModel::Name(_)))
-            }
-            ContentModel::Star(inner) => matches!(**inner, ContentModel::Name(_)),
-            ContentModel::Opt(inner) => {
-                matches!(**inner, ContentModel::Name(_))
-                    || matches!(&**inner, ContentModel::Alt(items)
-                    if items.iter().all(|i| matches!(i, ContentModel::Name(_))))
-            }
-            ContentModel::Plus(_) => false,
-        }
-    }
-
     /// All element names mentioned.
     pub fn names(&self, out: &mut Vec<String>) {
         match self {

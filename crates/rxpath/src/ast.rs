@@ -113,12 +113,6 @@ impl XrQuery {
             XrQuery::Qualified(p, q) => p.uses_position() || q.uses_position(),
         }
     }
-
-    /// `true` if the query is in the XPath fragment `X` (no Kleene star;
-    /// `//` allowed).
-    pub fn in_fragment_x(&self) -> bool {
-        !self.uses_star()
-    }
 }
 
 impl Qualifier {
@@ -189,10 +183,9 @@ mod tests {
     fn star_and_position_detection() {
         let q = XrQuery::label("a").star().then(XrQuery::label("b"));
         assert!(q.uses_star());
-        assert!(!q.in_fragment_x());
         assert!(!q.uses_position());
         let q2 = XrQuery::label("a").with(Qualifier::Not(Box::new(Qualifier::Position(1))));
         assert!(q2.uses_position());
-        assert!(q2.in_fragment_x());
+        assert!(!q2.uses_star());
     }
 }

@@ -616,7 +616,7 @@ mod tests {
                 .then(XrQuery::DescOrSelf)
                 .then(XrQuery::label("b"))
         );
-        assert!(q.in_fragment_x());
+        assert!(!q.uses_star(), "// is not a Kleene star");
         let q = parse_query("//b").err();
         assert!(
             q.is_some(),

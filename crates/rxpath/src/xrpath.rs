@@ -156,20 +156,6 @@ impl XrPath {
         self.steps.is_empty() && !self.text_tail
     }
 
-    /// Purely syntactic prefix test: `self` is a prefix of `other` when
-    /// `other = self/η…` with **strictly** more steps, comparing steps by
-    /// label and literal position annotation. (The embedding validity check
-    /// refines this with schema-aware position canonicalization.)
-    pub fn is_proper_prefix_of(&self, other: &XrPath) -> bool {
-        if self.text_tail || self.len() >= other.len() {
-            return false;
-        }
-        self.steps
-            .iter()
-            .zip(other.steps.iter())
-            .all(|(a, b)| a == b)
-    }
-
     /// Concatenate two paths (`self/other`).
     ///
     /// # Panics
@@ -266,23 +252,6 @@ mod tests {
         let p = XrPath::parse("a/b[position() = 2]/text()").unwrap();
         assert_eq!(p.to_string(), "a/b[position() = 2]/text()");
         assert_eq!(XrPath::parse(&p.to_string()).unwrap(), p);
-    }
-
-    #[test]
-    fn prefix_test_is_strict_and_literal() {
-        let a = XrPath::parse("x/y").unwrap();
-        let b = XrPath::parse("x/y/z").unwrap();
-        let c = XrPath::parse("x/y[position() = 1]/z").unwrap();
-        assert!(a.is_proper_prefix_of(&b));
-        assert!(!b.is_proper_prefix_of(&a));
-        assert!(!a.is_proper_prefix_of(&a));
-        // Literal comparison: y vs y[position()=1] differ.
-        assert!(!a.is_proper_prefix_of(&c));
-        // Fig 3(c): B'[1] vs B'[2] are not prefixes of each other.
-        let p1 = XrPath::parse("B[position() = 1]").unwrap();
-        let p2 = XrPath::parse("B[position() = 2]").unwrap();
-        assert!(!p1.is_proper_prefix_of(&p2));
-        assert!(!p2.is_proper_prefix_of(&p1));
     }
 
     #[test]

@@ -179,24 +179,6 @@ pub fn noised_copy(source: &Dtd, cfg: NoiseConfig, seed: u64) -> NoisedCopy {
     }
 }
 
-/// Ground-truth λ as a [`xse_core::TypeMapping`], for measuring discovery
-/// accuracy.
-pub fn truth_mapping(source: &Dtd, copy: &NoisedCopy) -> Result<xse_core::TypeMapping, String> {
-    let mut map = Vec::with_capacity(source.type_count());
-    for t in source.types() {
-        let tgt_name = copy
-            .truth
-            .get(source.name(t))
-            .ok_or_else(|| format!("no truth entry for {}", source.name(t)))?;
-        let id = copy
-            .target
-            .type_id(tgt_name)
-            .ok_or_else(|| format!("truth target {tgt_name} missing"))?;
-        map.push(id);
-    }
-    Ok(xse_core::TypeMapping { map })
-}
-
 /// Convenience for tests/benches: does the discovered λ agree with ground
 /// truth on every *source* type? (Paths may differ; the experiments score
 /// λ-accuracy like the paper's "correct solutions".)
@@ -258,13 +240,5 @@ mod tests {
         let emb = find_embedding(&src, &copy.target, &att, &DiscoveryConfig::default())
             .expect("ground-truth embedding must be found");
         assert!(lambda_matches_truth(&src, &emb, &copy));
-    }
-
-    #[test]
-    fn truth_mapping_resolves() {
-        let src = corpus::orders_like();
-        let copy = noised_copy(&src, NoiseConfig::level(0.4), 3);
-        let tm = truth_mapping(&src, &copy).unwrap();
-        assert_eq!(tm.map.len(), src.type_count());
     }
 }

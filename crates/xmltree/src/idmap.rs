@@ -109,20 +109,6 @@ impl IdMap {
             .filter(|&(_, &s)| s != NIL)
             .map(|(t, &s)| (NodeId(t as u32), NodeId(s)))
     }
-
-    /// Compose with another id mapping: if `self : dom(T2) → dom(T1)` and
-    /// `earlier : dom(T1) → dom(T0)`, the result maps `dom(T2) → dom(T0)`.
-    /// Pairs whose intermediate node is unmapped in `earlier` are dropped
-    /// (the composition is partial, like its factors).
-    pub fn compose(&self, earlier: &IdMap) -> IdMap {
-        let mut out = IdMap::with_capacity(self.fwd.len(), earlier.rev.len());
-        for (t, mid) in self.iter() {
-            if let Some(s) = earlier.source_of(mid) {
-                out.insert(t, s);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -184,20 +170,5 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.source_of(n(3)), None);
         assert_eq!(m.target_of(n(3)), None);
-    }
-
-    #[test]
-    fn composition_is_partial() {
-        // T2 -> T1
-        let mut later = IdMap::new();
-        later.insert(n(20), n(10));
-        later.insert(n(21), n(11));
-        // T1 -> T0, but n(11) has no preimage recorded.
-        let mut earlier = IdMap::new();
-        earlier.insert(n(10), n(0));
-        let c = later.compose(&earlier);
-        assert_eq!(c.source_of(n(20)), Some(n(0)));
-        assert_eq!(c.source_of(n(21)), None);
-        assert_eq!(c.len(), 1);
     }
 }

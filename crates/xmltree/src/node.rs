@@ -530,11 +530,6 @@ impl XmlTree {
         self.descendants_or_self(self.root())
     }
 
-    /// Number of nodes in the subtree rooted at `id`.
-    pub fn subtree_size(&self, id: NodeId) -> usize {
-        self.descendants_or_self(id).count()
-    }
-
     /// The tags on the path from the root to `id`, inclusive (text node
     /// rendered as `#text`).
     pub fn label_path(&self, id: NodeId) -> Vec<String> {
@@ -626,22 +621,6 @@ impl XmlTree {
             }
         }
         None
-    }
-
-    /// Count of element nodes with each tag, for quick workload statistics.
-    pub fn tag_histogram(&self) -> std::collections::BTreeMap<String, usize> {
-        let mut by_id = vec![0usize; self.symbols.len()];
-        for rec in &self.nodes {
-            if rec.tag != TEXT {
-                by_id[rec.tag as usize] += 1;
-            }
-        }
-        by_id
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, n)| n > 0)
-            .map(|(i, n)| (self.symbols.name(TagId(i as u32)).to_string(), n))
-            .collect()
     }
 
     /// Iterate over `(id, kind)` pairs in arena (allocation) order.
@@ -839,7 +818,6 @@ mod tests {
         let b = t.add_element(t.root(), "b");
         let order: Vec<_> = t.preorder().collect();
         assert_eq!(order, vec![t.root(), a, a1, a2, b]);
-        assert_eq!(t.subtree_size(a), 3);
         // Subtree traversal stops at the subtree boundary.
         let sub: Vec<_> = t.descendants_or_self(a).collect();
         assert_eq!(sub, vec![a, a1, a2]);
@@ -934,14 +912,10 @@ mod tests {
     }
 
     #[test]
-    fn label_path_and_histogram() {
+    fn label_path_runs_from_the_root() {
         let (t, class, cno) = school();
         assert_eq!(t.label_path(cno), vec!["db", "class", "cno"]);
         assert_eq!(t.label_path(class), vec!["db", "class"]);
-        let h = t.tag_histogram();
-        assert_eq!(h.get("class"), Some(&1));
-        assert_eq!(h.get("cno"), Some(&1));
-        assert_eq!(h.get("#text"), None);
     }
 
     #[test]

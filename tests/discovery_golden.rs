@@ -16,8 +16,14 @@
 //! restart runs to exhaustion). The similarity matrix is the registry's
 //! default (1 for equal names, 0.25 everywhere else), plus one noisy
 //! matcher's matrix per corpus schema, whose weights are rarely tied.
+//!
+//! Every embedding found is also rebuilt from λ and the text of its
+//! resolved paths: the engine keeps no other record of the `(λ, path)` it
+//! was checked from, so that record must check again to the same engine.
 
+use xse::core::PathMapping;
 use xse::prelude::*;
+use xse::rxpath::XrPath;
 use xse::workloads::corpus::corpus;
 use xse::workloads::noise::{noised_copy, NoiseConfig};
 use xse::workloads::scale::random_schema;
@@ -76,6 +82,26 @@ fn digest(found: Option<&CompiledEmbedding>, stats: &DiscoveryStats) -> u64 {
         h.count(n);
     }
     h.0
+}
+
+/// Re-check `e` from its λ and the printed form of its resolved paths.
+fn rebuild_from_resolved_paths(e: &CompiledEmbedding) -> Result<CompiledEmbedding, String> {
+    let (source, target) = (e.source(), e.target());
+    let mut paths = Vec::with_capacity(source.type_count());
+    for a in source.types() {
+        let row = e.paths_of(a).iter().map(|rp| {
+            let text = rp.display(target);
+            XrPath::parse(&text).map_err(|err| format!("{text}: {err}"))
+        });
+        paths.push(row.collect::<Result<Vec<_>, _>>()?);
+    }
+    CompiledEmbedding::new(
+        e.source_arc(),
+        e.target_arc(),
+        TypeMapping::from_fn(source, |a| e.lambda(a)),
+        &PathMapping { paths },
+    )
+    .map_err(|err| err.to_string())
 }
 
 /// Seed of the benchmark's schema pairs; the pairs below reuse its
@@ -308,6 +334,7 @@ const GOLDEN: &[(&str, u64)] = &[
 #[test]
 fn discovery_results_match_the_recorded_digests() {
     let mut actual: Vec<(String, u64)> = Vec::new();
+    let mut rebuilt_count = 0;
     for Golden {
         label,
         source,
@@ -323,6 +350,12 @@ fn discovery_results_match_the_recorded_digests() {
                 ..DiscoveryConfig::default()
             };
             let (found, stats) = find_embedding_with_stats(&source, &target, &att, &cfg);
+            if let Some(e) = &found {
+                let rebuilt = rebuild_from_resolved_paths(e)
+                    .unwrap_or_else(|err| panic!("{label}/{sname}: rebuild refused: {err}"));
+                assert_eq!(rebuilt.describe(), e.describe(), "{label}/{sname}");
+                rebuilt_count += 1;
+            }
             if must_fail {
                 assert!(found.is_none(), "{label}/{sname}: expected no embedding");
                 assert_eq!(stats.attempts, cfg.restarts, "{label}/{sname}");
@@ -348,4 +381,5 @@ fn discovery_results_match_the_recorded_digests() {
             actual.len()
         );
     }
+    assert_eq!(rebuilt_count, 82, "every found embedding was rebuilt");
 }
