@@ -14,9 +14,9 @@
 //! running [`CompiledEmbedding::apply`] sequentially.
 
 use xse_dtd::Production;
-use xse_xmltree::{NodeId, TagId, XmlTree};
+use xse_xmltree::{NodeId, XmlTree};
 
-use crate::pfrag::{materialize, Emitter, Fragment, HotLeaf, Terminal};
+use crate::pfrag::{intern_target_tags, materialize, Emitter, Fragment, HotLeaf, Leaves, Terminal};
 use crate::{CompiledEmbedding, EmbeddingError, MappingOutput};
 
 /// Per-thread chunking floor for [`CompiledEmbedding::apply_batch`]: with
@@ -43,11 +43,7 @@ impl CompiledEmbedding {
             t1.len() * 2,
             t1.text_bytes() + 16,
         );
-        let tags: Vec<TagId> = self
-            .target
-            .types()
-            .map(|ty| t2.intern_tag(self.target.name(ty)))
-            .collect();
+        let tags = intern_target_tags(&self.target, &mut t2);
         let em = Emitter {
             target: &self.target,
             plans: &self.plans,
@@ -63,24 +59,16 @@ impl CompiledEmbedding {
             src: t1.root(),
             src_type: self.source.root(),
         }];
-        let mut hot_buf: Vec<HotLeaf> = Vec::new();
-        let mut text_buf: Vec<crate::pfrag::TextCopy> = Vec::new();
+        let mut leaves = Leaves::default();
 
         while let Some(h) = work.pop() {
             let fragment = self.fragment_of(t1, h.src, h.src_type);
-            materialize(
-                fragment,
-                &em,
-                &mut t2,
-                h.target,
-                &mut hot_buf,
-                &mut text_buf,
-            );
-            for leaf in hot_buf.drain(..) {
+            materialize(fragment, &em, &mut t2, h.target, &mut leaves);
+            for leaf in leaves.hot.drain(..) {
                 idmap.insert(leaf.target, leaf.src);
                 work.push(leaf);
             }
-            for tc in text_buf.drain(..) {
+            for tc in leaves.texts.drain(..) {
                 idmap.insert(tc.target, tc.src);
             }
         }
@@ -155,12 +143,12 @@ impl CompiledEmbedding {
                 // The value is copied from the source at materialization
                 // time — the fragment only references the text node.
                 let text_node = t1.children(v)[0];
-                frag.add_chain(&paths[0], Terminal::Text { src: text_node });
+                frag.add_chain(&paths[0].steps, Terminal::Text { src: text_node });
             }
             Production::Concat(cs) => {
                 for (slot, (&child, &cty)) in t1.children(v).iter().zip(cs.iter()).enumerate() {
                     frag.add_chain(
-                        &paths[slot],
+                        &paths[slot].steps,
                         Terminal::Hot {
                             src: child,
                             src_type: cty,
@@ -176,7 +164,7 @@ impl CompiledEmbedding {
                         .position(|&alt| self.source.name(alt) == tag)
                         .expect("validated: child is an alternative");
                     frag.add_chain(
-                        &paths[slot],
+                        &paths[slot].steps,
                         Terminal::Hot {
                             src: child,
                             src_type: alts[slot],

@@ -8,16 +8,23 @@
 //! the expansion (Figure 4 shows the fragment of a `class` node).
 //!
 //! The same machinery builds *static* fragments — the fragment shape a
-//! disjunction alternative produces regardless of the instance — used by
-//! the distinguishability validity check (DESIGN.md §3): a disjunction
-//! alternative must not be navigable inside the fragment some *other*
-//! alternative (or the empty alternative) produces, otherwise minimum
-//! default padding could alias a choice and break invertibility.
+//! set of chains produces regardless of the instance, with each chain's
+//! endpoint marked instead of filled. This module has three users:
+//!
+//! - `apply` (Figure 5), which materializes instance fragments;
+//! - the distinguishability validity check (DESIGN.md §3): a disjunction
+//!   alternative must not be navigable inside the static fragment some
+//!   *other* alternative (or the empty alternative) produces, otherwise
+//!   minimum default padding could alias a choice and break invertibility;
+//! - the `σd` stylesheet (§4.3), whose template rules are static fragments
+//!   read through [`CompiledEmbedding::static_fragment`] with
+//!   apply-templates placed at the endpoints.
 
 use xse_dtd::{Dtd, MindefPlan, Production, TypeId};
 use xse_xmltree::{NodeId, TagId, XmlTree};
 
-use crate::resolve::{ResolvedPath, ResolvedStep};
+use crate::resolve::ResolvedStep;
+use crate::CompiledEmbedding;
 
 /// What sits at the end of a chain.
 #[derive(Clone, Debug)]
@@ -29,9 +36,9 @@ pub(crate) enum Terminal {
     /// whose value is copied at materialization time (never constructed for
     /// static fragments, which carry no instance values).
     Text { src: NodeId },
-    /// An opaque placeholder standing for "arbitrary instance content"
-    /// in static fragments.
-    Opaque,
+    /// The endpoint of chain number `chain` of a static fragment: left
+    /// empty, and reported to the caller, who decides what goes there.
+    End { chain: usize },
 }
 
 /// One node of a fragment under construction.
@@ -52,9 +59,10 @@ pub(crate) struct FragNode {
 pub(crate) struct Fragment {
     pub(crate) root_ty: TypeId,
     pub(crate) children: Vec<FragNode>,
-    /// Terminal of a `text()`-only `str` path (the value lives directly
-    /// under the fragment root).
-    pub(crate) root_text: Option<Terminal>,
+    /// Terminal of a chain with no steps: a `text()`-only `str` path (the
+    /// value lives directly under the fragment root), or a static chain
+    /// that ends at the root.
+    pub(crate) root_terminal: Option<Terminal>,
 }
 
 impl Fragment {
@@ -62,25 +70,24 @@ impl Fragment {
         Fragment {
             root_ty,
             children: Vec::new(),
-            root_text: None,
+            root_terminal: None,
         }
     }
 
     /// Add a single chain (concat / disjunction / str edges), merging on the
     /// longest existing prefix.
-    pub(crate) fn add_chain(&mut self, path: &ResolvedPath, terminal: Terminal) {
-        if path.steps.is_empty() {
-            debug_assert!(path.text_tail, "validated paths are nonempty");
-            debug_assert!(self.root_text.is_none());
-            self.root_text = Some(terminal);
+    pub(crate) fn add_chain(&mut self, steps: &[ResolvedStep], terminal: Terminal) {
+        if steps.is_empty() {
+            debug_assert!(self.root_terminal.is_none());
+            self.root_terminal = Some(terminal);
             return;
         }
-        add_chain_at(&mut self.children, &path.steps, terminal);
+        add_chain_at(&mut self.children, steps, terminal);
     }
 
     /// Add a star edge's chains: the shared prefix up to the multiplicity
     /// step, then one chain per repetition (positions `1..=n`).
-    pub(crate) fn add_star_chains(&mut self, path: &ResolvedPath, terminals: Vec<Terminal>) {
+    pub(crate) fn add_star_chains(&mut self, path: &crate::ResolvedPath, terminals: Vec<Terminal>) {
         let mult = path
             .first_star_step()
             .expect("validated star path has a star step");
@@ -167,6 +174,15 @@ pub(crate) struct TextCopy {
     pub(crate) src: NodeId,
 }
 
+/// What materializing a fragment reports back: its hot leaves, its text
+/// copies, and the endpoints of static chains as `(chain, node)`.
+#[derive(Default)]
+pub(crate) struct Leaves {
+    pub(crate) hot: Vec<HotLeaf>,
+    pub(crate) texts: Vec<TextCopy>,
+    pub(crate) ends: Vec<(usize, NodeId)>,
+}
+
 /// The per-apply materialization context: the immutable engine state plus
 /// the output tree's pre-interned tag table (`tags[ty.index()]` is the tag
 /// of target type `ty` in the output's symbol table) and the source tree
@@ -188,41 +204,88 @@ impl Emitter<'_> {
         let t = tree.add_text(at, value);
         texts.push(TextCopy { target: t, src });
     }
+
+    /// Materialize the static fragment of target type `root_ty` for
+    /// `chains` under the root of `tree`, and return each chain's endpoint
+    /// in chain order. A chain with no steps ends at the root.
+    pub(crate) fn materialize_static(
+        &self,
+        tree: &mut XmlTree,
+        root_ty: TypeId,
+        chains: &[&[ResolvedStep]],
+    ) -> Vec<NodeId> {
+        let mut frag = Fragment::new(root_ty);
+        for (chain, steps) in chains.iter().enumerate() {
+            frag.add_chain(steps, Terminal::End { chain });
+        }
+        let mut leaves = Leaves::default();
+        let root = tree.root();
+        materialize(frag, self, tree, root, &mut leaves);
+        debug_assert_eq!(leaves.ends.len(), chains.len());
+        leaves.ends.sort_unstable_by_key(|&(chain, _)| chain);
+        leaves.ends.into_iter().map(|(_, node)| node).collect()
+    }
+}
+
+/// Intern every tag of `target` in `tree`: `tags[ty.index()]` is target
+/// type `ty`'s tag, so emitting an element never hashes a string.
+pub(crate) fn intern_target_tags(target: &Dtd, tree: &mut XmlTree) -> Vec<TagId> {
+    target
+        .types()
+        .map(|ty| tree.intern_tag(target.name(ty)))
+        .collect()
+}
+
+impl CompiledEmbedding {
+    /// The static production fragment of target type `root_ty` for
+    /// `chains` (§4.3): the chains merged on their common prefixes and
+    /// completed with minimum defaults, exactly as
+    /// [`apply`](Self::apply) builds a fragment, but with every chain's
+    /// endpoint left as an empty element (or, for a chain with no steps,
+    /// the root). Returns the tree, rooted at `root_ty`'s tag, and each
+    /// chain's endpoint in chain order. The `σd` stylesheet builds its
+    /// template rules from these: an apply-templates replaces a hot leaf's
+    /// endpoint, and goes inside a `text()` copy's or a star parent's.
+    ///
+    /// # Panics
+    /// Each chain must be a run of steps of this engine's resolved paths
+    /// ([`path`](Self::path)) that starts at `root_ty`. Other steps may
+    /// panic: two chains under one disjunction node, say.
+    pub fn static_fragment(
+        &self,
+        root_ty: TypeId,
+        chains: &[&[ResolvedStep]],
+    ) -> (XmlTree, Vec<NodeId>) {
+        let mut tree = XmlTree::new(self.target.name(root_ty));
+        let tags = intern_target_tags(&self.target, &mut tree);
+        let em = Emitter {
+            target: &self.target,
+            plans: &self.plans,
+            tags: &tags,
+            src: None,
+        };
+        let ends = em.materialize_static(&mut tree, root_ty, chains);
+        (tree, ends)
+    }
 }
 
 /// Materialize `fragment` under the existing node `at` of `tree`:
 /// mindef-complete every non-hot node, order children canonically, emit hot
-/// leaves and text copies.
+/// leaves, text copies and static endpoints.
 pub(crate) fn materialize(
     fragment: Fragment,
     em: &Emitter<'_>,
     tree: &mut XmlTree,
     at: NodeId,
-    hot: &mut Vec<HotLeaf>,
-    texts: &mut Vec<TextCopy>,
+    out: &mut Leaves,
 ) {
-    if matches!(em.target.production(fragment.root_ty), Production::Str) {
-        debug_assert!(fragment.children.is_empty());
-        match fragment.root_text {
-            Some(Terminal::Text { src }) => em.copy_text(tree, at, src, texts),
-            Some(other) => unreachable!("str root with terminal {other:?}"),
-            None => {
-                // λ(A) needs text but A has no str edge: default value.
-                tree.add_text(at, xse_dtd::DEFAULT_STRING);
-            }
+    match fragment.root_terminal {
+        Some(terminal) => {
+            debug_assert!(fragment.children.is_empty());
+            terminate(terminal, em, tree, at, out);
         }
-        return;
+        None => materialize_children(fragment.children, fragment.root_ty, em, tree, at, out),
     }
-    debug_assert!(fragment.root_text.is_none());
-    materialize_children(
-        fragment.children,
-        fragment.root_ty,
-        em,
-        tree,
-        at,
-        hot,
-        texts,
-    );
 }
 
 /// Complete-and-emit the children of a non-hot fragment node of type `ty`
@@ -233,8 +296,7 @@ fn materialize_children(
     em: &Emitter<'_>,
     tree: &mut XmlTree,
     at: NodeId,
-    hot: &mut Vec<HotLeaf>,
-    texts: &mut Vec<TextCopy>,
+    out: &mut Leaves,
 ) {
     match em.target.production(ty) {
         Production::Str => {
@@ -254,7 +316,7 @@ fn materialize_children(
             for (slot, &cty) in cs.iter().enumerate() {
                 if iter.peek().is_some_and(|c| c.slot == slot) {
                     let child = iter.next().unwrap();
-                    emit(child, em, tree, at, hot, texts);
+                    emit(child, em, tree, at, out);
                 } else {
                     em.target
                         .mindef_into_tagged(em.plans, em.tags, cty, tree, at);
@@ -276,7 +338,7 @@ fn materialize_children(
             }
             1 => {
                 let child = frag_children.into_iter().next().unwrap();
-                emit(child, em, tree, at, hot, texts);
+                emit(child, em, tree, at, out);
             }
             n => unreachable!("{n} chains under one OR node — validation is broken"),
         },
@@ -291,42 +353,40 @@ fn materialize_children(
                         .mindef_into_tagged(em.plans, em.tags, *b, tree, at);
                     next_pos += 1;
                 }
-                emit(child, em, tree, at, hot, texts);
+                emit(child, em, tree, at, out);
                 next_pos += 1;
             }
         }
     }
 }
 
-fn emit(
-    node: FragNode,
-    em: &Emitter<'_>,
-    tree: &mut XmlTree,
-    at: NodeId,
-    hot: &mut Vec<HotLeaf>,
-    texts: &mut Vec<TextCopy>,
-) {
+fn emit(node: FragNode, em: &Emitter<'_>, tree: &mut XmlTree, at: NodeId, out: &mut Leaves) {
     let id = tree.add_element_tag(at, em.tags[node.ty.index()]);
     match node.terminal {
-        Some(Terminal::Hot { src, src_type }) => {
-            debug_assert!(node.children.is_empty(), "hot leaves have no chains");
-            hot.push(HotLeaf {
-                target: id,
-                src,
-                src_type,
-            });
+        Some(terminal) => {
+            debug_assert!(node.children.is_empty(), "no chain passes a chain end");
+            terminate(terminal, em, tree, id, out);
         }
-        Some(Terminal::Opaque) => {
-            // Unknown instance content: left empty. Used only by the static
-            // distinguishability check, where navigation can never descend
-            // into it (prefix-freeness).
-        }
-        Some(Terminal::Text { src }) => {
-            debug_assert!(matches!(em.target.production(node.ty), Production::Str));
-            em.copy_text(tree, id, src, texts);
-        }
-        None => {
-            materialize_children(node.children, node.ty, em, tree, id, hot, texts);
-        }
+        None => materialize_children(node.children, node.ty, em, tree, id, out),
+    }
+}
+
+/// Report the node `id` that ends a chain, copying a `str` chain's text
+/// into it.
+fn terminate(
+    terminal: Terminal,
+    em: &Emitter<'_>,
+    tree: &mut XmlTree,
+    id: NodeId,
+    out: &mut Leaves,
+) {
+    match terminal {
+        Terminal::Hot { src, src_type } => out.hot.push(HotLeaf {
+            target: id,
+            src,
+            src_type,
+        }),
+        Terminal::Text { src } => em.copy_text(tree, id, src, &mut out.texts),
+        Terminal::End { chain } => out.ends.push((chain, id)),
     }
 }

@@ -199,31 +199,10 @@ impl crate::resolve::PathClass {
     }
 }
 
-/// The tree the static fragments of [`check_disjunction_distinguishability`]
-/// are materialized into, with every target type's tag interned.
-struct ScenarioTree {
-    tree: xse_xmltree::XmlTree,
-    /// `tags[ty.index()]` is target type `ty`'s tag in `tree`.
-    tags: Vec<xse_xmltree::TagId>,
-}
-
-impl ScenarioTree {
-    fn new(target: &Dtd) -> Self {
-        // Navigation never reads the root's tag, so one root serves every
-        // origin type.
-        let mut tree = xse_xmltree::XmlTree::new(target.name(target.root()));
-        let tags = target
-            .types()
-            .map(|ty| tree.intern_tag(target.name(ty)))
-            .collect();
-        ScenarioTree { tree, tags }
-    }
-}
-
 /// Distinguishability of disjunction alternatives (DESIGN.md §3): for each
 /// disjunction type and each alternative `j` (and the `ε` choice), build the
 /// *static* fragment it produces — its chain plus minimum-default
-/// completion, with the hot leaf opaque — and verify no *other*
+/// completion, with the chain's endpoint left empty — and verify no *other*
 /// alternative's path navigates inside it. Without this, default padding
 /// could alias a choice and `σd⁻¹` / `Tr` would mis-resolve disjunctions
 /// (the paper's conditions leave this corner open; rejecting such
@@ -234,11 +213,11 @@ pub(crate) fn check_disjunction_distinguishability(
     resolved: &[Vec<crate::resolve::ResolvedPath>],
     plans: &[xse_dtd::MindefPlan],
 ) -> Result<(), EmbeddingError> {
-    use crate::pfrag::{materialize, Emitter, Fragment, Terminal};
     // Every scenario of every type materializes into one tree, built on
     // first use and reset to its root in between, so the target's tags are
-    // interned once per compile.
-    let mut scratch: Option<ScenarioTree> = None;
+    // interned once per compile. Navigation never reads the root's tag, so
+    // one root serves every origin type.
+    let mut scratch: Option<(xse_xmltree::XmlTree, Vec<xse_xmltree::TagId>)> = None;
     for a in source.types() {
         let Production::Disjunction { alts, allows_empty } = source.production(a) else {
             continue;
@@ -252,8 +231,12 @@ pub(crate) fn check_disjunction_distinguishability(
         if *allows_empty {
             scenarios.push(None);
         }
-        let ScenarioTree { tree, tags } = scratch.get_or_insert_with(|| ScenarioTree::new(target));
-        let em = Emitter {
+        let (tree, tags) = scratch.get_or_insert_with(|| {
+            let mut tree = xse_xmltree::XmlTree::new(target.name(target.root()));
+            let tags = crate::pfrag::intern_target_tags(target, &mut tree);
+            (tree, tags)
+        });
+        let em = crate::pfrag::Emitter {
             target,
             plans,
             tags,
@@ -261,14 +244,10 @@ pub(crate) fn check_disjunction_distinguishability(
             src: None,
         };
         for &scn in &scenarios {
-            let mut frag = Fragment::new(origin);
-            if let Some(j) = scn {
-                frag.add_chain(&paths[j], Terminal::Opaque);
-            }
+            let chain: Option<&[_]> = scn.map(|j| paths[j].steps.as_slice());
             tree.reset_to_root();
+            em.materialize_static(tree, origin, chain.as_slice());
             let root = tree.root();
-            let (mut hot, mut texts) = (Vec::new(), Vec::new());
-            materialize(frag, &em, tree, root, &mut hot, &mut texts);
             for (i, p) in paths.iter().enumerate() {
                 if scn == Some(i) {
                     continue;

@@ -2,23 +2,29 @@
 //!
 //! Processing revolves around context nodes: instantiate the chosen rule's
 //! output for the context node; every apply-templates leaf evaluates its
-//! select expression at the context node and recursively processes the
-//! selected nodes in document order, splicing the resulting forests in
-//! place. Unmatched nodes fall back to XSLT's built-in rules.
+//! select expression at the context node and processes the selected nodes
+//! in document order, splicing the resulting forests in place. Unmatched
+//! nodes fall back to XSLT's built-in rules.
+//!
+//! The walk keeps its pending work on a heap stack, not the call stack, and
+//! appends the result straight into the output tree in document order. So
+//! a document nested [`MAX_APPLY_DEPTH`] levels deep is transformed on any
+//! thread, and one level more is refused with [`XsltError::DepthExceeded`].
 
 use std::fmt;
 
 use xse_rxpath::Evaluator;
 use xse_xmltree::{NodeId, XmlTree};
 
-use crate::{OutputNode, Pattern, Stylesheet};
+use crate::{OutputNode, Pattern, Stylesheet, TemplateRule};
 
 /// Errors from stylesheet application.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum XsltError {
     /// The transformation result is not a single-rooted document.
     NotSingleRooted(usize),
-    /// Runaway recursion guard tripped (cyclic select expressions).
+    /// Templates were applied more than [`MAX_APPLY_DEPTH`] levels deep: a
+    /// document nested that deep, or a select that never stops descending.
     DepthExceeded,
 }
 
@@ -33,7 +39,12 @@ impl fmt::Display for XsltError {
     }
 }
 
-const MAX_DEPTH: usize = 100_000;
+/// The deepest nesting of template applications: the source root is
+/// applied at depth 1, and each apply-templates (or built-in rule) descends
+/// one level. The bound guards against selects that never stop (a select
+/// that revisits the context node in the same mode); the call stack does
+/// not limit it.
+pub const MAX_APPLY_DEPTH: usize = 100_000;
 
 /// Apply `sheet` to `source`, starting (like an XSLT processor) by applying
 /// templates to the document root in `start_mode`.
@@ -42,63 +53,78 @@ pub fn apply_stylesheet(
     source: &XmlTree,
     start_mode: Option<&str>,
 ) -> Result<XmlTree, XsltError> {
-    let ev = Evaluator::new(source);
-    let mut forest = Forest::new();
-    let mut engine = Engine {
+    let engine = Engine {
         sheet,
         source,
-        ev,
-        depth: 0,
+        ev: Evaluator::new(source),
     };
-    engine.apply(source.root(), start_mode, &mut forest)?;
-    // The forest must be a single element; build the output tree.
-    let roots: Vec<&PendingNode> = forest.roots.iter().collect();
-    match roots.as_slice() {
-        [PendingNode::Element { tag, children }] => {
-            let mut out = XmlTree::new(tag.as_str());
-            // The pending forest mirrors the output 1:1; reserving from the
-            // source size keeps arena growth amortized for big documents.
-            out.reserve(source.len(), source.text_bytes());
-            let root = out.root();
-            for c in children {
-                materialize(c, &mut out, root);
-            }
-            Ok(out)
-        }
-        other => Err(XsltError::NotSingleRooted(other.len())),
-    }
+    engine.run(start_mode)
 }
 
-/// Output under construction (cheap tree, converted to `XmlTree` at the
-/// end so intermediate splicing needs no arena surgery).
-enum PendingNode {
-    Element {
-        tag: String,
-        children: Vec<PendingNode>,
+/// Where an output node goes.
+#[derive(Clone, Copy)]
+enum Parent {
+    /// The top level of the result, whose first node becomes the root.
+    Top,
+    /// Under this node of the result tree.
+    Node(NodeId),
+    /// Nowhere: below a second top-level node, so the result is refused
+    /// anyway and only the top-level count matters.
+    Dropped,
+}
+
+/// One piece of pending work. Work is popped from a stack and pushed in
+/// reverse, so the result is appended in document order.
+enum Task<'a> {
+    /// Apply templates to source `node` in `mode`.
+    Apply {
+        node: NodeId,
+        mode: Option<&'a str>,
+        depth: usize,
+        parent: Parent,
     },
-    Text(String),
+    /// Instantiate a rule's `output` for context node `ctx`.
+    Instantiate {
+        output: &'a OutputNode,
+        ctx: NodeId,
+        depth: usize,
+        parent: Parent,
+    },
 }
 
-struct Forest {
-    roots: Vec<PendingNode>,
+/// The result under construction: the tree is created by the first
+/// top-level element, and every top-level node is counted.
+struct Output {
+    tree: Option<XmlTree>,
+    roots: usize,
 }
 
-impl Forest {
-    fn new() -> Self {
-        Forest { roots: Vec::new() }
-    }
-}
-
-fn materialize(p: &PendingNode, out: &mut XmlTree, at: NodeId) {
-    match p {
-        PendingNode::Element { tag, children } => {
-            let id = out.add_element(at, tag.as_str());
-            for c in children {
-                materialize(c, out, id);
+impl Output {
+    fn element(&mut self, parent: Parent, tag: &str) -> Parent {
+        match parent {
+            Parent::Node(at) => {
+                let tree = self.tree.as_mut().expect("a result node has a tree");
+                Parent::Node(tree.add_element(at, tag))
             }
+            Parent::Top => {
+                self.roots += 1;
+                if self.roots > 1 {
+                    return Parent::Dropped;
+                }
+                Parent::Node(self.tree.insert(XmlTree::new(tag)).root())
+            }
+            Parent::Dropped => Parent::Dropped,
         }
-        PendingNode::Text(s) => {
-            out.add_text(at, s);
+    }
+
+    fn text(&mut self, parent: Parent, value: &str) {
+        match parent {
+            Parent::Node(at) => {
+                let tree = self.tree.as_mut().expect("a result node has a tree");
+                tree.add_text(at, value);
+            }
+            Parent::Top => self.roots += 1,
+            Parent::Dropped => {}
         }
     }
 }
@@ -107,51 +133,95 @@ struct Engine<'a> {
     sheet: &'a Stylesheet,
     source: &'a XmlTree,
     ev: Evaluator<'a>,
-    depth: usize,
 }
 
 impl<'a> Engine<'a> {
-    /// Apply templates to `node` in `mode`, appending output to `out`.
-    fn apply(
-        &mut self,
-        node: NodeId,
-        mode: Option<&str>,
-        out: &mut Forest,
-    ) -> Result<(), XsltError> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(XsltError::DepthExceeded);
-        }
-        let rule = self.select_rule(node, mode);
-        match rule {
-            Some(idx) => {
-                let rule = &self.sheet.rules[idx];
-                let output = rule.output.clone();
-                for o in &output {
-                    self.instantiate(o, node, &mut out.roots)?;
-                }
-            }
-            None => {
-                // Built-in rules: elements recurse into children (same
-                // mode); text nodes copy their value.
-                match self.source.text_value(node) {
-                    Some(v) => out.roots.push(PendingNode::Text(v.to_string())),
-                    None => {
-                        for &c in self.source.children(node) {
-                            self.apply(c, mode, out)?;
-                        }
+    fn run(&self, start_mode: Option<&'a str>) -> Result<XmlTree, XsltError> {
+        let mut out = Output {
+            tree: None,
+            roots: 0,
+        };
+        let mut stack = vec![Task::Apply {
+            node: self.source.root(),
+            mode: start_mode,
+            depth: 1,
+            parent: Parent::Top,
+        }];
+        while let Some(task) = stack.pop() {
+            match task {
+                Task::Apply {
+                    node,
+                    mode,
+                    depth,
+                    parent,
+                } => {
+                    if depth > MAX_APPLY_DEPTH {
+                        return Err(XsltError::DepthExceeded);
+                    }
+                    if let Some(rule) = self.select_rule(node, mode) {
+                        stack.extend(rule.output.iter().rev().map(|output| Task::Instantiate {
+                            output,
+                            ctx: node,
+                            depth,
+                            parent,
+                        }));
+                    } else if let Some(v) = self.source.text_value(node) {
+                        // Built-in rules: text nodes copy their value;
+                        // elements recurse into children in the same mode.
+                        out.text(parent, v);
+                    } else {
+                        let children = self.source.children(node).iter().rev();
+                        stack.extend(children.map(|&node| Task::Apply {
+                            node,
+                            mode,
+                            depth: depth + 1,
+                            parent,
+                        }));
                     }
                 }
+                Task::Instantiate {
+                    output,
+                    ctx,
+                    depth,
+                    parent,
+                } => match output {
+                    OutputNode::Element { tag, children } => {
+                        let parent = out.element(parent, tag);
+                        stack.extend(children.iter().rev().map(|output| Task::Instantiate {
+                            output,
+                            ctx,
+                            depth,
+                            parent,
+                        }));
+                    }
+                    OutputNode::Text(s) => out.text(parent, s),
+                    OutputNode::CopyText => {
+                        if let Some(v) = self.source.text_value(ctx) {
+                            out.text(parent, v);
+                        }
+                    }
+                    OutputNode::Apply { select, mode } => {
+                        let selected = self.ev.eval(select, ctx).into_iter().rev();
+                        stack.extend(selected.map(|node| Task::Apply {
+                            node,
+                            mode: mode.as_deref(),
+                            depth: depth + 1,
+                            parent,
+                        }));
+                    }
+                },
             }
         }
-        self.depth -= 1;
-        Ok(())
+        match (out.tree, out.roots) {
+            (Some(tree), 1) => Ok(tree),
+            (_, roots) => Err(XsltError::NotSingleRooted(roots)),
+        }
     }
 
     /// Highest-specificity matching rule; ties broken by definition order.
-    fn select_rule(&self, node: NodeId, mode: Option<&str>) -> Option<usize> {
-        let mut best: Option<(u8, usize)> = None;
-        for (i, r) in self.sheet.rules.iter().enumerate() {
+    fn select_rule(&self, node: NodeId, mode: Option<&str>) -> Option<&'a TemplateRule> {
+        let mut best: Option<(u8, &'a TemplateRule)> = None;
+        for r in &self.sheet.rules {
             if r.mode.as_deref() != mode {
                 continue;
             }
@@ -168,46 +238,11 @@ impl<'a> Engine<'a> {
             if matches {
                 let spec = r.pattern.specificity();
                 if best.is_none_or(|(s, _)| spec > s) {
-                    best = Some((spec, i));
+                    best = Some((spec, r));
                 }
             }
         }
-        best.map(|(_, i)| i)
-    }
-
-    fn instantiate(
-        &mut self,
-        o: &OutputNode,
-        ctx: NodeId,
-        out: &mut Vec<PendingNode>,
-    ) -> Result<(), XsltError> {
-        match o {
-            OutputNode::Element { tag, children } => {
-                let mut kids = Vec::new();
-                for c in children {
-                    self.instantiate(c, ctx, &mut kids)?;
-                }
-                out.push(PendingNode::Element {
-                    tag: tag.clone(),
-                    children: kids,
-                });
-            }
-            OutputNode::Text(s) => out.push(PendingNode::Text(s.clone())),
-            OutputNode::CopyText => {
-                if let Some(v) = self.source.text_value(ctx) {
-                    out.push(PendingNode::Text(v.to_string()));
-                }
-            }
-            OutputNode::Apply { select, mode } => {
-                let selected = self.ev.eval(select, ctx);
-                let mut forest = Forest::new();
-                for n in selected {
-                    self.apply(n, mode.as_deref(), &mut forest)?;
-                }
-                out.append(&mut forest.roots);
-            }
-        }
-        Ok(())
+        best.map(|(_, r)| r)
     }
 }
 
@@ -373,5 +408,20 @@ mod tests {
         ));
         let out = apply_stylesheet(&s, &parse_xml("<r/>").unwrap(), Some("alt")).unwrap();
         assert_eq!(out.to_xml(), "<alt/>");
+    }
+
+    #[test]
+    fn a_select_that_revisits_its_node_trips_the_depth_guard() {
+        let mut s = Stylesheet::new();
+        s.add(rule(
+            Pattern::element("r"),
+            None,
+            vec![OutputNode::Apply {
+                select: xse_rxpath::XrQuery::Empty,
+                mode: None,
+            }],
+        ));
+        let err = apply_stylesheet(&s, &parse_xml("<r/>").unwrap(), None).unwrap_err();
+        assert_eq!(err, XsltError::DepthExceeded);
     }
 }

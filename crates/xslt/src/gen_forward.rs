@@ -11,13 +11,21 @@
 //!    emitting one repetition per source child;
 //! 4. str — the fragment chain ending in the copied text value.
 //!
+//! The fragments are core's production fragments, the ones `apply`
+//! materializes: every rule's output is a
+//! [`CompiledEmbedding::static_fragment`] with an apply-templates at each
+//! chain's endpoint, so the stylesheet maps a document exactly as
+//! [`CompiledEmbedding::apply`] does.
+//!
 //! A mode per source type (`fwd-A`) keeps rules apart when `λ` maps two
 //! source types to one target tag (see the crate docs).
 
-use xse_core::{CompiledEmbedding, ResolvedPath, ResolvedStep};
-use xse_dtd::{Dtd, MindefPlan, Production, TypeId};
+use std::collections::{HashMap, HashSet};
+
+use xse_core::{CompiledEmbedding, ResolvedStep};
+use xse_dtd::{Dtd, Production, TypeId};
 use xse_rxpath::{Qualifier, XrQuery};
-use xse_xmltree::{NodeKind, XmlTree};
+use xse_xmltree::{NodeId, NodeKind, XmlTree};
 
 use crate::{OutputNode, Pattern, Stylesheet, TemplateRule};
 
@@ -26,7 +34,6 @@ use crate::{OutputNode, Pattern, Stylesheet, TemplateRule};
 /// bootstrap rule dispatches the source root into its `fwd-…` mode.
 pub fn generate_forward(e: &CompiledEmbedding) -> Stylesheet {
     let mut sheet = Stylesheet::new();
-    let plans = e.mindef_plans();
     let src = e.source();
 
     // Bootstrap: route the root into its mode.
@@ -41,38 +48,32 @@ pub fn generate_forward(e: &CompiledEmbedding) -> Stylesheet {
 
     for a in src.types() {
         let la = e.lambda(a);
-        let tag = e.target().name(la).to_string();
+        let rule = |pattern: Pattern, output: OutputNode| TemplateRule {
+            pattern,
+            mode: Some(fwd_mode(src, a)),
+            output: vec![output],
+        };
+        let plain = Pattern::element(src.name(a));
         match src.production(a) {
-            Production::Empty => {
-                sheet.add(TemplateRule {
-                    pattern: Pattern::element(src.name(a)),
-                    mode: Some(fwd_mode(src, a)),
-                    output: vec![element(&tag, fragment_children(e, plans, la, &[]))],
-                });
-            }
+            Production::Empty => sheet.add(rule(plain, fragment(e, la, vec![]))),
             Production::Str => {
-                let chain = (
-                    e.path(a, 0),
-                    OutputNode::Apply {
-                        select: XrQuery::Text,
-                        mode: None, // built-in text rule copies the value
-                    },
-                );
-                sheet.add(TemplateRule {
-                    pattern: Pattern::element(src.name(a)),
-                    mode: Some(fwd_mode(src, a)),
-                    output: vec![element(&tag, fragment_children(e, plans, la, &[chain]))],
+                // The built-in text rule copies the value into the chain's
+                // endpoint.
+                let copy = Attach::Inside(OutputNode::Apply {
+                    select: XrQuery::Text,
+                    mode: None,
                 });
+                let chains = vec![(e.path(a, 0).steps.as_slice(), copy)];
+                sheet.add(rule(plain, fragment(e, la, chains)));
             }
             Production::Concat(cs) => {
                 // Occurrence-aware selects for repeated child types.
-                let mut occ: std::collections::HashMap<TypeId, usize> =
-                    std::collections::HashMap::new();
-                let repeated: std::collections::HashSet<TypeId> = {
-                    let mut seen = std::collections::HashSet::new();
+                let mut occ: HashMap<TypeId, usize> = HashMap::new();
+                let repeated: HashSet<TypeId> = {
+                    let mut seen = HashSet::new();
                     cs.iter().filter(|c| !seen.insert(**c)).copied().collect()
                 };
-                let chains: Vec<(&ResolvedPath, OutputNode)> = cs
+                let chains = cs
                     .iter()
                     .enumerate()
                     .map(|(slot, &c)| {
@@ -82,108 +83,42 @@ pub fn generate_forward(e: &CompiledEmbedding) -> Stylesheet {
                         if repeated.contains(&c) {
                             select = select.with(Qualifier::Position(*k));
                         }
-                        (
-                            e.path(a, slot),
-                            OutputNode::Apply {
-                                select,
-                                mode: Some(fwd_mode(src, c)),
-                            },
-                        )
+                        (e.path(a, slot).steps.as_slice(), child(src, select, c))
                     })
                     .collect();
-                sheet.add(TemplateRule {
-                    pattern: Pattern::element(src.name(a)),
-                    mode: Some(fwd_mode(src, a)),
-                    output: vec![element(&tag, fragment_children(e, plans, la, &chains))],
-                });
+                sheet.add(rule(plain, fragment(e, la, chains)));
             }
             Production::Disjunction { alts, allows_empty } => {
                 for (slot, &c) in alts.iter().enumerate() {
-                    let chain = (
-                        e.path(a, slot),
-                        OutputNode::Apply {
-                            select: XrQuery::label(src.name(c)),
-                            mode: Some(fwd_mode(src, c)),
-                        },
-                    );
-                    sheet.add(TemplateRule {
-                        pattern: Pattern::element_with(src.name(a), XrQuery::label(src.name(c))),
-                        mode: Some(fwd_mode(src, a)),
-                        output: vec![element(&tag, fragment_children(e, plans, la, &[chain]))],
-                    });
+                    let select = XrQuery::label(src.name(c));
+                    let chains = vec![(e.path(a, slot).steps.as_slice(), child(src, select, c))];
+                    let pattern = Pattern::element_with(src.name(a), XrQuery::label(src.name(c)));
+                    sheet.add(rule(pattern, fragment(e, la, chains)));
                 }
                 if *allows_empty {
-                    sheet.add(TemplateRule {
-                        pattern: Pattern::element(src.name(a)),
-                        mode: Some(fwd_mode(src, a)),
-                        output: vec![element(&tag, fragment_children(e, plans, la, &[]))],
-                    });
+                    sheet.add(rule(plain, fragment(e, la, vec![])));
                 }
             }
             Production::Star(b) => {
                 let rp = e.path(a, 0);
                 let mult = rp.first_star_step().expect("validated star path");
-                // Prefix rule: constant part + apply children in star mode.
                 let star_mode = format!("fwd*-{}", src.name(a));
-                let prefix_chain = (
-                    // A pseudo-path of only the prefix steps; the terminal
-                    // apply sits at the star parent.
-                    &ResolvedPath {
-                        origin: rp.origin,
-                        steps: rp.steps[..mult].to_vec(),
-                        text_tail: false,
-                    },
-                    OutputNode::Apply {
-                        select: XrQuery::label(src.name(*b)),
-                        mode: Some(star_mode.clone()),
-                    },
-                );
-                // fragment_children places terminals *at the endpoint* of
-                // their chain, i.e. inside the star parent. For an empty
-                // prefix the apply lands directly under λ(A).
-                sheet.add(TemplateRule {
-                    pattern: Pattern::element(src.name(a)),
-                    mode: Some(fwd_mode(src, a)),
-                    output: vec![element(
-                        &tag,
-                        fragment_children_with_inner_terminal(
-                            e,
-                            plans,
-                            la,
-                            &rp.steps[..mult],
-                            prefix_chain.1,
-                        ),
-                    )],
+                // Prefix rule: the constant part, with the repetitions
+                // applied inside the star parent.
+                let repetitions = Attach::Inside(OutputNode::Apply {
+                    select: XrQuery::label(src.name(*b)),
+                    mode: Some(star_mode.clone()),
                 });
-                // Suffix rule: one repetition — the multiplicity element,
-                // the suffix chain, and at the chain's endpoint the child's
-                // own rule emits λ(B) (so the endpoint step is *replaced*
-                // by the apply, exactly like a hot leaf).
-                let suffix = &rp.steps[mult + 1..];
-                let inner = OutputNode::Apply {
-                    select: XrQuery::Empty,
-                    mode: Some(fwd_mode(src, *b)),
-                };
-                let mult_step = &rp.steps[mult];
-                let mult_tag = e.target().name(mult_step.ty).to_string();
-                let body = if suffix.is_empty() {
-                    // The multiplicity node is λ(B) itself.
-                    inner
-                } else {
-                    let suffix_path = ResolvedPath {
-                        origin: mult_step.ty,
-                        steps: suffix.to_vec(),
-                        text_tail: false,
-                    };
-                    element(
-                        &mult_tag,
-                        fragment_children(e, plans, mult_step.ty, &[(&suffix_path, inner)]),
-                    )
-                };
+                let chains = vec![(&rp.steps[..mult], repetitions)];
+                sheet.add(rule(plain, fragment(e, la, chains)));
+                // Suffix rule: one repetition, the multiplicity element and
+                // the suffix chain, whose endpoint the child's own rule
+                // replaces with λ(B).
+                let chains = vec![(&rp.steps[mult + 1..], child(src, XrQuery::Empty, *b))];
                 sheet.add(TemplateRule {
                     pattern: Pattern::element(src.name(*b)),
                     mode: Some(star_mode),
-                    output: vec![body],
+                    output: vec![fragment(e, rp.steps[mult].ty, chains)],
                 });
             }
         }
@@ -191,219 +126,103 @@ pub fn generate_forward(e: &CompiledEmbedding) -> Stylesheet {
     sheet
 }
 
-pub(crate) fn fwd_mode(src: &Dtd, a: TypeId) -> String {
+fn fwd_mode(src: &Dtd, a: TypeId) -> String {
     format!("fwd-{}", src.name(a))
 }
 
-fn element(tag: &str, children: Vec<OutputNode>) -> OutputNode {
+/// How a chain's output attaches at the chain's endpoint.
+enum Attach {
+    /// Replaces the endpoint element: a hot leaf, whose source child's own
+    /// rule emits that element.
+    Replace(OutputNode),
+    /// Goes inside the endpoint: a `text()` copy, or a star parent's
+    /// repetitions.
+    Inside(OutputNode),
+}
+
+/// A hot leaf: apply the `fwd` rule of source type `c` to `select`.
+fn child(src: &Dtd, select: XrQuery, c: TypeId) -> Attach {
+    Attach::Replace(OutputNode::Apply {
+        select,
+        mode: Some(fwd_mode(src, c)),
+    })
+}
+
+/// The rule output for the static fragment of target type `root_ty` over
+/// `chains`, each chain's output attached at its endpoint.
+fn fragment(
+    e: &CompiledEmbedding,
+    root_ty: TypeId,
+    chains: Vec<(&[ResolvedStep], Attach)>,
+) -> OutputNode {
+    let steps: Vec<&[ResolvedStep]> = chains.iter().map(|&(steps, _)| steps).collect();
+    let (tree, ends) = e.static_fragment(root_ty, &steps);
+    let mut at: HashMap<NodeId, Attach> = ends
+        .into_iter()
+        .zip(chains.into_iter().map(|(_, attach)| attach))
+        .collect();
+    to_output(&tree, tree.root(), &mut at)
+}
+
+/// The fragment tree below `n` as rule output, with the endpoints' outputs
+/// in `at` attached.
+fn to_output(tree: &XmlTree, n: NodeId, at: &mut HashMap<NodeId, Attach>) -> OutputNode {
+    let (tag, inside) = match (tree.kind(n), at.remove(&n)) {
+        (_, Some(Attach::Replace(output))) => return output,
+        (NodeKind::Text(v), _) => return OutputNode::Text(v.to_string()),
+        (NodeKind::Element(tag), Some(Attach::Inside(output))) => (tag, Some(output)),
+        (NodeKind::Element(tag), None) => (tag, None),
+    };
+    let mut children: Vec<OutputNode> = tree
+        .children(n)
+        .iter()
+        .map(|&c| to_output(tree, c, at))
+        .collect();
+    children.extend(inside);
     OutputNode::Element {
         tag: tag.to_string(),
         children,
     }
 }
 
-/// Fragment node over output trees.
-struct FragO {
-    ty: TypeId,
-    slot: usize,
-    pos: usize,
-    children: Vec<FragO>,
-    terminal: Option<OutputNode>,
-}
+#[cfg(test)]
+mod tests {
+    use xse_core::EmbeddingBuilder;
+    use xse_xmltree::parse_xml;
 
-/// Build the completed children of a fragment rooted at target type
-/// `root_ty`, merging the given chains (each a resolved path plus the
-/// output to place at its endpoint).
-fn fragment_children(
-    e: &CompiledEmbedding,
-    plans: &[MindefPlan],
-    root_ty: TypeId,
-    chains: &[(&ResolvedPath, OutputNode)],
-) -> Vec<OutputNode> {
-    let mut top: Vec<FragO> = Vec::new();
-    let mut root_terminal: Option<OutputNode> = None;
-    for (rp, term) in chains {
-        if rp.steps.is_empty() {
-            // text()-only chain: terminal right under the root.
-            root_terminal = Some(term.clone());
-            continue;
-        }
-        add_chain(&mut top, &rp.steps, term.clone());
+    use super::*;
+    use crate::apply_stylesheet;
+
+    /// A `str` edge whose path ends in `name/text()` copies the value into
+    /// `name`: the stylesheet keeps the chain's last element, as `apply`
+    /// does, so the result is valid against the target.
+    #[test]
+    fn text_edge_keeps_the_chain_end_element() {
+        let s1 = Dtd::builder("r")
+            .concat("r", &["a"])
+            .str_type("a")
+            .build()
+            .unwrap();
+        let s2 = Dtd::builder("r")
+            .concat("r", &["a"])
+            .concat("a", &["name", "extra"])
+            .str_type("name")
+            .str_type("extra")
+            .build()
+            .unwrap();
+        let e = EmbeddingBuilder::new(s1, s2.clone())
+            .edge("r", "a", "a")
+            .text_edge("a", "name/text()")
+            .build()
+            .unwrap();
+        let doc = parse_xml("<r><a>hello</a></r>").unwrap();
+        let direct = e.apply(&doc).unwrap().tree;
+        assert_eq!(
+            direct.to_xml(),
+            "<r><a><name>hello</name><extra>#s</extra></a></r>"
+        );
+        let via = apply_stylesheet(&generate_forward(&e), &doc, None).unwrap();
+        assert_eq!(via.to_xml(), direct.to_xml());
+        s2.validate(&via).unwrap();
     }
-    if matches!(e.target().production(root_ty), Production::Str) {
-        return vec![root_terminal.unwrap_or(OutputNode::Text(xse_dtd::DEFAULT_STRING.to_string()))];
-    }
-    complete(e, plans, root_ty, top)
-}
-
-/// Like [`fragment_children`] but with a single chain of `steps` whose
-/// terminal is *spliced among the children* of the chain endpoint (used for
-/// the star prefix/suffix rules, where the apply node hangs under the star
-/// parent rather than replacing an element).
-fn fragment_children_with_inner_terminal(
-    e: &CompiledEmbedding,
-    plans: &[MindefPlan],
-    root_ty: TypeId,
-    steps: &[ResolvedStep],
-    terminal: OutputNode,
-) -> Vec<OutputNode> {
-    if steps.is_empty() {
-        // Terminal sits directly under the root; still complete the root's
-        // production around it. Star roots need no completion.
-        return match e.target().production(root_ty) {
-            Production::Star(_) => vec![terminal],
-            _ => {
-                // The root is the star parent only when its production is a
-                // star; other cases cannot occur for validated star paths.
-                vec![terminal]
-            }
-        };
-    }
-    let mut top: Vec<FragO> = Vec::new();
-    add_chain_open(&mut top, steps, terminal);
-    complete(e, plans, root_ty, top)
-}
-
-fn add_chain(level: &mut Vec<FragO>, steps: &[ResolvedStep], terminal: OutputNode) {
-    let (last, prefix) = steps.split_last().expect("nonempty chain");
-    let mut level = level;
-    for step in prefix {
-        level = step_into(level, step);
-    }
-    level.push(FragO {
-        ty: last.ty,
-        slot: last.slot,
-        pos: last.pos.unwrap_or(1),
-        children: Vec::new(),
-        terminal: Some(terminal),
-    });
-}
-
-/// Chain whose endpoint element is materialized normally and receives the
-/// terminal as an inner child (star-parent apply position).
-fn add_chain_open(level: &mut Vec<FragO>, steps: &[ResolvedStep], terminal: OutputNode) {
-    let mut level = level;
-    for step in steps {
-        level = step_into(level, step);
-    }
-    level.push(FragO {
-        ty: TypeId::from_index(0),
-        slot: usize::MAX, // sentinel: raw output splice
-        pos: 0,
-        children: Vec::new(),
-        terminal: Some(terminal),
-    });
-}
-
-fn step_into<'f>(level: &'f mut Vec<FragO>, step: &ResolvedStep) -> &'f mut Vec<FragO> {
-    let pos = step.pos.unwrap_or(1);
-    let idx = match level
-        .iter()
-        .position(|n| n.slot == step.slot && n.pos == pos && n.ty == step.ty)
-    {
-        Some(i) => i,
-        None => {
-            level.push(FragO {
-                ty: step.ty,
-                slot: step.slot,
-                pos,
-                children: Vec::new(),
-                terminal: None,
-            });
-            level.len() - 1
-        }
-    };
-    &mut level[idx].children
-}
-
-/// Mindef-complete a fragment level under a node of type `ty`, emitting
-/// ordered output nodes (the OutputNode mirror of core's materialization).
-fn complete(
-    e: &CompiledEmbedding,
-    plans: &[MindefPlan],
-    ty: TypeId,
-    mut level: Vec<FragO>,
-) -> Vec<OutputNode> {
-    let target = e.target();
-    // Raw splices (star-parent apply positions) are appended after the
-    // structural children of the node.
-    let mut splices: Vec<OutputNode> = Vec::new();
-    level.retain_mut(|n| {
-        if n.slot == usize::MAX {
-            splices.push(n.terminal.take().expect("splice terminal"));
-            false
-        } else {
-            true
-        }
-    });
-
-    let mut out: Vec<OutputNode> = Vec::new();
-    match target.production(ty) {
-        Production::Str => {
-            out.push(OutputNode::Text(xse_dtd::DEFAULT_STRING.to_string()));
-        }
-        Production::Empty => {}
-        Production::Concat(cs) => {
-            level.sort_by_key(|c| c.slot);
-            let mut iter = level.into_iter().peekable();
-            for (slot, &cty) in cs.iter().enumerate() {
-                if iter.peek().is_some_and(|c| c.slot == slot) {
-                    out.push(emit(e, plans, iter.next().unwrap()));
-                } else {
-                    out.push(mindef_output(target, cty));
-                }
-            }
-        }
-        Production::Disjunction { allows_empty, .. } => match level.len() {
-            0 => {
-                if !allows_empty {
-                    if let MindefPlan::OneChild(c) = &plans[ty.index()] {
-                        out.push(mindef_output(target, *c));
-                    }
-                }
-            }
-            1 => out.push(emit(e, plans, level.into_iter().next().unwrap())),
-            n => unreachable!("{n} chains under an OR node"),
-        },
-        Production::Star(b) => {
-            level.sort_by_key(|c| c.pos);
-            let mut next = 1;
-            for child in level {
-                while next < child.pos {
-                    out.push(mindef_output(target, *b));
-                    next += 1;
-                }
-                out.push(emit(e, plans, child));
-                next += 1;
-            }
-        }
-    }
-    out.extend(splices);
-    out
-}
-
-fn emit(e: &CompiledEmbedding, plans: &[MindefPlan], node: FragO) -> OutputNode {
-    let tag = e.target().name(node.ty).to_string();
-    match node.terminal {
-        Some(term) => term, // hot leaf: the child's rule outputs λ(B) itself
-        None => OutputNode::Element {
-            tag,
-            children: complete(e, plans, node.ty, node.children),
-        },
-    }
-}
-
-/// Render `mindef(ty)` as literal output.
-fn mindef_output(target: &Dtd, ty: TypeId) -> OutputNode {
-    let tree = target.mindef(ty);
-    fn conv(tree: &XmlTree, n: xse_xmltree::NodeId) -> OutputNode {
-        match tree.kind(n) {
-            NodeKind::Text(v) => OutputNode::Text(v.to_string()),
-            NodeKind::Element(tag) => OutputNode::Element {
-                tag: tag.to_string(),
-                children: tree.children(n).iter().map(|&c| conv(tree, c)).collect(),
-            },
-        }
-    }
-    conv(&tree, tree.root())
 }

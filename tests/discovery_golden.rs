@@ -20,14 +20,18 @@
 //! Every embedding found is also rebuilt from λ and the text of its
 //! resolved paths: the engine keeps no other record of the `(λ, path)` it
 //! was checked from, so that record must check again to the same engine.
+//! And its §4.3 stylesheets must map a few generated documents exactly as
+//! `apply` and `invert` do.
 
 use xse::core::PathMapping;
+use xse::dtd::{GenConfig, InstanceGenerator};
 use xse::prelude::*;
 use xse::rxpath::XrPath;
 use xse::workloads::corpus::corpus;
 use xse::workloads::noise::{noised_copy, NoiseConfig};
 use xse::workloads::scale::random_schema;
 use xse::workloads::simgen::{ambiguous, SimConfig};
+use xse::xslt::apply_stylesheet;
 
 /// FNV-1a, 64-bit: a fixed, documented hash, unlike `DefaultHasher`, whose
 /// output may change between Rust releases.
@@ -102,6 +106,37 @@ fn rebuild_from_resolved_paths(e: &CompiledEmbedding) -> Result<CompiledEmbeddin
         &PathMapping { paths },
     )
     .map_err(|err| err.to_string())
+}
+
+/// Run `e`'s σd stylesheet on four generated documents and its σd⁻¹
+/// stylesheet on their images: each result must equal `apply` / `invert`.
+fn check_stylesheets(e: &CompiledEmbedding) -> Result<(), String> {
+    let (fwd, inv) = (e.generate_forward(), e.generate_inverse());
+    let gen = InstanceGenerator::new(
+        e.source(),
+        GenConfig {
+            max_nodes: 150,
+            ..GenConfig::default()
+        },
+    );
+    for seed in 0..4 {
+        let doc = gen.generate(seed);
+        let image = e.apply(&doc).map_err(|err| err.to_string())?.tree;
+        let via = apply_stylesheet(&fwd, &doc, None).map_err(|err| err.to_string())?;
+        if let Some(diff) = via.first_difference(&image) {
+            return Err(format!(
+                "seed {seed}: σd stylesheet differs from apply: {diff}"
+            ));
+        }
+        let back = e.invert(&image).map_err(|err| err.to_string())?;
+        let via = apply_stylesheet(&inv, &image, None).map_err(|err| err.to_string())?;
+        if let Some(diff) = via.first_difference(&back) {
+            return Err(format!(
+                "seed {seed}: σd⁻¹ stylesheet differs from invert: {diff}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Seed of the benchmark's schema pairs; the pairs below reuse its
@@ -334,7 +369,7 @@ const GOLDEN: &[(&str, u64)] = &[
 #[test]
 fn discovery_results_match_the_recorded_digests() {
     let mut actual: Vec<(String, u64)> = Vec::new();
-    let mut rebuilt_count = 0;
+    let mut found_count = 0;
     for Golden {
         label,
         source,
@@ -354,7 +389,8 @@ fn discovery_results_match_the_recorded_digests() {
                 let rebuilt = rebuild_from_resolved_paths(e)
                     .unwrap_or_else(|err| panic!("{label}/{sname}: rebuild refused: {err}"));
                 assert_eq!(rebuilt.describe(), e.describe(), "{label}/{sname}");
-                rebuilt_count += 1;
+                check_stylesheets(e).unwrap_or_else(|err| panic!("{label}/{sname}: {err}"));
+                found_count += 1;
             }
             if must_fail {
                 assert!(found.is_none(), "{label}/{sname}: expected no embedding");
@@ -381,5 +417,8 @@ fn discovery_results_match_the_recorded_digests() {
             actual.len()
         );
     }
-    assert_eq!(rebuilt_count, 82, "every found embedding was rebuilt");
+    assert_eq!(
+        found_count, 82,
+        "every found embedding was rebuilt and its stylesheets checked"
+    );
 }
