@@ -1,10 +1,12 @@
-//! FIG-T micro-slice: InstMap and inverse wall time vs. document size, plus
-//! batch throughput of `apply_batch` at 1 vs N threads.
+//! FIG-T micro-slice: InstMap (into a tree, and straight to XML text) and
+//! inverse wall time vs. document size, plus batch throughput of
+//! `apply_batch` at 1 vs N threads.
 //!
 //! `XSE_SCALE_SMOKE=1` shrinks sizes and sample counts so CI can execute the
 //! whole bench as a fast regression gate for tree-layout changes; the
-//! correctness assertions (batch output byte-identical to sequential, batch
-//! at 1 thread not slower than sequential) run in both modes.
+//! correctness assertions (the text path byte-identical to the tree path +
+//! `to_xml`, batch output byte-identical to sequential, batch at 1 thread
+//! not slower than sequential) run in both modes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xse_bench::fixtures;
@@ -98,9 +100,21 @@ fn bench(c: &mut Criterion) {
             gen.generate(n as u64)
         };
         let out = e.apply(&t1).unwrap();
+        assert_eq!(
+            e.apply_to_xml(&t1).unwrap(),
+            out.tree.to_xml(),
+            "apply_to_xml diverges from apply + to_xml on {} nodes",
+            t1.len()
+        );
         g.throughput(Throughput::Elements(t1.len() as u64));
         g.bench_with_input(BenchmarkId::new("apply", t1.len()), &t1, |b, t1| {
             b.iter(|| e.apply(t1).unwrap().tree.len())
+        });
+        g.bench_with_input(BenchmarkId::new("apply+to_xml", t1.len()), &t1, |b, t1| {
+            b.iter(|| e.apply(t1).unwrap().tree.to_xml().len())
+        });
+        g.bench_with_input(BenchmarkId::new("apply_to_xml", t1.len()), &t1, |b, t1| {
+            b.iter(|| e.apply_to_xml(t1).unwrap().len())
         });
         g.bench_with_input(
             BenchmarkId::new("invert", out.tree.len()),
@@ -131,6 +145,9 @@ fn bench(c: &mut Criterion) {
         .iter()
         .map(|d| e.apply(d).unwrap().tree.to_xml())
         .collect();
+    for (d, want) in docs.iter().zip(&sequential) {
+        assert_eq!(&e.apply_to_xml(d).unwrap(), want, "apply_to_xml diverges");
+    }
     for threads in [1, 2, hw_threads] {
         let batch: Vec<String> = e
             .apply_batch_with(&docs, threads)

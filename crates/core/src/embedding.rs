@@ -379,8 +379,9 @@ impl EmbeddingBuilder {
 /// Construction ([`EmbeddingBuilder::build`] or [`CompiledEmbedding::new`])
 /// checks the §4.1 validity conditions, canonicalizes positions
 /// (DESIGN.md §3), and keeps what the per-document operations read: both
-/// DTDs, λ, the resolved paths and the target's minimum default plans. The
-/// given path function is not kept; the resolved paths record it. No
+/// DTDs, λ, the resolved paths, the target's minimum default plans and the
+/// `σd` programs (every source type's production fragment, compiled once).
+/// The given path function is not kept; the resolved paths record it. No
 /// per-edge automata are precomputed; `Tr` compiles the path chains a query
 /// touches. Every part but the plan cache is immutable and held behind an
 /// [`Arc`], so [`without_plans`](Self::without_plans) copies a validated
@@ -397,6 +398,9 @@ pub struct CompiledEmbedding {
     pub(crate) resolved: Arc<[Vec<ResolvedPath>]>,
     /// The target's minimum-default plans (one `mindef_plans()` call ever).
     pub(crate) plans: Arc<[MindefPlan]>,
+    /// The `σd` programs, `programs[a.index()]` for source type `a`:
+    /// every production fragment compiled once, replayed by `apply`.
+    pub(crate) programs: Arc<[crate::pfrag::Program]>,
     /// Bounded cache of compiled [`TranslatePlan`](crate::TranslatePlan)s,
     /// keyed by canonical query shape.
     pub(crate) plan_cache: crate::translate::PlanCache,
@@ -483,15 +487,17 @@ impl CompiledEmbedding {
             crate::validity::check_prefix_free(&source, &target, a, &per_type)?;
             resolved.push(per_type);
         }
-        // Disjunction distinguishability (needs all paths resolved).
+        // The σd programs, compiled in one pass with the disjunction
+        // distinguishability check (it needs all paths resolved).
         let plans = target.mindef_plans();
-        crate::validity::check_disjunction_distinguishability(&source, &target, &resolved, &plans)?;
+        let programs = crate::pfrag::compile(&source, &target, &lambda, &resolved, &plans)?;
         Ok(CompiledEmbedding {
             source,
             target,
             lambda,
             resolved: resolved.into(),
             plans: plans.into(),
+            programs: programs.into(),
             plan_cache: crate::translate::PlanCache::default(),
         })
     }
@@ -506,6 +512,7 @@ impl CompiledEmbedding {
             lambda: Arc::clone(&self.lambda),
             resolved: Arc::clone(&self.resolved),
             plans: Arc::clone(&self.plans),
+            programs: Arc::clone(&self.programs),
             plan_cache: crate::translate::PlanCache::default(),
         }
     }

@@ -19,8 +19,8 @@
 //!   errors instead of panicking;
 //! * [`CompiledEmbedding`] is the validated engine — **owned** (no lifetime
 //!   parameter, both DTDs held via `Arc`), **`Send + Sync`**, with the
-//!   canonicalized paths and minimum-default plans computed once at build
-//!   time and shared by every copy
+//!   canonicalized paths, minimum-default plans and `σd` fragment programs
+//!   computed once at build time and shared by every copy
 //!   ([`CompiledEmbedding::without_plans`]); `Tr` compiles the path chains
 //!   a query touches and caches the plan per query shape;
 //! * every failure anywhere in the pipeline is one
@@ -30,8 +30,11 @@
 //!
 //! * [`CompiledEmbedding::apply`] — the instance mapping `σd` (algorithm
 //!   `InstMap`, Fig. 5), **type safe** and **injective** (Theorem 4.1),
-//!   linear time — and [`CompiledEmbedding::apply_batch`], which fans a
-//!   slice of documents out over scoped threads;
+//!   linear time, replaying each source type's compiled production
+//!   fragment — with [`CompiledEmbedding::apply_to_xml`], which writes the
+//!   same output straight to XML text, and
+//!   [`CompiledEmbedding::apply_batch`], which fans a slice of documents
+//!   out over scoped threads;
 //! * [`CompiledEmbedding::invert`] — `σd⁻¹` recovering the source document
 //!   (Theorem 4.3a);
 //! * [`CompiledEmbedding::translate`] — the schema-directed query

@@ -1,119 +1,80 @@
-//! Production fragments (§4.2).
+//! Production fragments (§4.2) and the programs compiled from them.
 //!
 //! The production fragment `pfrag_A(v)` is the target-side subtree a single
 //! source node `v` of type `A` expands to: the chains of its edge paths,
 //! merged on their longest common prefixes, completed with minimum default
 //! instances for required-but-unmapped target structure, and ordered by the
-//! canonical positions. Its "hot" leaves are where `v`'s children continue
-//! the expansion (Figure 4 shows the fragment of a `class` node).
+//! canonical positions (Figure 4 shows the fragment of a `class` node).
+//! Its shape depends only on the schema (§4.3). What varies per instance is
+//! what fills each chain's endpoint: the image of one of `v`'s children, or
+//! `v`'s text value.
 //!
-//! The same machinery builds *static* fragments — the fragment shape a
-//! set of chains produces regardless of the instance, with each chain's
-//! endpoint marked instead of filled. This module has three users:
+//! This module builds *static* fragments — the fragment a set of chains
+//! produces, with each chain's endpoint marked instead of filled. It has
+//! three users:
 //!
-//! - `apply` (Figure 5), which materializes instance fragments;
+//! - program compile ([`compile`]): once per engine, every source type's
+//!   fragments are flattened into [`Op`] programs, which `apply`
+//!   (Figure 5, see `instmap`) replays for every source node;
 //! - the distinguishability validity check (DESIGN.md §3): a disjunction
 //!   alternative must not be navigable inside the static fragment some
 //!   *other* alternative (or the empty alternative) produces, otherwise
-//!   minimum default padding could alias a choice and break invertibility;
+//!   minimum default padding could alias a choice and break invertibility.
+//!   It runs inside the compile pass, on the trees the disjunction
+//!   programs are read from;
 //! - the `σd` stylesheet (§4.3), whose template rules are static fragments
 //!   read through [`CompiledEmbedding::static_fragment`] with
 //!   apply-templates placed at the endpoints.
 
-use xse_dtd::{Dtd, MindefPlan, Production, TypeId};
-use xse_xmltree::{NodeId, TagId, XmlTree};
+use xse_dtd::{Dtd, MindefPlan, Production, TypeId, DEFAULT_STRING};
+use xse_xmltree::{NodeId, NodeKind, TagId, XmlTree};
 
-use crate::resolve::ResolvedStep;
-use crate::CompiledEmbedding;
-
-/// What sits at the end of a chain.
-#[derive(Clone, Debug)]
-pub(crate) enum Terminal {
-    /// A hot leaf: the image of source node `src` (of source type
-    /// `src_type`), to be expanded by the next `InstMap` round.
-    Hot { src: NodeId, src_type: TypeId },
-    /// The end of a `str` edge chain: a reference to the source text node
-    /// whose value is copied at materialization time (never constructed for
-    /// static fragments, which carry no instance values).
-    Text { src: NodeId },
-    /// The endpoint of chain number `chain` of a static fragment: left
-    /// empty, and reported to the caller, who decides what goes there.
-    End { chain: usize },
-}
+use crate::resolve::{ResolvedPath, ResolvedStep};
+use crate::{CompiledEmbedding, EmbeddingError, TypeMapping};
 
 /// One node of a fragment under construction.
 #[derive(Debug)]
-pub(crate) struct FragNode {
-    pub(crate) ty: TypeId,
+struct FragNode {
+    ty: TypeId,
     /// Edge slot in the parent's target production.
-    pub(crate) slot: usize,
+    slot: usize,
     /// Canonical position among same-label siblings.
-    pub(crate) pos: usize,
-    pub(crate) children: Vec<FragNode>,
-    pub(crate) terminal: Option<Terminal>,
+    pos: usize,
+    children: Vec<FragNode>,
+    /// The chain this node ends, if any.
+    end: Option<usize>,
 }
 
-/// The fragment of one source node: a root (the already-materialized target
-/// image of the source node) plus merged chains.
+/// A fragment under construction: a root of type `root_ty` plus merged
+/// chains.
 #[derive(Debug)]
-pub(crate) struct Fragment {
-    pub(crate) root_ty: TypeId,
-    pub(crate) children: Vec<FragNode>,
-    /// Terminal of a chain with no steps: a `text()`-only `str` path (the
-    /// value lives directly under the fragment root), or a static chain
-    /// that ends at the root.
-    pub(crate) root_terminal: Option<Terminal>,
+struct Fragment {
+    root_ty: TypeId,
+    children: Vec<FragNode>,
+    /// The chain with no steps, which ends at the root: a `text()`-only
+    /// `str` path, or a star prefix whose star parent is the root.
+    root_end: Option<usize>,
 }
 
 impl Fragment {
-    pub(crate) fn new(root_ty: TypeId) -> Self {
-        Fragment {
-            root_ty,
-            children: Vec::new(),
-            root_terminal: None,
-        }
-    }
-
-    /// Add a single chain (concat / disjunction / str edges), merging on the
-    /// longest existing prefix.
-    pub(crate) fn add_chain(&mut self, steps: &[ResolvedStep], terminal: Terminal) {
-        if steps.is_empty() {
-            debug_assert!(self.root_terminal.is_none());
-            self.root_terminal = Some(terminal);
+    /// Add chain number `chain`, merging on the longest existing prefix.
+    fn add_chain(&mut self, steps: &[ResolvedStep], chain: usize) {
+        let Some((last, prefix)) = steps.split_last() else {
+            debug_assert!(self.root_end.is_none());
+            self.root_end = Some(chain);
             return;
-        }
-        add_chain_at(&mut self.children, steps, terminal);
-    }
-
-    /// Add a star edge's chains: the shared prefix up to the multiplicity
-    /// step, then one chain per repetition (positions `1..=n`).
-    pub(crate) fn add_star_chains(&mut self, path: &crate::ResolvedPath, terminals: Vec<Terminal>) {
-        let mult = path
-            .first_star_step()
-            .expect("validated star path has a star step");
-        // Merge the shared prefix (also when there are zero repetitions —
-        // the §4.3 prefix template emits it unconditionally).
+        };
         let mut level = &mut self.children;
-        for step in &path.steps[..mult] {
+        for step in prefix {
             level = step_into(level, step);
         }
-        let mult_step = &path.steps[mult];
-        let suffix = &path.steps[mult + 1..];
-        for (i, term) in terminals.into_iter().enumerate() {
-            let mut node = FragNode {
-                ty: mult_step.ty,
-                slot: mult_step.slot,
-                pos: i + 1,
-                children: Vec::new(),
-                terminal: None,
-            };
-            if suffix.is_empty() {
-                node.terminal = Some(term);
-            } else {
-                add_chain_at(&mut node.children, suffix, term);
-            }
-            level.push(node);
-        }
+        level.push(FragNode {
+            ty: last.ty,
+            slot: last.slot,
+            pos: last.pos.expect("normalized steps carry positions"),
+            children: Vec::new(),
+            end: Some(chain),
+        });
     }
 }
 
@@ -133,7 +94,7 @@ fn step_into<'f>(level: &'f mut Vec<FragNode>, step: &ResolvedStep) -> &'f mut V
                 slot: step.slot,
                 pos,
                 children: Vec::new(),
-                terminal: None,
+                end: None,
             });
             level.len() - 1
         }
@@ -141,70 +102,16 @@ fn step_into<'f>(level: &'f mut Vec<FragNode>, step: &ResolvedStep) -> &'f mut V
     &mut level[idx].children
 }
 
-fn add_chain_at(level: &mut Vec<FragNode>, steps: &[ResolvedStep], terminal: Terminal) {
-    debug_assert!(!steps.is_empty());
-    let mut level = level;
-    for (i, step) in steps.iter().enumerate() {
-        if i + 1 == steps.len() {
-            let pos = step.pos.expect("normalized steps carry positions");
-            level.push(FragNode {
-                ty: step.ty,
-                slot: step.slot,
-                pos,
-                children: Vec::new(),
-                terminal: Some(terminal),
-            });
-            return;
-        }
-        level = step_into(level, step);
-    }
-}
-
-/// Hot leaves produced while materializing a fragment.
-pub(crate) struct HotLeaf {
-    pub(crate) target: NodeId,
-    pub(crate) src: NodeId,
-    pub(crate) src_type: TypeId,
-}
-
-/// Text copies produced while materializing (target text node ↦ source text
-/// node), recorded into `idM` so `text()` query results map back.
-pub(crate) struct TextCopy {
-    pub(crate) target: NodeId,
-    pub(crate) src: NodeId,
-}
-
-/// What materializing a fragment reports back: its hot leaves, its text
-/// copies, and the endpoints of static chains as `(chain, node)`.
-#[derive(Default)]
-pub(crate) struct Leaves {
-    pub(crate) hot: Vec<HotLeaf>,
-    pub(crate) texts: Vec<TextCopy>,
-    pub(crate) ends: Vec<(usize, NodeId)>,
-}
-
-/// The per-apply materialization context: the immutable engine state plus
-/// the output tree's pre-interned tag table (`tags[ty.index()]` is the tag
-/// of target type `ty` in the output's symbol table) and the source tree
-/// for copying text values (`None` for static fragments).
+/// The immutable state static fragments are materialized from: the target
+/// DTD, its minimum-default plans, and the tree's pre-interned tag table
+/// (`tags[ty.index()]` is the tag of target type `ty`).
 pub(crate) struct Emitter<'a> {
     pub(crate) target: &'a Dtd,
     pub(crate) plans: &'a [MindefPlan],
     pub(crate) tags: &'a [TagId],
-    pub(crate) src: Option<&'a XmlTree>,
 }
 
 impl Emitter<'_> {
-    fn copy_text(&self, tree: &mut XmlTree, at: NodeId, src: NodeId, texts: &mut Vec<TextCopy>) {
-        let value = self
-            .src
-            .expect("text terminals require a source tree")
-            .text_value(src)
-            .unwrap_or_default();
-        let t = tree.add_text(at, value);
-        texts.push(TextCopy { target: t, src });
-    }
-
     /// Materialize the static fragment of target type `root_ty` for
     /// `chains` under the root of `tree`, and return each chain's endpoint
     /// in chain order. A chain with no steps ends at the root.
@@ -214,16 +121,113 @@ impl Emitter<'_> {
         root_ty: TypeId,
         chains: &[&[ResolvedStep]],
     ) -> Vec<NodeId> {
-        let mut frag = Fragment::new(root_ty);
+        let mut frag = Fragment {
+            root_ty,
+            children: Vec::new(),
+            root_end: None,
+        };
         for (chain, steps) in chains.iter().enumerate() {
-            frag.add_chain(steps, Terminal::End { chain });
+            frag.add_chain(steps, chain);
         }
-        let mut leaves = Leaves::default();
+        let mut ends = Vec::with_capacity(chains.len());
         let root = tree.root();
-        materialize(frag, self, tree, root, &mut leaves);
-        debug_assert_eq!(leaves.ends.len(), chains.len());
-        leaves.ends.sort_unstable_by_key(|&(chain, _)| chain);
-        leaves.ends.into_iter().map(|(_, node)| node).collect()
+        match frag.root_end {
+            Some(chain) => {
+                debug_assert!(frag.children.is_empty());
+                ends.push((chain, root));
+            }
+            None => self.materialize_children(frag.children, frag.root_ty, tree, root, &mut ends),
+        }
+        debug_assert_eq!(ends.len(), chains.len());
+        ends.sort_unstable_by_key(|&(chain, _)| chain);
+        ends.into_iter().map(|(_, node)| node).collect()
+    }
+
+    /// Complete-and-emit the children of a fragment node of type `ty` at
+    /// tree node `at`, recording chain endpoints as `(chain, node)`.
+    fn materialize_children(
+        &self,
+        mut frag_children: Vec<FragNode>,
+        ty: TypeId,
+        tree: &mut XmlTree,
+        at: NodeId,
+        ends: &mut Vec<(usize, NodeId)>,
+    ) {
+        let (target, plans, tags) = (self.target, self.plans, self.tags);
+        match target.production(ty) {
+            Production::Str => {
+                // Only reachable for nodes with no chains through them (chains
+                // cannot traverse a str-typed node); required text gets the
+                // default value.
+                debug_assert!(frag_children.is_empty());
+                tree.add_text(at, DEFAULT_STRING);
+            }
+            Production::Empty => {
+                debug_assert!(frag_children.is_empty());
+            }
+            Production::Concat(cs) => {
+                // One child per slot; missing slots filled with mindef.
+                frag_children.sort_by_key(|c| c.slot);
+                let mut iter = frag_children.into_iter().peekable();
+                for (slot, &cty) in cs.iter().enumerate() {
+                    if iter.peek().is_some_and(|c| c.slot == slot) {
+                        let child = iter.next().unwrap();
+                        self.emit(child, tree, at, ends);
+                    } else {
+                        target.mindef_into_tagged(plans, tags, cty, tree, at);
+                    }
+                }
+                debug_assert!(iter.next().is_none(), "chain slot outside production");
+            }
+            Production::Disjunction { allows_empty, .. } => match frag_children.len() {
+                0 => {
+                    if !allows_empty {
+                        match &plans[ty.index()] {
+                            MindefPlan::OneChild(c) => {
+                                target.mindef_into_tagged(plans, tags, *c, tree, at);
+                            }
+                            other => unreachable!("disjunction plan {other:?}"),
+                        }
+                    }
+                }
+                1 => {
+                    let child = frag_children.into_iter().next().unwrap();
+                    self.emit(child, tree, at, ends);
+                }
+                n => unreachable!("{n} chains under one OR node — validation is broken"),
+            },
+            Production::Star(b) => {
+                // Children carry positions; fill gaps below the max with mindef.
+                frag_children.sort_by_key(|c| c.pos);
+                let mut next_pos = 1;
+                for child in frag_children {
+                    debug_assert!(child.pos >= next_pos, "duplicate star positions");
+                    while next_pos < child.pos {
+                        target.mindef_into_tagged(plans, tags, *b, tree, at);
+                        next_pos += 1;
+                    }
+                    self.emit(child, tree, at, ends);
+                    next_pos += 1;
+                }
+            }
+        }
+    }
+
+    fn emit(
+        &self,
+        node: FragNode,
+        tree: &mut XmlTree,
+        at: NodeId,
+        ends: &mut Vec<(usize, NodeId)>,
+    ) {
+        let id = tree.add_element_tag(at, self.tags[node.ty.index()]);
+        match node.end {
+            Some(chain) => {
+                debug_assert!(node.children.is_empty(), "no chain passes a chain end");
+                ends.push((chain, id));
+            }
+            None => self.materialize_children(node.children, node.ty, tree, id, ends),
+        }
     }
 }
 
@@ -262,131 +266,213 @@ impl CompiledEmbedding {
             target: &self.target,
             plans: &self.plans,
             tags: &tags,
-            src: None,
         };
         let ends = em.materialize_static(&mut tree, root_ty, chains);
         (tree, ends)
     }
 }
 
-/// Materialize `fragment` under the existing node `at` of `tree`:
-/// mindef-complete every non-hot node, order children canonically, emit hot
-/// leaves, text copies and static endpoints.
-pub(crate) fn materialize(
-    fragment: Fragment,
-    em: &Emitter<'_>,
-    tree: &mut XmlTree,
-    at: NodeId,
-    out: &mut Leaves,
-) {
-    match fragment.root_terminal {
-        Some(terminal) => {
-            debug_assert!(fragment.children.is_empty());
-            terminate(terminal, em, tree, at, out);
-        }
-        None => materialize_children(fragment.children, fragment.root_ty, em, tree, at, out),
-    }
+/// One instruction of a fragment program. A program runs against a cursor,
+/// the current output element, and writes below it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Op {
+    /// Append an element of target type `t` to the current element; it
+    /// becomes the current element.
+    Open(TypeId),
+    /// Close the current element, of target type `t`; its parent becomes
+    /// the current element.
+    Close(TypeId),
+    /// Append the default string value to the current element.
+    DefaultText,
+    /// Chain `i` ends at the current element.
+    End(usize),
 }
 
-/// Complete-and-emit the children of a non-hot fragment node of type `ty`
-/// at tree node `at`.
-fn materialize_children(
-    mut frag_children: Vec<FragNode>,
-    ty: TypeId,
-    em: &Emitter<'_>,
-    tree: &mut XmlTree,
-    at: NodeId,
-    out: &mut Leaves,
-) {
-    match em.target.production(ty) {
-        Production::Str => {
-            // Only reachable for nodes with no chains through them (chains
-            // cannot traverse a str-typed node); required text gets the
-            // default value.
-            debug_assert!(frag_children.is_empty());
-            tree.add_text(at, xse_dtd::DEFAULT_STRING);
-        }
-        Production::Empty => {
-            debug_assert!(frag_children.is_empty());
-        }
-        Production::Concat(cs) => {
-            // One child per slot; missing slots filled with mindef.
-            frag_children.sort_by_key(|c| c.slot);
-            let mut iter = frag_children.into_iter().peekable();
-            for (slot, &cty) in cs.iter().enumerate() {
-                if iter.peek().is_some_and(|c| c.slot == slot) {
-                    let child = iter.next().unwrap();
-                    emit(child, em, tree, at, out);
-                } else {
-                    em.target
-                        .mindef_into_tagged(em.plans, em.tags, cty, tree, at);
-                }
-            }
-            debug_assert!(iter.next().is_none(), "chain slot outside production");
-        }
-        Production::Disjunction { allows_empty, .. } => match frag_children.len() {
-            0 => {
-                if !allows_empty {
-                    match &em.plans[ty.index()] {
-                        MindefPlan::OneChild(c) => {
-                            em.target
-                                .mindef_into_tagged(em.plans, em.tags, *c, tree, at);
-                        }
-                        other => unreachable!("disjunction plan {other:?}"),
-                    }
-                }
-            }
-            1 => {
-                let child = frag_children.into_iter().next().unwrap();
-                emit(child, em, tree, at, out);
-            }
-            n => unreachable!("{n} chains under one OR node — validation is broken"),
+/// The compiled `σd` template of one source type: its production fragment
+/// as flat [`Op`] programs, one per shape the fragment can take.
+#[derive(Debug)]
+pub(crate) enum Program {
+    /// Empty and concatenation types: chain `i` ends at the image of child
+    /// `i`, of source type `children[i]`.
+    Concat {
+        ops: Box<[Op]>,
+        children: Box<[TypeId]>,
+    },
+    /// `str` types: the one chain ends where the text value is copied.
+    Str(Box<[Op]>),
+    /// Disjunction types: `alts[j]` is alternative `j`'s source type and
+    /// the program for a node whose child is of that type (its one chain
+    /// ends at the child's image); `none` is the program for a node with no
+    /// child, present when the production allows one.
+    Choice {
+        alts: Box<[(TypeId, Box<[Op]>)]>,
+        none: Option<Box<[Op]>>,
+    },
+    /// Star types: `prefix` is the constant part, whose one chain ends at
+    /// the star parent; inside it, `rep` runs once per child (of source
+    /// type `child`), and its one chain ends at that child's image.
+    Star {
+        child: TypeId,
+        prefix: Box<[Op]>,
+        rep: Box<[Op]>,
+    },
+}
+
+/// Compile every source type's [`Program`] on one scratch tree, checking
+/// disjunction distinguishability on each disjunction scenario as it is
+/// materialized.
+///
+/// # Errors
+/// [`EmbeddingError::AlternativeAliased`] when some alternative's path is
+/// navigable in another scenario's fragment.
+pub(crate) fn compile(
+    source: &Dtd,
+    target: &Dtd,
+    lambda: &TypeMapping,
+    resolved: &[Vec<ResolvedPath>],
+    plans: &[MindefPlan],
+) -> Result<Vec<Program>, EmbeddingError> {
+    // Navigation never reads the root's tag, and programs leave the root
+    // out, so one root serves every origin type.
+    let mut tree = XmlTree::new(target.name(target.root()));
+    let tags = intern_target_tags(target, &mut tree);
+    let mut types = vec![target.root(); tags.iter().map(|t| t.index() + 1).max().unwrap_or(0)];
+    for ty in target.types() {
+        types[tags[ty.index()].index()] = ty;
+    }
+    let mut scratch = Scratch {
+        em: Emitter {
+            target,
+            plans,
+            tags: &tags,
         },
-        Production::Star(b) => {
-            // Children carry positions; fill gaps below the max with mindef.
-            frag_children.sort_by_key(|c| c.pos);
-            let mut next_pos = 1;
-            for child in frag_children {
-                debug_assert!(child.pos >= next_pos, "duplicate star positions");
-                while next_pos < child.pos {
-                    em.target
-                        .mindef_into_tagged(em.plans, em.tags, *b, tree, at);
-                    next_pos += 1;
+        tree,
+        types,
+    };
+    // Disjunction types go first, so an embedding the check refuses costs
+    // no other type's compile.
+    let is_choice = |a: &TypeId| matches!(source.production(*a), Production::Disjunction { .. });
+    let order = source
+        .types()
+        .filter(is_choice)
+        .chain(source.types().filter(|a| !is_choice(a)));
+    let mut programs: Vec<Option<Program>> = source.types().map(|_| None).collect();
+    for a in order {
+        let paths = &resolved[a.index()];
+        let root_ty = lambda.get(a);
+        let chains: Vec<&[ResolvedStep]> = paths.iter().map(|p| p.steps.as_slice()).collect();
+        let production = source.production(a);
+        programs[a.index()] = Some(match production {
+            Production::Empty | Production::Concat(_) => Program::Concat {
+                ops: scratch.program(root_ty, &chains).into(),
+                children: production.children().into(),
+            },
+            Production::Str => Program::Str(scratch.program(root_ty, &chains).into()),
+            Production::Disjunction { alts, allows_empty } => {
+                let mut scenario = |scn: Option<usize>| {
+                    let chain: Option<&[ResolvedStep]> = scn.map(|j| chains[j]);
+                    let ends = scratch.materialize(root_ty, chain.as_slice());
+                    crate::validity::check_unaliased(
+                        source,
+                        target,
+                        a,
+                        paths,
+                        scn,
+                        &scratch.tree,
+                        &tags,
+                    )?;
+                    Ok::<_, EmbeddingError>(scratch.read(&ends).into_boxed_slice())
+                };
+                let alt_programs = (0..alts.len())
+                    .map(|j| Ok((alts[j], scenario(Some(j))?)))
+                    .collect::<Result<_, EmbeddingError>>()?;
+                let none = if *allows_empty {
+                    Some(scenario(None)?)
+                } else {
+                    None
+                };
+                Program::Choice {
+                    alts: alt_programs,
+                    none,
                 }
-                emit(child, em, tree, at, out);
-                next_pos += 1;
+            }
+            Production::Star(b) => {
+                let steps = chains[0];
+                let mult = paths[0]
+                    .first_star_step()
+                    .expect("validated star path has a star step");
+                let rep_ty = steps[mult].ty;
+                let mut rep = vec![Op::Open(rep_ty)];
+                rep.extend(scratch.program(rep_ty, &[&steps[mult + 1..]]));
+                rep.push(Op::Close(rep_ty));
+                Program::Star {
+                    child: *b,
+                    prefix: scratch.program(root_ty, &[&steps[..mult]]).into(),
+                    rep: rep.into(),
+                }
+            }
+        });
+    }
+    Ok(programs
+        .into_iter()
+        .map(|p| p.expect("every type is compiled"))
+        .collect())
+}
+
+/// The compile pass's scratch tree, reset to its root before every
+/// fragment, so the target's tags are interned once per engine.
+struct Scratch<'a> {
+    em: Emitter<'a>,
+    tree: XmlTree,
+    /// `types[tag.index()]` is the target type whose name `tag` interns.
+    types: Vec<TypeId>,
+}
+
+impl Scratch<'_> {
+    /// Materialize the static fragment of `root_ty` for `chains` and
+    /// return each chain's endpoint in chain order.
+    fn materialize(&mut self, root_ty: TypeId, chains: &[&[ResolvedStep]]) -> Vec<NodeId> {
+        self.tree.reset_to_root();
+        self.em.materialize_static(&mut self.tree, root_ty, chains)
+    }
+
+    /// The program of the static fragment of `root_ty` for `chains`.
+    fn program(&mut self, root_ty: TypeId, chains: &[&[ResolvedStep]]) -> Vec<Op> {
+        let ends = self.materialize(root_ty, chains);
+        self.read(&ends)
+    }
+
+    /// The tree below the root as a program in document order, with chain
+    /// `i` ending at `ends[i]`.
+    fn read(&self, ends: &[NodeId]) -> Vec<Op> {
+        let tree = &self.tree;
+        let end = |n: NodeId| ends.iter().position(|&e| e == n).map(Op::End);
+        let ty = |n: NodeId| {
+            let tag = tree.node_tag_id(n).expect("an element");
+            self.types[tag.index()]
+        };
+        let mut ops: Vec<Op> = end(tree.root()).into_iter().collect();
+        // The open elements below the root, innermost last.
+        let mut open: Vec<NodeId> = Vec::new();
+        for n in tree.preorder().skip(1) {
+            let parent = tree.parent(n).expect("below the root");
+            while let Some(&o) = open.last().filter(|&&o| o != parent) {
+                open.pop();
+                ops.push(Op::Close(ty(o)));
+            }
+            match tree.kind(n) {
+                NodeKind::Text(value) => {
+                    debug_assert_eq!(value, DEFAULT_STRING, "static fragments carry no values");
+                    ops.push(Op::DefaultText);
+                }
+                NodeKind::Element(_) => {
+                    ops.push(Op::Open(ty(n)));
+                    ops.extend(end(n));
+                    open.push(n);
+                }
             }
         }
-    }
-}
-
-fn emit(node: FragNode, em: &Emitter<'_>, tree: &mut XmlTree, at: NodeId, out: &mut Leaves) {
-    let id = tree.add_element_tag(at, em.tags[node.ty.index()]);
-    match node.terminal {
-        Some(terminal) => {
-            debug_assert!(node.children.is_empty(), "no chain passes a chain end");
-            terminate(terminal, em, tree, id, out);
-        }
-        None => materialize_children(node.children, node.ty, em, tree, id, out),
-    }
-}
-
-/// Report the node `id` that ends a chain, copying a `str` chain's text
-/// into it.
-fn terminate(
-    terminal: Terminal,
-    em: &Emitter<'_>,
-    tree: &mut XmlTree,
-    id: NodeId,
-    out: &mut Leaves,
-) {
-    match terminal {
-        Terminal::Hot { src, src_type } => out.hot.push(HotLeaf {
-            target: id,
-            src,
-            src_type,
-        }),
-        Terminal::Text { src } => em.copy_text(tree, id, src, &mut out.texts),
-        Terminal::End { chain } => out.ends.push((chain, id)),
+        ops.extend(open.into_iter().rev().map(|o| Op::Close(ty(o))));
+        ops
     }
 }

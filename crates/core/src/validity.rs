@@ -199,70 +199,42 @@ impl crate::resolve::PathClass {
     }
 }
 
-/// Distinguishability of disjunction alternatives (DESIGN.md §3): for each
-/// disjunction type and each alternative `j` (and the `ε` choice), build the
-/// *static* fragment it produces — its chain plus minimum-default
-/// completion, with the chain's endpoint left empty — and verify no *other*
-/// alternative's path navigates inside it. Without this, default padding
-/// could alias a choice and `σd⁻¹` / `Tr` would mis-resolve disjunctions
-/// (the paper's conditions leave this corner open; rejecting such
-/// embeddings is conservative). `resolved` holds every source type's paths.
-pub(crate) fn check_disjunction_distinguishability(
+/// Distinguishability of disjunction alternatives (DESIGN.md §3), for one
+/// scenario of disjunction type `a`: `tree` holds the *static* fragment
+/// that alternative `scn` (or the `ε` choice, `None`) produces — its chain
+/// plus minimum-default completion, with the chain's endpoint left empty —
+/// and no *other* alternative's path may navigate inside it. Without this,
+/// default padding could alias a choice and `σd⁻¹` / `Tr` would mis-resolve
+/// disjunctions (the paper's conditions leave this corner open; rejecting
+/// such embeddings is conservative). Program compile (`pfrag::compile`)
+/// materializes every scenario and calls this on each; `tags[ty.index()]`
+/// is target type `ty`'s tag in `tree`.
+pub(crate) fn check_unaliased(
     source: &Dtd,
     target: &Dtd,
-    resolved: &[Vec<crate::resolve::ResolvedPath>],
-    plans: &[xse_dtd::MindefPlan],
+    a: TypeId,
+    paths: &[ResolvedPath],
+    scn: Option<usize>,
+    tree: &xse_xmltree::XmlTree,
+    tags: &[xse_xmltree::TagId],
 ) -> Result<(), EmbeddingError> {
-    // Every scenario of every type materializes into one tree, built on
-    // first use and reset to its root in between, so the target's tags are
-    // interned once per compile. Navigation never reads the root's tag, so
-    // one root serves every origin type.
-    let mut scratch: Option<(xse_xmltree::XmlTree, Vec<xse_xmltree::TagId>)> = None;
-    for a in source.types() {
-        let Production::Disjunction { alts, allows_empty } = source.production(a) else {
-            continue;
-        };
-        let paths = &resolved[a.index()];
-        if paths.is_empty() {
+    let root = tree.root();
+    for (i, p) in paths.iter().enumerate() {
+        if scn == Some(i) {
             continue;
         }
-        let origin = paths[0].origin;
-        let mut scenarios: Vec<Option<usize>> = (0..alts.len()).map(Some).collect();
-        if *allows_empty {
-            scenarios.push(None);
-        }
-        let (tree, tags) = scratch.get_or_insert_with(|| {
-            let mut tree = xse_xmltree::XmlTree::new(target.name(target.root()));
-            let tags = crate::pfrag::intern_target_tags(target, &mut tree);
-            (tree, tags)
-        });
-        let em = crate::pfrag::Emitter {
-            target,
-            plans,
-            tags,
-            // Static fragments carry no instance values.
-            src: None,
-        };
-        for &scn in &scenarios {
-            let chain: Option<&[_]> = scn.map(|j| paths[j].steps.as_slice());
-            tree.reset_to_root();
-            em.materialize_static(tree, origin, chain.as_slice());
-            let root = tree.root();
-            for (i, p) in paths.iter().enumerate() {
-                if scn == Some(i) {
-                    continue;
-                }
-                if crate::inverse::navigate_tagged(tree, tags, root, &p.steps).is_some() {
-                    return Err(EmbeddingError::AlternativeAliased {
-                        ty: source.name(a).to_string(),
-                        probe: p.display(target),
-                        scenario: match scn {
-                            Some(j) => source.name(alts[j]).to_string(),
-                            None => "ε".into(),
-                        },
-                    });
-                }
-            }
+        if crate::inverse::navigate_tagged(tree, tags, root, &p.steps).is_some() {
+            let Production::Disjunction { alts, .. } = source.production(a) else {
+                unreachable!("scenarios belong to disjunction types");
+            };
+            return Err(EmbeddingError::AlternativeAliased {
+                ty: source.name(a).to_string(),
+                probe: p.display(target),
+                scenario: match scn {
+                    Some(j) => source.name(alts[j]).to_string(),
+                    None => "ε".into(),
+                },
+            });
         }
     }
     Ok(())

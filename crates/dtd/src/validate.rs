@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use xse_xmltree::{NodeId, XmlTree};
+use xse_xmltree::{NodeId, TagId, XmlTree};
 
 use crate::{Dtd, Production, TypeId};
 
@@ -24,6 +24,13 @@ impl fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 impl Dtd {
+    /// This DTD's type names as interned in `tree`'s symbol table:
+    /// `tags[t.index()]` is type `t`'s tag, or `None` when `tree` never
+    /// interned the name, so no node of `tree` carries it.
+    pub fn tag_ids(&self, tree: &XmlTree) -> Vec<Option<TagId>> {
+        self.types().map(|t| tree.tag_id(self.name(t))).collect()
+    }
+
     /// Check that `tree` conforms to this DTD: the root is labeled with the
     /// root type and every element's children match its production.
     pub fn validate(&self, tree: &XmlTree) -> Result<(), ValidationError> {
@@ -42,16 +49,21 @@ impl Dtd {
 
     /// Check that the subtree rooted at `node` is a valid instance of
     /// element type `expect`.
+    ///
+    /// Each type's name is looked up in `tree`'s symbol table once; every
+    /// label check after that compares [`TagId`]s, and the messages are
+    /// formatted only on failure.
     pub fn validate_subtree(
         &self,
         tree: &XmlTree,
         node: NodeId,
         expect: TypeId,
     ) -> Result<(), ValidationError> {
+        let tags = self.tag_ids(tree);
         // Explicit worklist; documents can be deep.
         let mut work: Vec<(NodeId, TypeId)> = vec![(node, expect)];
         while let Some((n, t)) = work.pop() {
-            self.validate_one(tree, n, t, &mut work)?;
+            self.validate_one(tree, &tags, n, t, &mut work)?;
         }
         Ok(())
     }
@@ -59,6 +71,7 @@ impl Dtd {
     fn validate_one(
         &self,
         tree: &XmlTree,
+        tags: &[Option<TagId>],
         node: NodeId,
         t: TypeId,
         work: &mut Vec<(NodeId, TypeId)>,
@@ -69,11 +82,25 @@ impl Dtd {
                 msg,
             })
         };
-        let Some(tag) = tree.tag(node) else {
-            return err(format!("expected element <{}>, found text", self.name(t)));
+        // `child`'s type if it is an element labeled like one of `types`.
+        let typed = |child: NodeId, types: &[TypeId]| {
+            let tag = tree.node_tag_id(child)?;
+            types
+                .iter()
+                .copied()
+                .find(|ct| tags[ct.index()] == Some(tag))
         };
-        if tag != self.name(t) {
-            return err(format!("expected <{}>, found <{tag}>", self.name(t)));
+        // What `child` is, for a message: `<tag>` or `text`.
+        let found = |child: NodeId| match tree.node_tag_id(child) {
+            Some(tag) => format!("<{}>", tree.tag_name(tag)),
+            None => "text".to_string(),
+        };
+        let tag = self.name(t);
+        if typed(node, &[t]).is_none() {
+            return match tree.node_tag_id(node) {
+                None => err(format!("expected element <{tag}>, found text")),
+                Some(_) => err(format!("expected <{tag}>, found {}", found(node))),
+            };
         }
         let children = tree.children(node);
         match self.production(t) {
@@ -106,21 +133,14 @@ impl Dtd {
                     ));
                 }
                 for (&child, &ct) in children.iter().zip(cs.iter()) {
-                    match tree.tag(child) {
-                        Some(ctag) if ctag == self.name(ct) => work.push((child, ct)),
-                        Some(ctag) => {
-                            return err(format!(
-                                "child of <{tag}>: expected <{}>, found <{ctag}>",
-                                self.name(ct)
-                            ))
-                        }
-                        None => {
-                            return err(format!(
-                                "child of <{tag}>: expected <{}>, found text",
-                                self.name(ct)
-                            ))
-                        }
+                    if typed(child, &[ct]).is_none() {
+                        return err(format!(
+                            "child of <{tag}>: expected <{}>, found {}",
+                            self.name(ct),
+                            found(child)
+                        ));
                     }
+                    work.push((child, ct));
                 }
             }
             Production::Disjunction { alts, allows_empty } => {
@@ -137,14 +157,15 @@ impl Dtd {
                     ));
                 }
                 let child = children[0];
-                let Some(ctag) = tree.tag(child) else {
+                if tree.is_text(child) {
                     return err(format!("child of <{tag}> must be an element, found text"));
-                };
-                match alts.iter().find(|&&a| self.name(a) == ctag) {
-                    Some(&a) => work.push((child, a)),
+                }
+                match typed(child, alts) {
+                    Some(a) => work.push((child, a)),
                     None => {
                         return err(format!(
-                            "child of <{tag}>: <{ctag}> is not among the alternatives ({})",
+                            "child of <{tag}>: {} is not among the alternatives ({})",
+                            found(child),
                             alts.iter()
                                 .map(|a| self.name(*a))
                                 .collect::<Vec<_>>()
@@ -155,21 +176,14 @@ impl Dtd {
             }
             Production::Star(b) => {
                 for &child in children {
-                    match tree.tag(child) {
-                        Some(ctag) if ctag == self.name(*b) => work.push((child, *b)),
-                        Some(ctag) => {
-                            return err(format!(
-                                "child of <{tag}>: expected <{}>, found <{ctag}>",
-                                self.name(*b)
-                            ))
-                        }
-                        None => {
-                            return err(format!(
-                                "child of <{tag}>: expected <{}>, found text",
-                                self.name(*b)
-                            ))
-                        }
+                    if typed(child, &[*b]).is_none() {
+                        return err(format!(
+                            "child of <{tag}>: expected <{}>, found {}",
+                            self.name(*b),
+                            found(child)
+                        ));
                     }
+                    work.push((child, *b));
                 }
             }
         }
@@ -269,6 +283,22 @@ mod tests {
         assert!(d.validate(&t).is_err());
         let t = parse_xml("<r><a/></r>").unwrap();
         d.validate(&t).unwrap();
+    }
+
+    #[test]
+    fn a_type_the_document_never_names_matches_no_node() {
+        // `class`, `cno`, `type`, `regular` and `project` are declared but
+        // absent from each document's symbol table.
+        let empty = parse_xml("<db/>").unwrap();
+        assert_eq!(empty.tag_id("class"), None);
+        let class = dtd().type_id("class").unwrap();
+        assert_eq!(dtd().tag_ids(&empty)[class.index()], None);
+        dtd().validate(&empty).unwrap();
+        let foreign = parse_xml("<db><klass/></db>").unwrap();
+        assert_eq!(foreign.tag_id("class"), None);
+        let e = dtd().validate(&foreign).unwrap_err();
+        assert_eq!(e.msg, "child of <db>: expected <class>, found <klass>");
+        assert_eq!(e.path, "db");
     }
 
     #[test]

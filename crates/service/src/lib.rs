@@ -86,6 +86,12 @@
 //! | `0x05` | `stats`     | —                       |
 //! | `0x06` | `evict`     | `s`, `t`                |
 //!
+//! `apply` answers with `σd(xml)` written straight to text from the
+//! engine's compiled fragment programs
+//! ([`apply_to_xml`](xse_core::CompiledEmbedding::apply_to_xml)), so no
+//! output tree is built; `invert` builds the recovered source tree and
+//! serializes it.
+//!
 //! `evict` drops the pair's cached engine and any failed-discovery
 //! verdict. A found embedding's validated state stays, so the next request
 //! gets the same engine back without searching or checking again (see
@@ -290,10 +296,8 @@ fn try_handle(registry: &EmbeddingRegistry, req: &Request) -> Result<Response, S
         } => {
             let (_, engine) = registry.get_or_compile(source_dtd, target_dtd)?;
             let doc = parse_xml(xml).map_err(|e| ServiceError::BadDocument(e.to_string()))?;
-            let out = engine.apply(&doc).map_err(engine_error)?;
-            Ok(Response::Document {
-                xml: out.tree.to_xml(),
-            })
+            let xml = engine.apply_to_xml(&doc).map_err(engine_error)?;
+            Ok(Response::Document { xml })
         }
         Request::Invert {
             source_dtd,

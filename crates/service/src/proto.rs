@@ -161,7 +161,11 @@ pub enum Request {
         source_dtd: String,
         target_dtd: String,
     },
-    /// `σd`: map `xml` (a source document) to the target schema.
+    /// `σd`: map `xml` (a source document) to the target schema. The
+    /// server validates the parsed document, then writes `σd(xml)` straight
+    /// to compact XML text with the engine's compiled programs
+    /// (`CompiledEmbedding::apply_to_xml`): no output tree and no `idM` are
+    /// built, and the text is byte for byte `apply(..).tree.to_xml()`.
     Apply {
         source_dtd: String,
         target_dtd: String,

@@ -46,8 +46,9 @@
 //! Parsing ([`parse_xml`]) builds straight into the arena with capacity
 //! pre-reserved from the input, copying each run of character data as one
 //! slice into the shared text buffer; serialization ([`XmlTree::to_xml`] /
-//! [`XmlTree::to_xml_pretty`]) walks the sibling links into a presized
-//! string and round-trips through it. Parsing and compact serialization
+//! [`XmlTree::to_xml_pretty`]) walks the sibling links into an
+//! [`XmlWriter`], which holds the escaping and the empty-element rule, and
+//! round-trips through it. Parsing and compact serialization
 //! take time linear in the document, and all three loop instead of
 //! recursing, so nesting depth is bounded by memory, not by the call stack.
 
@@ -62,5 +63,5 @@ pub use builder::TreeBuilder;
 pub use idmap::IdMap;
 pub use node::{NodeId, NodeKind, Preorder, XmlTree};
 pub use parse::{parse_xml, ParseError};
-pub use serialize::escape_text;
+pub use serialize::{escape_text, XmlWriter};
 pub use symbol::{SymbolTable, TagId};

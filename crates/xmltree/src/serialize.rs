@@ -29,6 +29,84 @@ fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[run..]);
 }
 
+/// Compact XML text, written one event at a time: the one writer behind
+/// [`XmlTree::to_xml`] and every other producer of compact text, such as
+/// an instance mapping that emits its output without building a tree.
+///
+/// The writer holds the two rules that fix the bytes: character data is
+/// escaped, and an element with no children at all is written `<t/>`. A
+/// start tag is left open until the element's first child or its end
+/// arrives, so a caller never needs to know ahead whether an element is
+/// empty. An element whose only child is an empty text value is written
+/// `<t></t>`.
+#[derive(Debug, Default)]
+pub struct XmlWriter {
+    out: String,
+    /// A start tag awaits its `>` (or, if the element ends now, `/>`).
+    start_open: bool,
+}
+
+impl XmlWriter {
+    /// A writer with `bytes` of output reserved.
+    pub fn with_capacity(bytes: usize) -> Self {
+        XmlWriter {
+            out: String::with_capacity(bytes),
+            start_open: false,
+        }
+    }
+
+    /// Start an element labeled `tag`, as the next child of the open one.
+    pub fn start(&mut self, tag: &str) {
+        self.seal();
+        self.out.push('<');
+        self.out.push_str(tag);
+        self.start_open = true;
+    }
+
+    /// Write a text node with string `value`, escaped.
+    pub fn text(&mut self, value: &str) {
+        self.seal();
+        escape_into(&mut self.out, value);
+    }
+
+    /// End the open element, labeled `tag`.
+    pub fn end(&mut self, tag: &str) {
+        if self.start_open {
+            self.out.push_str("/>");
+            self.start_open = false;
+        } else {
+            self.out.push_str("</");
+            self.out.push_str(tag);
+            self.out.push('>');
+        }
+    }
+
+    /// Start a new line indented `depth` times by `unit`, for indented
+    /// output (no newline before the first node).
+    fn indent(&mut self, unit: &str, depth: usize) {
+        self.seal();
+        if !self.out.is_empty() {
+            self.out.push('\n');
+        }
+        for _ in 0..depth {
+            self.out.push_str(unit);
+        }
+    }
+
+    /// The text written so far. Every started element must have ended.
+    pub fn finish(self) -> String {
+        debug_assert!(!self.start_open, "an element was left open");
+        self.out
+    }
+
+    fn seal(&mut self) {
+        if self.start_open {
+            self.out.push('>');
+            self.start_open = false;
+        }
+    }
+}
+
 impl XmlTree {
     /// Serialize to compact XML text (no insignificant whitespace), the
     /// format accepted back by [`crate::parse_xml`].
@@ -48,56 +126,46 @@ impl XmlTree {
     }
 
     /// One iterative preorder walk over the first-child / next-sibling
-    /// links, so depth is bounded by memory, not the call stack, and the
-    /// CSR child spans are never built. The output is presized from the
-    /// tag and text bytes.
+    /// links into an [`XmlWriter`], so depth is bounded by memory, not the
+    /// call stack, and the CSR child spans are never built. The output is
+    /// presized from the tag and text bytes.
     fn write_xml(&self, indent: Option<&str>) -> String {
-        let mut out = String::with_capacity(self.compact_len_hint());
-        let pad = |out: &mut String, depth: usize| {
+        let mut w = XmlWriter::with_capacity(self.compact_len_hint());
+        let pad = |w: &mut XmlWriter, depth: usize| {
             if let Some(unit) = indent {
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                for _ in 0..depth {
-                    out.push_str(unit);
-                }
+                w.indent(unit, depth);
             }
         };
         let root = self.root();
         let mut cur = root;
         let mut depth = 0;
         loop {
-            pad(&mut out, depth);
+            pad(&mut w, depth);
             match self.kind(cur) {
-                NodeKind::Text(v) => escape_into(&mut out, v),
-                NodeKind::Element(tag) => match self.first_child(cur) {
-                    None => {
-                        out.push('<');
-                        out.push_str(tag);
-                        out.push_str("/>");
-                    }
-                    Some(first) => {
-                        out.push('<');
-                        out.push_str(tag);
-                        out.push('>');
+                NodeKind::Text(v) => w.text(v),
+                NodeKind::Element(tag) => {
+                    w.start(tag);
+                    match self.first_child(cur) {
+                        None => w.end(tag),
                         // A single text child is kept inline so values do
                         // not accrete surrounding whitespace in pretty mode.
-                        if self.child_count(cur) == 1 && self.is_text(first) {
-                            escape_into(&mut out, self.text_value(first).unwrap_or_default());
-                            close_tag(&mut out, tag);
-                        } else {
+                        Some(first) if self.child_count(cur) == 1 && self.is_text(first) => {
+                            w.text(self.text_value(first).unwrap_or_default());
+                            w.end(tag);
+                        }
+                        Some(first) => {
                             cur = first;
                             depth += 1;
                             continue;
                         }
                     }
-                },
+                }
             }
             // `cur` is written: move to its next sibling, closing every
             // ancestor whose last child this was.
             loop {
                 if cur == root {
-                    return out;
+                    return w.finish();
                 }
                 if let Some(next) = self.next_sibling(cur) {
                     cur = next;
@@ -105,17 +173,11 @@ impl XmlTree {
                 }
                 cur = self.parent(cur).expect("a non-root node has a parent");
                 depth -= 1;
-                pad(&mut out, depth);
-                close_tag(&mut out, self.tag(cur).unwrap_or_default());
+                pad(&mut w, depth);
+                w.end(self.tag(cur).unwrap_or_default());
             }
         }
     }
-}
-
-fn close_tag(out: &mut String, tag: &str) {
-    out.push_str("</");
-    out.push_str(tag);
-    out.push('>');
 }
 
 #[cfg(test)]
@@ -155,6 +217,30 @@ mod tests {
             pretty,
             "<db>\n  <class>\n    <cno>CS331</cno>\n  </class>\n</db>\n"
         );
+    }
+
+    #[test]
+    fn writer_matches_to_xml_on_empty_elements_and_values() {
+        let mut w = super::XmlWriter::default();
+        w.start("r");
+        w.start("e");
+        w.end("e");
+        w.start("v");
+        w.text("");
+        w.end("v");
+        w.start("s");
+        w.text("&<>\"'");
+        w.end("s");
+        w.end("r");
+        let mut t = XmlTree::new("r");
+        t.add_element(t.root(), "e");
+        let v = t.add_element(t.root(), "v");
+        t.add_text(v, "");
+        let s = t.add_element(t.root(), "s");
+        t.add_text(s, "&<>\"'");
+        let text = w.finish();
+        assert_eq!(text, "<r><e/><v></v><s>&amp;&lt;&gt;&quot;&apos;</s></r>");
+        assert_eq!(text, t.to_xml());
     }
 
     #[test]

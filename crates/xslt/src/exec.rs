@@ -195,11 +195,6 @@ impl<'a> Engine<'a> {
                         }));
                     }
                     OutputNode::Text(s) => out.text(parent, s),
-                    OutputNode::CopyText => {
-                        if let Some(v) = self.source.text_value(ctx) {
-                            out.text(parent, v);
-                        }
-                    }
                     OutputNode::Apply { select, mode } => {
                         let selected = self.ev.eval(select, ctx).into_iter().rev();
                         stack.extend(selected.map(|node| Task::Apply {
@@ -225,16 +220,11 @@ impl<'a> Engine<'a> {
             if r.mode.as_deref() != mode {
                 continue;
             }
-            let matches = match &r.pattern {
-                Pattern::Any => true,
-                Pattern::AnyText => self.source.is_text(node),
-                Pattern::Element { name, filter } => {
-                    self.source.tag(node) == Some(name.as_str())
-                        && filter
-                            .as_ref()
-                            .is_none_or(|q| !self.ev.eval(q, node).is_empty())
-                }
-            };
+            let Pattern::Element { name, filter } = &r.pattern;
+            let matches = self.source.tag(node) == Some(name.as_str())
+                && filter
+                    .as_ref()
+                    .is_none_or(|q| !self.ev.eval(q, node).is_empty());
             if matches {
                 let spec = r.pattern.specificity();
                 if best.is_none_or(|(s, _)| spec > s) {

@@ -7,8 +7,7 @@ use xse_rxpath::XrQuery;
 /// A match pattern — "essentially a subset of XPath expressions containing
 /// only child, descendant, and attribute axes". Our generated stylesheets
 /// need element tags with an optional relative filter (`category[mandatory/
-/// regular]`), so that is what the model provides, plus text and wildcard
-/// patterns for built-in-style rules.
+/// regular]`), so that is what the model provides.
 #[derive(Clone, Debug)]
 pub enum Pattern {
     /// Matches an element with this tag; when `filter` is present the query
@@ -20,10 +19,6 @@ pub enum Pattern {
         /// rules.
         filter: Option<XrQuery>,
     },
-    /// Matches any text node.
-    AnyText,
-    /// Matches any node (the minimum-default templates' `match = ε`).
-    Any,
 }
 
 impl Pattern {
@@ -44,15 +39,13 @@ impl Pattern {
     }
 
     /// Specificity used for rule selection (higher wins): filtered element >
-    /// plain element > text > any.
+    /// plain element.
     pub fn specificity(&self) -> u8 {
         match self {
             Pattern::Element {
                 filter: Some(_), ..
             } => 3,
             Pattern::Element { filter: None, .. } => 2,
-            Pattern::AnyText => 1,
-            Pattern::Any => 0,
         }
     }
 }
@@ -78,9 +71,6 @@ pub enum OutputNode {
         /// Mode of the recursive application (`None` = unmoded).
         mode: Option<String>,
     },
-    /// Copy the current text node's string value (the built-in text rule's
-    /// body, available for explicit rules too).
-    CopyText,
 }
 
 /// One template rule.
@@ -136,8 +126,6 @@ impl fmt::Display for Stylesheet {
                     name,
                     filter: Some(q),
                 } => format!("{name}[{q}]"),
-                Pattern::AnyText => "text()".to_string(),
-                Pattern::Any => "node()".to_string(),
             };
             write!(f, "  <xsl:template match=\"{m}\"")?;
             if let Some(mode) = &r.mode {
@@ -175,7 +163,6 @@ fn write_output(f: &mut fmt::Formatter<'_>, o: &OutputNode, depth: usize) -> fmt
             }
             writeln!(f, "/>")
         }
-        OutputNode::CopyText => writeln!(f, "{pad}<xsl:value-of select=\".\"/>"),
     }
 }
 
@@ -183,14 +170,6 @@ fn write_output(f: &mut fmt::Formatter<'_>, o: &OutputNode, depth: usize) -> fmt
 mod tests {
     use super::*;
     use xse_rxpath::parse_query;
-
-    #[test]
-    fn specificity_orders_patterns() {
-        let filtered = Pattern::element_with("a", parse_query("b").unwrap());
-        assert!(filtered.specificity() > Pattern::element("a").specificity());
-        assert!(Pattern::element("a").specificity() > Pattern::AnyText.specificity());
-        assert!(Pattern::AnyText.specificity() > Pattern::Any.specificity());
-    }
 
     #[test]
     fn display_renders_template_markup() {

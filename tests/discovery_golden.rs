@@ -20,8 +20,9 @@
 //! Every embedding found is also rebuilt from λ and the text of its
 //! resolved paths: the engine keeps no other record of the `(λ, path)` it
 //! was checked from, so that record must check again to the same engine.
-//! And its §4.3 stylesheets must map a few generated documents exactly as
-//! `apply` and `invert` do.
+//! On a few generated documents, its σd text path must write `apply`'s
+//! output tree byte for byte, idM must map every source node, and its §4.3
+//! stylesheets must map the documents exactly as `apply` and `invert` do.
 
 use xse::core::PathMapping;
 use xse::dtd::{GenConfig, InstanceGenerator};
@@ -108,9 +109,11 @@ fn rebuild_from_resolved_paths(e: &CompiledEmbedding) -> Result<CompiledEmbeddin
     .map_err(|err| err.to_string())
 }
 
-/// Run `e`'s σd stylesheet on four generated documents and its σd⁻¹
-/// stylesheet on their images: each result must equal `apply` / `invert`.
-fn check_stylesheets(e: &CompiledEmbedding) -> Result<(), String> {
+/// Map four generated documents every way the engine offers. The σd text
+/// path must write exactly `apply`'s tree as text, and idM must map every
+/// source node. The σd stylesheet on the documents and the σd⁻¹ stylesheet
+/// on their images must equal `apply` / `invert`.
+fn check_generated_documents(e: &CompiledEmbedding) -> Result<(), String> {
     let (fwd, inv) = (e.generate_forward(), e.generate_inverse());
     let gen = InstanceGenerator::new(
         e.source(),
@@ -121,7 +124,20 @@ fn check_stylesheets(e: &CompiledEmbedding) -> Result<(), String> {
     );
     for seed in 0..4 {
         let doc = gen.generate(seed);
-        let image = e.apply(&doc).map_err(|err| err.to_string())?.tree;
+        let out = e.apply(&doc).map_err(|err| err.to_string())?;
+        let text = e.apply_to_xml(&doc).map_err(|err| err.to_string())?;
+        if text != out.tree.to_xml() {
+            return Err(format!(
+                "seed {seed}: apply_to_xml differs from apply + to_xml"
+            ));
+        }
+        let unmapped = doc
+            .descendants_or_self(doc.root())
+            .find(|&v| out.idmap.target_of(v).is_none());
+        if let Some(v) = unmapped {
+            return Err(format!("seed {seed}: idM maps no image of source node {v}"));
+        }
+        let image = out.tree;
         let via = apply_stylesheet(&fwd, &doc, None).map_err(|err| err.to_string())?;
         if let Some(diff) = via.first_difference(&image) {
             return Err(format!(
@@ -389,7 +405,7 @@ fn discovery_results_match_the_recorded_digests() {
                 let rebuilt = rebuild_from_resolved_paths(e)
                     .unwrap_or_else(|err| panic!("{label}/{sname}: rebuild refused: {err}"));
                 assert_eq!(rebuilt.describe(), e.describe(), "{label}/{sname}");
-                check_stylesheets(e).unwrap_or_else(|err| panic!("{label}/{sname}: {err}"));
+                check_generated_documents(e).unwrap_or_else(|err| panic!("{label}/{sname}: {err}"));
                 found_count += 1;
             }
             if must_fail {
@@ -419,6 +435,6 @@ fn discovery_results_match_the_recorded_digests() {
     }
     assert_eq!(
         found_count, 82,
-        "every found embedding was rebuilt and its stylesheets checked"
+        "every found embedding was rebuilt, and its text path and stylesheets checked"
     );
 }
