@@ -160,8 +160,8 @@ impl CompiledEmbedding {
         let TreeSink {
             mut tree, idmap, ..
         } = sink;
-        // Compact the sibling links into CSR spans now, so consumers start
-        // with slice-backed children() immediately.
+        // Build the CSR spans now, so consumers start with slice-backed
+        // children() immediately.
         tree.freeze();
         Ok(MappingOutput { tree, idmap })
     }

@@ -22,9 +22,11 @@ use crate::{CompiledEmbedding, EmbeddingError};
 /// `tags[ty.index()]` is `ty`'s tag in `tree`'s symbol table (as a
 /// [`TagId`], or an `Option<TagId>` that is `None` when the tag never occurs
 /// in the document — then no step of that type can match). Label checks
-/// are integer compares, and each step resolves through the tree's
-/// label-offset index ([`XmlTree::nth_child_with_tag_id`]) instead of
-/// scanning siblings.
+/// are integer compares. Each step scans the children for the `k`-th one
+/// with the wanted tag. In a document valid against the target DTD the scan
+/// is short: a concatenation node has its production's arity, a disjunction
+/// node at most one child, and all children of a star node carry one tag,
+/// so finding the `k`-th of them reads `k` children.
 pub(crate) fn navigate_tagged<T: Copy + Into<Option<TagId>>>(
     tree: &XmlTree,
     tags: &[T],
@@ -37,7 +39,7 @@ pub(crate) fn navigate_tagged<T: Copy + Into<Option<TagId>>>(
             .pos
             .expect("navigation requires canonical positions on every step");
         let want = tags[step.ty.index()].into()?;
-        cur = tree.nth_child_with_tag_id(cur, want, k - 1)?;
+        cur = tree.children_with_tag_id(cur, want).nth(k - 1)?;
     }
     Some(cur)
 }

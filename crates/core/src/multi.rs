@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 
 use xse_dtd::{Dtd, DtdError, Production};
-use xse_xmltree::XmlTree;
+use xse_xmltree::{NodeId, XmlTree};
 
 /// Build the combined source `S′ = (E1 ∪ … ∪ En ∪ {r′}, r′ → r1, …, rn)`.
 ///
@@ -134,25 +134,25 @@ pub fn split_instance(combined: &XmlTree) -> Vec<XmlTree> {
         .collect()
 }
 
-fn copy_children(
-    src: &XmlTree,
-    from: xse_xmltree::NodeId,
-    dst: &mut XmlTree,
-    to: xse_xmltree::NodeId,
-    prefix: Option<&str>,
-) {
-    for &c in src.children(from) {
+/// Append copies of `from`'s children (and their subtrees) under `to`, each
+/// tag prefixed with `prefix` if given. One loop over an explicit stack, so
+/// document depth is bounded by memory, not by the call stack.
+fn copy_children(src: &XmlTree, from: NodeId, dst: &mut XmlTree, to: NodeId, prefix: Option<&str>) {
+    // Pairs (source node, copy's parent), pushed in reverse so pops follow
+    // document order and every parent receives its children in order.
+    let mut stack: Vec<(NodeId, NodeId)> =
+        src.children(from).iter().rev().map(|&c| (c, to)).collect();
+    while let Some((c, parent)) = stack.pop() {
         match src.tag(c) {
             Some(tag) => {
-                let tag = match prefix {
-                    Some(p) => format!("{p}{tag}"),
-                    None => tag.to_string(),
+                let n = match prefix {
+                    Some(p) => dst.add_element(parent, format!("{p}{tag}")),
+                    None => dst.add_element(parent, tag),
                 };
-                let n = dst.add_element(to, tag);
-                copy_children(src, c, dst, n, prefix);
+                stack.extend(src.children(c).iter().rev().map(|&g| (g, n)));
             }
             None => {
-                dst.add_text(to, src.text_value(c).unwrap_or_default());
+                dst.add_text(parent, src.text_value(c).unwrap_or_default());
             }
         }
     }
@@ -225,5 +225,31 @@ mod tests {
         let pt = prefix_instance(&t, "p_");
         pd.validate(&pt).unwrap();
         assert_eq!(pt.to_xml(), "<p_classdb><p_class>x</p_class></p_classdb>");
+    }
+
+    #[test]
+    fn deep_documents_combine_and_split_on_a_2_mib_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut t = XmlTree::new("d");
+                let mut cur = t.root();
+                for _ in 0..100_000 {
+                    cur = t.add_element(cur, "d");
+                }
+                t.add_text(cur, "leaf");
+                let p = prefix_instance(&t, "p_");
+                assert_eq!(p.len(), t.len());
+                assert_eq!(p.tag(p.root()), Some("p_d"));
+                let combined = combine_instances("sources", &[&t, &p]);
+                assert_eq!(combined.len(), 1 + 2 * t.len());
+                let parts = split_instance(&combined);
+                assert_eq!(parts.len(), 2);
+                assert!(parts[0].equals(&t), "split(combine(t)) differs from t");
+                assert!(parts[1].equals(&p), "split(combine(p)) differs from p");
+            })
+            .expect("spawn test thread")
+            .join()
+            .expect("copied without overflowing the stack");
     }
 }

@@ -452,15 +452,18 @@ impl Scratch<'_> {
             self.types[tag.index()]
         };
         let mut ops: Vec<Op> = end(tree.root()).into_iter().collect();
+        // The emitter appends every node before its subtree, so arena order
+        // is document order, and the walk needs no child spans.
+        debug_assert!(tree.preorder().eq(tree.iter().map(|(n, _)| n)));
         // The open elements below the root, innermost last.
         let mut open: Vec<NodeId> = Vec::new();
-        for n in tree.preorder().skip(1) {
+        for (n, kind) in tree.iter().skip(1) {
             let parent = tree.parent(n).expect("below the root");
             while let Some(&o) = open.last().filter(|&&o| o != parent) {
                 open.pop();
                 ops.push(Op::Close(ty(o)));
             }
-            match tree.kind(n) {
+            match kind {
                 NodeKind::Text(value) => {
                     debug_assert_eq!(value, DEFAULT_STRING, "static fragments carry no values");
                     ops.push(Op::DefaultText);

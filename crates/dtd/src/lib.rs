@@ -44,7 +44,7 @@ pub use graph::{Edge, EdgeKind, EdgeTarget, SchemaGraph};
 pub use hash::DtdHash;
 pub use instance_gen::{GenConfig, InstanceGenerator};
 pub use mindef::MindefPlan;
-pub use parse::{DtdParseError, MAX_GROUP_DEPTH};
+pub use parse::{DtdParseError, MAX_GROUP_DEPTH, MAX_TYPES};
 pub use regex::ContentModel;
 pub use types::{Dtd, DtdBuilder, DtdError, Production, TypeId};
 pub use validate::ValidationError;

@@ -16,7 +16,8 @@
 //! is the first declared element unless [`Dtd::parse_with_root`] is used.
 //! General expressions are normalized to the paper's form via
 //! [`Dtd::from_content_models`]; already-normal declarations introduce no
-//! synthetic types. Groups nest at most [`MAX_GROUP_DEPTH`] deep.
+//! synthetic types. Groups nest at most [`MAX_GROUP_DEPTH`] deep, and a DTD
+//! has at most [`MAX_TYPES`] types after normalization.
 
 use std::fmt;
 
@@ -28,6 +29,13 @@ use crate::{ContentModel, Dtd, DtdError};
 /// syntax error instead of letting a later pass run out of stack. The
 /// workloads corpus nests 1 group deep.
 pub const MAX_GROUP_DEPTH: usize = 256;
+
+/// Most types a parsed DTD may have, counted after normalization, so the
+/// synthetic `owner#k` helper types count too. Compiling a pair allocates
+/// tables quadratic in the type count (the dense target-by-source name
+/// matrix is 32 MiB at this bound), so the parser refuses larger text with
+/// [`DtdError::TooManyTypes`]. The largest workload schema has 256 types.
+pub const MAX_TYPES: usize = 2_048;
 
 /// Error from [`Dtd::parse`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,14 +77,21 @@ impl Dtd {
                 at: 0,
                 msg: "no element declarations".into(),
             })?;
-        Ok(Dtd::from_content_models(&root, &decls)?)
+        within_max_types(Dtd::from_content_models(&root, &decls)?)
     }
 
     /// Parse with an explicit root element name.
     pub fn parse_with_root(root: &str, input: &str) -> Result<Dtd, DtdParseError> {
         let decls = parse_decls(input)?;
-        Ok(Dtd::from_content_models(root, &decls)?)
+        within_max_types(Dtd::from_content_models(root, &decls)?)
     }
+}
+
+fn within_max_types(dtd: Dtd) -> Result<Dtd, DtdParseError> {
+    if dtd.type_count() > MAX_TYPES {
+        return Err(DtdError::TooManyTypes(dtd.type_count()).into());
+    }
+    Ok(dtd)
 }
 
 fn parse_decls(input: &str) -> Result<Vec<(String, ContentModel)>, DtdParseError> {
@@ -366,6 +381,32 @@ mod tests {
                 other => panic!("{n} groups: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn type_count_is_bounded_at_max_types_after_normalization() {
+        // `r` plus `n - 1` empty types, all declared.
+        let flat = |n: usize| {
+            let mut s = String::from("<!ELEMENT r EMPTY>");
+            for i in 1..n {
+                s.push_str(&format!("<!ELEMENT t{i} EMPTY>"));
+            }
+            s
+        };
+        let d = Dtd::parse(&flat(MAX_TYPES)).unwrap();
+        assert_eq!(d.type_count(), MAX_TYPES);
+        let over = Dtd::parse(&flat(MAX_TYPES + 1)).unwrap_err();
+        assert_eq!(
+            over,
+            DtdParseError::Semantic(DtdError::TooManyTypes(MAX_TYPES + 1))
+        );
+        assert!(Dtd::parse_with_root("t1", &flat(MAX_TYPES + 1)).is_err());
+        // `MAX_TYPES` declarations, but `t2?` adds a synthetic type.
+        let with_synthetic = flat(MAX_TYPES).replacen("r EMPTY", "r (t1, t2?)", 1);
+        assert_eq!(
+            Dtd::parse(&with_synthetic).unwrap_err(),
+            DtdParseError::Semantic(DtdError::TooManyTypes(MAX_TYPES + 1))
+        );
     }
 
     #[test]

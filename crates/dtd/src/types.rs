@@ -92,6 +92,9 @@ pub enum DtdError {
     EmptyBody(String),
     /// Disjunction alternatives must be distinct (w.l.o.g. in the paper).
     DuplicateAlternative { ty: String, alt: String },
+    /// The parsed DTD has this many types after normalization, more than
+    /// [`crate::MAX_TYPES`].
+    TooManyTypes(usize),
 }
 
 impl fmt::Display for DtdError {
@@ -106,6 +109,11 @@ impl fmt::Display for DtdError {
             DtdError::DuplicateAlternative { ty, alt } => {
                 write!(f, "disjunction of {ty:?} lists alternative {alt:?} twice")
             }
+            DtdError::TooManyTypes(n) => write!(
+                f,
+                "{n} types after normalization, more than the {} accepted",
+                crate::MAX_TYPES
+            ),
         }
     }
 }

@@ -51,7 +51,10 @@
 //! groups, and a query at most
 //! [`MAX_QUERY_DEPTH`](xse_rxpath::MAX_QUERY_DEPTH) (256) levels of its
 //! syntax tree. Deeper input is answered `BadDtd` / `BadQuery`, so no
-//! request can exhaust a connection thread's stack.
+//! request can exhaust a connection thread's stack. A DTD may have at most
+//! [`MAX_TYPES`](xse_dtd::MAX_TYPES) (2,048) types after normalization;
+//! more is answered `BadDtd`, so no compile can allocate tables quadratic
+//! in an unbounded type count.
 //!
 //! A connection is **one ordered lane**: the server answers a
 //! connection's frames in the order it read them, one request at a time.

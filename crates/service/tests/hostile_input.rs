@@ -4,7 +4,7 @@
 //! error, never take the process down. Each case runs on a thread with a
 //! 2 MiB stack, the default for a server connection thread.
 
-use xse_dtd::MAX_GROUP_DEPTH;
+use xse_dtd::{MAX_GROUP_DEPTH, MAX_TYPES};
 use xse_rxpath::MAX_QUERY_DEPTH;
 use xse_service::{
     handle_request, Client, EmbeddingRegistry, ErrorCode, RegistryConfig, Request, Response,
@@ -210,4 +210,38 @@ fn input_at_the_nesting_bounds_is_served_and_one_more_level_is_refused() {
     for resp in refused {
         assert_code(resp, ErrorCode::BadQuery);
     }
+}
+
+/// A chain of `types` types, `t0 → t1 → … → t{types-1}`, the last empty.
+fn chain_dtd(types: usize) -> String {
+    let mut s = String::with_capacity(32 * types);
+    for i in 1..types {
+        s.push_str(&format!("<!ELEMENT t{} (t{i})>\n", i - 1));
+    }
+    s.push_str(&format!("<!ELEMENT t{} EMPTY>", types - 1));
+    s
+}
+
+/// A DTD with exactly `MAX_TYPES` types compiles; one type more is refused
+/// as `BadDtd` before any compile work, and the dispatcher serves the next
+/// request.
+#[test]
+fn a_dtd_at_the_type_bound_compiles_and_one_more_type_is_refused() {
+    let small = "<!ELEMENT b (b*)>";
+    let resp = dispatch(vec![
+        compile(chain_dtd(MAX_TYPES)),
+        compile(chain_dtd(MAX_TYPES + 1)),
+        compile(small.into()),
+    ]);
+    assert!(
+        matches!(resp[0], Response::Compiled { .. }),
+        "{:?}",
+        resp[0]
+    );
+    assert_code(&resp[1], ErrorCode::BadDtd);
+    assert!(
+        matches!(resp[2], Response::Compiled { .. }),
+        "{:?}",
+        resp[2]
+    );
 }

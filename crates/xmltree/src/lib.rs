@@ -21,10 +21,10 @@
 //! instance mapping (`σd`), validation and query evaluation are pure tree
 //! traversals, so the layout optimizes traversal over mutation:
 //!
-//! * **Flat node records.** Each node is a fixed 32-byte record in one
-//!   `Vec`: parent, intrusive child links, an interned tag, and a text span.
-//!   [`NodeId`] is the record's index — dense, stable, never reused, a
-//!   faithful stand-in for the paper's abstract ids.
+//! * **Flat node records.** Each node is a fixed 20-byte record in one
+//!   `Vec`: a parent index, a child count, an interned tag, and a text
+//!   span. [`NodeId`] is the record's index — dense, stable, never reused,
+//!   a faithful stand-in for the paper's abstract ids.
 //! * **Interned tags.** Element labels are [`TagId`]s into a per-tree
 //!   [`SymbolTable`]; a document has one distinct tag per element type of
 //!   its schema, so the table is tiny and label comparison on hot paths
@@ -33,20 +33,23 @@
 //!   [`XmlTree::add_element_tag`], skipping all string hashing.
 //! * **Shared text buffer.** Text nodes store `(start, len)` byte ranges
 //!   into one buffer per tree — no per-node `String`.
-//! * **CSR child spans with a cheap freeze.** Appends maintain
-//!   first-child/next-sibling links (O(1), allocation-free). The first
-//!   traversal after a batch of mutations — or an explicit
-//!   [`XmlTree::freeze`] — compacts the links into compressed-sparse-row
-//!   form: all child lists laid out contiguously in one edge array, so
-//!   [`XmlTree::children`] returns a `&[NodeId]` slice with two array
-//!   lookups. Mutating again invalidates the spans; the next read
-//!   re-compacts. Freezing never renumbers: `dom(T)`, document order and
-//!   equality are invariant.
+//! * **CSR child spans, built from the parent indexes.** An append pushes
+//!   one record and bumps its parent's child count (O(1),
+//!   allocation-free). Every node is appended as its parent's last child,
+//!   so the parent indexes fix every child list, whatever order the tree
+//!   was built in. The first traversal after a batch of mutations — or an
+//!   explicit [`XmlTree::freeze`] — builds the compressed-sparse-row form
+//!   by a counting sort on the parent index: all child lists laid out
+//!   contiguously in one edge array, each in ascending id, which is
+//!   document order. [`XmlTree::children`] then returns a `&[NodeId]`
+//!   slice with two array lookups. Mutating again invalidates the spans;
+//!   the next read rebuilds them. Building never renumbers: `dom(T)`,
+//!   document order and equality are invariant.
 //!
 //! Parsing ([`parse_xml`]) builds straight into the arena with capacity
 //! pre-reserved from the input, copying each run of character data as one
 //! slice into the shared text buffer; serialization ([`XmlTree::to_xml`] /
-//! [`XmlTree::to_xml_pretty`]) walks the sibling links into an
+//! [`XmlTree::to_xml_pretty`]) walks the child spans into an
 //! [`XmlWriter`], which holds the escaping and the empty-element rule, and
 //! round-trips through it. Parsing and compact serialization
 //! take time linear in the document, and all three loop instead of

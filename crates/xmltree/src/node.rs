@@ -8,7 +8,7 @@ use crate::symbol::{SymbolTable, TagId};
 /// Ids are dense indexes into the tree's arena. They are stable for the
 /// lifetime of the tree — removing is not supported, so an id handed out once
 /// stays valid — which makes them a faithful stand-in for the paper's
-/// abstract node ids in `dom(T)`. Freezing / CSR compaction never renumbers:
+/// abstract node ids in `dom(T)`. Building the CSR spans never renumbers:
 /// `dom(T)` is invariant under [`XmlTree::freeze`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
@@ -40,21 +40,18 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Niche index meaning "no node" in the flat link fields.
+/// Niche index meaning "no node" in the parent field (the root's parent).
 const NIL: u32 = u32::MAX;
 /// Tag slot value marking a text node (real [`TagId`]s are dense from 0).
 const TEXT: u32 = u32::MAX;
 
-/// One flat arena record: 32 bytes, no heap ownership. Tags are interned
+/// One flat arena record: 20 bytes, no heap ownership. Tags are interned
 /// [`TagId`]s, text payloads are byte ranges into the tree's shared buffer,
-/// and child structure lives in intrusive first/last-child + next-sibling
-/// links that [`XmlTree::freeze`] compacts into CSR spans.
+/// and the child structure is the parent index plus a child count, from
+/// which [`XmlTree::freeze`] builds the CSR spans.
 #[derive(Clone, Copy, Debug)]
 struct NodeRec {
     parent: u32,
-    next_sibling: u32,
-    first_child: u32,
-    last_child: u32,
     child_count: u32,
     /// `TagId` for elements, [`TEXT`] for text nodes.
     tag: u32,
@@ -74,34 +71,15 @@ pub enum NodeKind<'a> {
 
 /// Compressed-sparse-row view of the child lists: all children of all nodes
 /// in one contiguous array, each parent owning the span
-/// `edges[spans[p] .. spans[p] + child_count(p)]`. Built lazily on first
-/// read after a mutation (see [`XmlTree::freeze`]).
+/// `edges[spans[p] .. spans[p] + child_count(p)]`. Every node is appended
+/// as its parent's last child, so within a span ascending [`NodeId`] is
+/// document order. Built lazily on first read after a mutation (see
+/// [`XmlTree::freeze`]).
 #[derive(Clone, Debug)]
 struct Csr {
     edges: Vec<NodeId>,
     spans: Vec<u32>,
 }
-
-/// Label-offset index over the CSR: per parent, the same child span as
-/// [`Csr`] but **stably sorted by tag**, with a parallel array of the tags.
-/// Within one parent the children of each tag form a contiguous run in
-/// document order, so "the `k`-th child labeled `t`" is a binary search for
-/// the run plus an offset — `O(log c)` instead of the `O(c)` sibling scan —
-/// which is what canonical-position navigation on the invert hot path does
-/// per step. Built lazily on the first wide-fanout lookup (small parents
-/// are cheaper to scan; see [`XmlTree::nth_child_with_tag_id`]).
-#[derive(Clone, Debug)]
-struct TagIndex {
-    /// Children per parent span, stably sorted by tag slot value.
-    edges: Vec<NodeId>,
-    /// `tags[i]` is the tag slot of `edges[i]` (text nodes sort last).
-    tags: Vec<u32>,
-}
-
-/// Fan-out at or below this uses the linear sibling scan even when an index
-/// exists: for a handful of children the scan is faster than two binary
-/// searches, and most real parents are small.
-const SMALL_FANOUT: usize = 16;
 
 /// An ordered, node-labeled XML tree with stable node ids, stored as a
 /// struct-of-arrays arena.
@@ -109,17 +87,16 @@ const SMALL_FANOUT: usize = 16;
 /// The tree always has a root element (created by [`XmlTree::new`]). Nodes
 /// are appended with [`XmlTree::add_element`] / [`XmlTree::add_text`] and are
 /// never removed one by one, so every [`NodeId`] stays valid until
-/// [`XmlTree::reset_to_root`] drops them all. Appends maintain cheap
-/// intrusive sibling links; the first traversal after a batch of mutations
-/// compacts them into CSR spans ([`XmlTree::freeze`]), after which
-/// [`XmlTree::children`] is a contiguous slice.
+/// [`XmlTree::reset_to_root`] drops them all. An append records the parent
+/// and bumps its child count; the first traversal after a batch of
+/// mutations sorts the nodes into CSR spans by parent ([`XmlTree::freeze`]),
+/// after which [`XmlTree::children`] is a contiguous slice.
 #[derive(Clone, Debug)]
 pub struct XmlTree {
     symbols: SymbolTable,
     nodes: Vec<NodeRec>,
     text: String,
     csr: OnceLock<Csr>,
-    tag_index: OnceLock<TagIndex>,
 }
 
 impl XmlTree {
@@ -138,9 +115,6 @@ impl XmlTree {
         let mut node_vec = Vec::with_capacity(nodes.max(1));
         node_vec.push(NodeRec {
             parent: NIL,
-            next_sibling: NIL,
-            first_child: NIL,
-            last_child: NIL,
             child_count: 0,
             tag: tag.0,
             text_start: 0,
@@ -151,7 +125,6 @@ impl XmlTree {
             nodes: node_vec,
             text: String::with_capacity(text_bytes),
             csr: OnceLock::new(),
-            tag_index: OnceLock::new(),
         }
     }
 
@@ -170,10 +143,7 @@ impl XmlTree {
     pub fn reset_to_root(&mut self) {
         self.invalidate();
         self.nodes.truncate(1);
-        let root = &mut self.nodes[0];
-        root.first_child = NIL;
-        root.last_child = NIL;
-        root.child_count = 0;
+        self.nodes[0].child_count = 0;
         self.text.clear();
     }
 
@@ -219,28 +189,33 @@ impl XmlTree {
         &self.nodes[id.index()]
     }
 
-    /// Drop the CSR cache and its label-offset index (called by every
-    /// mutation).
+    /// Drop the CSR cache (called by every mutation).
     fn invalidate(&mut self) {
         if self.csr.get_mut().is_some() {
             self.csr = OnceLock::new();
         }
-        if self.tag_index.get_mut().is_some() {
-            self.tag_index = OnceLock::new();
-        }
     }
 
+    /// A counting sort of the nodes by parent: `spans` starts as the running
+    /// sums of the child counts (each span's end), and one pass over the
+    /// arena from the back moves each end down to its span's start while
+    /// filling the span from its last slot, so every span lists its children
+    /// in ascending id — document order.
     fn build_csr(&self) -> Csr {
-        let n = self.nodes.len();
-        let mut spans = Vec::with_capacity(n);
-        let mut edges = Vec::with_capacity(n.saturating_sub(1));
-        for rec in &self.nodes {
-            spans.push(edges.len() as u32);
-            let mut c = rec.first_child;
-            while c != NIL {
-                edges.push(NodeId(c));
-                c = self.nodes[c as usize].next_sibling;
-            }
+        let mut end = 0;
+        let mut spans: Vec<u32> = self
+            .nodes
+            .iter()
+            .map(|r| {
+                end += r.child_count;
+                end
+            })
+            .collect();
+        let mut edges = vec![NodeId(0); end as usize];
+        for (i, r) in self.nodes.iter().enumerate().skip(1).rev() {
+            let slot = &mut spans[r.parent as usize];
+            *slot -= 1;
+            edges[*slot as usize] = NodeId(i as u32);
         }
         Csr { edges, spans }
     }
@@ -249,12 +224,12 @@ impl XmlTree {
         self.csr.get_or_init(|| self.build_csr())
     }
 
-    /// Compact the intrusive sibling links into CSR spans now, so later
-    /// reads pay nothing. Traversal accessors ([`XmlTree::children`] et al.)
-    /// do this lazily on first use; calling `freeze` is never required for
-    /// correctness — mutations after a freeze simply invalidate the spans
-    /// and the next read re-compacts. Node ids, document order and equality
-    /// are invariant under freezing.
+    /// Build the CSR child spans now, so later reads pay nothing.
+    /// Traversal accessors ([`XmlTree::children`] et al.) do this lazily on
+    /// first use; calling `freeze` is never required for correctness —
+    /// mutations after a freeze simply invalidate the spans and the next
+    /// read rebuilds them. Node ids, document order and equality are
+    /// invariant under freezing.
     pub fn freeze(&mut self) {
         if self.csr.get_mut().is_none() {
             let csr = self.build_csr();
@@ -270,7 +245,7 @@ impl XmlTree {
 
     /// Append a new element with a pre-interned tag as the last child of
     /// `parent`. This is the allocation-free hot path: no hashing, no string
-    /// copy, one arena push plus a link splice.
+    /// copy, one arena push plus a child-count bump.
     pub fn add_element_tag(&mut self, parent: NodeId, tag: TagId) -> NodeId {
         debug_assert!(tag.index() < self.symbols.len(), "foreign TagId");
         self.push_rec(parent, tag.0, 0, 0)
@@ -305,23 +280,12 @@ impl XmlTree {
         let id = NodeId::from_index(self.nodes.len());
         self.nodes.push(NodeRec {
             parent: parent.0,
-            next_sibling: NIL,
-            first_child: NIL,
-            last_child: NIL,
             child_count: 0,
             tag,
             text_start,
             text_len,
         });
-        let prev_last = self.nodes[parent.index()].last_child;
-        if prev_last == NIL {
-            self.nodes[parent.index()].first_child = id.0;
-        } else {
-            self.nodes[prev_last as usize].next_sibling = id.0;
-        }
-        let p = &mut self.nodes[parent.index()];
-        p.last_child = id.0;
-        p.child_count += 1;
+        self.nodes[parent.index()].child_count += 1;
         id
     }
 
@@ -376,9 +340,9 @@ impl XmlTree {
 
     /// The ordered children of `id`, as a contiguous CSR span.
     ///
-    /// The first call after a mutation compacts the sibling links into CSR
-    /// form (O(|T|), amortized over the whole read phase); subsequent calls
-    /// are two array lookups.
+    /// The first call after a mutation builds the CSR spans (O(|T|),
+    /// amortized over the whole read phase); subsequent calls are two array
+    /// lookups.
     pub fn children(&self, id: NodeId) -> &[NodeId] {
         let csr = self.csr();
         let start = csr.spans[id.index()] as usize;
@@ -388,18 +352,6 @@ impl XmlTree {
     /// Number of children of `id` (O(1), no CSR required).
     pub fn child_count(&self, id: NodeId) -> usize {
         self.rec(id).child_count as usize
-    }
-
-    /// The first child of `id` by the intrusive links (no CSR needed).
-    pub(crate) fn first_child(&self, id: NodeId) -> Option<NodeId> {
-        let c = self.rec(id).first_child;
-        (c != NIL).then_some(NodeId(c))
-    }
-
-    /// The next sibling of `id` by the intrusive links (no CSR needed).
-    pub(crate) fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
-        let s = self.rec(id).next_sibling;
-        (s != NIL).then_some(NodeId(s))
     }
 
     /// Bytes of compact XML this tree serializes to, before escaping: one
@@ -447,45 +399,6 @@ impl XmlTree {
             .filter(move |&c| self.nodes[c.index()].tag == tag.0)
     }
 
-    fn build_tag_index(&self) -> TagIndex {
-        let csr = self.csr();
-        let mut edges = csr.edges.clone();
-        // Stable per-span sort by tag: within a parent, each tag's children
-        // stay in document order, so run offset == same-label position.
-        for (p, rec) in self.nodes.iter().enumerate() {
-            let start = csr.spans[p] as usize;
-            let end = start + rec.child_count as usize;
-            edges[start..end].sort_by_key(|&c| self.nodes[c.index()].tag);
-        }
-        let tags = edges.iter().map(|&c| self.nodes[c.index()].tag).collect();
-        TagIndex { edges, tags }
-    }
-
-    /// The `k`-th (0-based) element child of `id` labeled `tag`, in document
-    /// order — `children_with_tag_id(id, tag).nth(k)` without the sibling
-    /// scan.
-    ///
-    /// Small fan-outs use the linear scan directly. The first lookup on a
-    /// wide parent builds a per-node label-offset index over the CSR
-    /// (children grouped by tag; `O(|T| log c)`, cached until the next
-    /// mutation), after which every canonical-position step is a binary
-    /// search — the invert hot path's `nth(k)` stops being `O(c)`.
-    pub fn nth_child_with_tag_id(&self, id: NodeId, tag: TagId, k: usize) -> Option<NodeId> {
-        let count = self.rec(id).child_count as usize;
-        if k >= count {
-            return None;
-        }
-        if count <= SMALL_FANOUT {
-            return self.children_with_tag_id(id, tag).nth(k);
-        }
-        let idx = self.tag_index.get_or_init(|| self.build_tag_index());
-        let start = self.csr().spans[id.index()] as usize;
-        let span = &idx.tags[start..start + count];
-        let lo = span.partition_point(|&t| t < tag.0);
-        let hi = span.partition_point(|&t| t <= tag.0);
-        idx.edges[start + lo..start + hi].get(k).copied()
-    }
-
     /// 1-based position of `id` among its same-tag siblings (the paper's
     /// `position()` for a step labeled with `id`'s tag). The root has
     /// position 1. Text nodes are counted among text siblings.
@@ -515,13 +428,13 @@ impl XmlTree {
         d
     }
 
-    /// Preorder (document-order) traversal of the subtree rooted at `id`.
-    /// Allocation-free: walks the intrusive links directly.
+    /// Preorder (document-order) traversal of the subtree rooted at `id`,
+    /// over the CSR child spans (see [`Preorder`]).
     pub fn descendants_or_self(&self, id: NodeId) -> Preorder<'_> {
         Preorder {
             tree: self,
-            next: Some(id),
-            origin: id,
+            origin: Some(id),
+            pending: Vec::new(),
         }
     }
 
@@ -633,36 +546,35 @@ impl XmlTree {
 }
 
 /// Document-order traversal handed out by [`XmlTree::preorder`]. Walks the
-/// arena's intrusive first-child / next-sibling links — no heap allocation,
-/// no CSR dependency.
+/// CSR child spans without recursion: it keeps, for each node on the path
+/// from the origin down to the node last returned, the slice of that node's
+/// children not yet visited, so each step is O(1) and depth is bounded by
+/// memory, not by the call stack.
 pub struct Preorder<'a> {
     tree: &'a XmlTree,
-    next: Option<NodeId>,
-    origin: NodeId,
+    /// The subtree's root, until it is returned.
+    origin: Option<NodeId>,
+    /// The unvisited children of each node on the current path.
+    pending: Vec<std::slice::Iter<'a, NodeId>>,
 }
 
 impl<'a> Iterator for Preorder<'a> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let cur = self.next?;
-        let rec = self.tree.rec(cur);
-        self.next = if rec.first_child != NIL {
-            Some(NodeId(rec.first_child))
-        } else {
-            // Climb until a next sibling exists, stopping at the origin.
-            let mut x = cur;
-            loop {
-                if x == self.origin {
-                    break None;
+        let cur = match self.origin.take() {
+            Some(origin) => origin,
+            None => loop {
+                let siblings = self.pending.last_mut()?;
+                match siblings.next() {
+                    Some(&c) => break c,
+                    None => {
+                        self.pending.pop();
+                    }
                 }
-                let r = self.tree.rec(x);
-                if r.next_sibling != NIL {
-                    break Some(NodeId(r.next_sibling));
-                }
-                x = NodeId(r.parent);
-            }
+            },
         };
+        self.pending.push(self.tree.children(cur).iter());
         Some(cur)
     }
 }
@@ -720,58 +632,6 @@ mod tests {
         assert_eq!(by_id, vec![a, c]);
         let txt = t.add_text(t.root(), "v");
         assert_eq!(t.node_tag_id(txt), None);
-    }
-
-    #[test]
-    fn nth_child_with_tag_id_agrees_with_scan() {
-        // Both below and above the SMALL_FANOUT cutoff, against text nodes
-        // and interleaved tags, including after mutations (invalidation).
-        for width in [3usize, 5, 40, 200] {
-            let mut t = XmlTree::new("r");
-            let a = t.intern_tag("a");
-            let b = t.intern_tag("b");
-            for i in 0..width {
-                if i % 3 == 0 {
-                    t.add_element_tag(t.root(), b);
-                } else {
-                    t.add_element_tag(t.root(), a);
-                }
-                if i % 5 == 0 {
-                    t.add_text(t.root(), "x");
-                }
-            }
-            for tag in [a, b] {
-                let scan: Vec<_> = t.children_with_tag_id(t.root(), tag).collect();
-                for k in 0..scan.len() + 2 {
-                    assert_eq!(
-                        t.nth_child_with_tag_id(t.root(), tag, k),
-                        scan.get(k).copied(),
-                        "width {width}, k {k}"
-                    );
-                }
-            }
-            // Mutate (invalidates the index), then re-query.
-            let extra = t.add_element_tag(t.root(), a);
-            let scan: Vec<_> = t.children_with_tag_id(t.root(), a).collect();
-            assert_eq!(
-                t.nth_child_with_tag_id(t.root(), a, scan.len() - 1),
-                Some(extra)
-            );
-        }
-    }
-
-    #[test]
-    fn nth_child_with_tag_id_unknown_tag_and_empty() {
-        let mut t = XmlTree::new("r");
-        let ghost = t.intern_tag("ghost");
-        assert_eq!(t.nth_child_with_tag_id(t.root(), ghost, 0), None);
-        let a = t.intern_tag("a");
-        for _ in 0..50 {
-            t.add_element_tag(t.root(), a);
-        }
-        assert_eq!(t.nth_child_with_tag_id(t.root(), ghost, 0), None);
-        assert_eq!(t.nth_child_with_tag_id(t.root(), a, 50), None);
-        assert!(t.nth_child_with_tag_id(t.root(), a, 49).is_some());
     }
 
     #[test]
@@ -977,5 +837,70 @@ mod tests {
         }
         assert!(t1.equals(&t2));
         assert!(t1.first_difference(&t2).is_none());
+    }
+
+    /// The document `<r><a><c>x</c><d/></a><b><e>y</e></b></r>` built level
+    /// by level, as `invert` builds its output: every node's children are
+    /// appended before any grandchild, so arena order is breadth-first. The
+    /// second tree is the same document built in preorder.
+    fn level_order_and_preorder_twins() -> (XmlTree, XmlTree) {
+        let mut bfs = XmlTree::new("r");
+        let a = bfs.add_element(bfs.root(), "a");
+        let b = bfs.add_element(bfs.root(), "b");
+        let c = bfs.add_element(a, "c");
+        bfs.add_element(a, "d");
+        let e = bfs.add_element(b, "e");
+        bfs.add_text(c, "x");
+        bfs.add_text(e, "y");
+        let mut pre = XmlTree::new("r");
+        let a = pre.add_element(pre.root(), "a");
+        let c = pre.add_element(a, "c");
+        pre.add_text(c, "x");
+        pre.add_element(a, "d");
+        let b = pre.add_element(pre.root(), "b");
+        let e = pre.add_element(b, "e");
+        pre.add_text(e, "y");
+        (bfs, pre)
+    }
+
+    /// What the traversals show of a tree, by kind rather than by id: the
+    /// preorder with each node's children, the subtree of the root's first
+    /// child, and both serializations.
+    type Observations = (Vec<(String, Vec<String>)>, Vec<String>, String, String);
+
+    fn observations(t: &XmlTree) -> Observations {
+        let show = |n: NodeId| format!("{:?}", t.kind(n));
+        let walk = t
+            .preorder()
+            .map(|n| (show(n), t.children(n).iter().map(|&c| show(c)).collect()))
+            .collect();
+        let first = t.children(t.root())[0];
+        let subtree = t.descendants_or_self(first).map(show).collect();
+        (walk, subtree, t.to_xml(), t.to_xml_pretty())
+    }
+
+    #[test]
+    fn arena_order_is_not_document_order() {
+        assert_eq!(std::mem::size_of::<NodeRec>(), 20);
+        let (mut bfs, mut pre) = level_order_and_preorder_twins();
+        let bfs_ids: Vec<_> = bfs.preorder().map(NodeId::index).collect();
+        assert_eq!(bfs_ids, vec![0, 1, 3, 6, 4, 2, 5, 7], "arena order differs");
+        let want = "<r><a><c>x</c><d/></a><b><e>y</e></b></r>";
+        assert_eq!(bfs.to_xml(), want);
+        assert_eq!(observations(&bfs), observations(&pre));
+        assert!(bfs.equals(&pre) && pre.equals(&bfs));
+        // A further append lands last in its parent's span in both trees.
+        for t in [&mut bfs, &mut pre] {
+            let a = t.children(t.root())[0];
+            let f = t.add_element(a, "f");
+            t.add_text(f, "z");
+        }
+        assert_eq!(
+            bfs.to_xml(),
+            "<r><a><c>x</c><d/><f>z</f></a><b><e>y</e></b></r>"
+        );
+        assert_eq!(observations(&bfs), observations(&pre));
+        assert!(bfs.equals(&pre));
+        assert_eq!(bfs.first_difference(&pre), None);
     }
 }

@@ -1,4 +1,4 @@
-use crate::{NodeKind, XmlTree};
+use crate::{NodeId, NodeKind, XmlTree};
 
 /// Escape a string for use as XML character data (also safe inside
 /// double-quoted attribute values).
@@ -125,10 +125,10 @@ impl XmlTree {
         out
     }
 
-    /// One iterative preorder walk over the first-child / next-sibling
-    /// links into an [`XmlWriter`], so depth is bounded by memory, not the
-    /// call stack, and the CSR child spans are never built. The output is
-    /// presized from the tag and text bytes.
+    /// One preorder walk over the CSR child spans into an [`XmlWriter`],
+    /// on an explicit stack of open elements, each with its children not
+    /// yet written, so depth is bounded by memory, not the call stack. The
+    /// output is presized from the tag and text bytes.
     fn write_xml(&self, indent: Option<&str>) -> String {
         let mut w = XmlWriter::with_capacity(self.compact_len_hint());
         let pad = |w: &mut XmlWriter, depth: usize| {
@@ -136,45 +136,39 @@ impl XmlTree {
                 w.indent(unit, depth);
             }
         };
-        let root = self.root();
-        let mut cur = root;
-        let mut depth = 0;
+        let mut open: Vec<(&str, std::slice::Iter<'_, NodeId>)> = Vec::new();
+        let mut next = Some(self.root());
         loop {
-            pad(&mut w, depth);
-            match self.kind(cur) {
-                NodeKind::Text(v) => w.text(v),
-                NodeKind::Element(tag) => {
-                    w.start(tag);
-                    match self.first_child(cur) {
-                        None => w.end(tag),
-                        // A single text child is kept inline so values do
-                        // not accrete surrounding whitespace in pretty mode.
-                        Some(first) if self.child_count(cur) == 1 && self.is_text(first) => {
-                            w.text(self.text_value(first).unwrap_or_default());
-                            w.end(tag);
-                        }
-                        Some(first) => {
-                            cur = first;
-                            depth += 1;
-                            continue;
+            if let Some(cur) = next {
+                pad(&mut w, open.len());
+                match self.kind(cur) {
+                    NodeKind::Text(v) => w.text(v),
+                    NodeKind::Element(tag) => {
+                        w.start(tag);
+                        match self.children(cur) {
+                            [] => w.end(tag),
+                            // A single text child is kept inline so values
+                            // do not accrete surrounding whitespace in
+                            // pretty mode.
+                            &[only] if self.is_text(only) => {
+                                w.text(self.text_value(only).unwrap_or_default());
+                                w.end(tag);
+                            }
+                            children => open.push((tag, children.iter())),
                         }
                     }
                 }
             }
-            // `cur` is written: move to its next sibling, closing every
-            // ancestor whose last child this was.
-            loop {
-                if cur == root {
-                    return w.finish();
-                }
-                if let Some(next) = self.next_sibling(cur) {
-                    cur = next;
-                    break;
-                }
-                cur = self.parent(cur).expect("a non-root node has a parent");
-                depth -= 1;
-                pad(&mut w, depth);
-                w.end(self.tag(cur).unwrap_or_default());
+            // Write the innermost open element's next child, or close it.
+            let Some((tag, children)) = open.last_mut() else {
+                return w.finish();
+            };
+            next = children.next().copied();
+            if next.is_none() {
+                let tag = *tag;
+                open.pop();
+                pad(&mut w, open.len());
+                w.end(tag);
             }
         }
     }
