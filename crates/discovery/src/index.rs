@@ -38,6 +38,13 @@ impl ReachMatrix {
         let w = self.row_words();
         self.bits[from.index() * w + to.index() / 64] & (1 << (to.index() % 64)) != 0
     }
+
+    /// The types reachable from `from`, as `n.div_ceil(64)` words: type
+    /// `t` is bit `t % 64` of word `t / 64`.
+    pub(crate) fn row(&self, from: TypeId) -> &[u64] {
+        let w = self.row_words();
+        &self.bits[from.index() * w..(from.index() + 1) * w]
+    }
 }
 
 /// One way the path search can extend a path at a target type: a step to

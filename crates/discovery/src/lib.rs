@@ -24,7 +24,12 @@
 //!   [`CompiledEmbedding::new`](xse_core::CompiledEmbedding::new), so a
 //!   returned embedding is always sound — heuristics can only cause false
 //!   negatives. [`find_embedding`] hands back the owned, `Send + Sync`
-//!   compiled engine, ready to be shared across threads.
+//!   compiled engine, ready to be shared across threads;
+//! * [`refute()`] — checking apart from searching: a polynomial-time
+//!   condition every embedding the search can return meets. A failed
+//!   search proves nothing, but a refutation is a proof: the search returns
+//!   `None` on a refuted pair under every strategy, seed and budget, so a
+//!   caller can skip it.
 //!
 //! Restart attempts run sequentially by default; [`DiscoveryConfig::threads`]
 //! opts into a scoped-thread engine. Every attempt seeds its RNG from
@@ -34,10 +39,12 @@
 
 pub mod index;
 pub mod pfp;
+pub mod refute;
 pub mod sat;
 pub mod solver;
 pub mod wis;
 
+pub use refute::refute;
 pub use solver::{
     find_embedding, find_embedding_with_stats, DiscoveryConfig, DiscoveryStats, Strategy,
 };

@@ -139,7 +139,8 @@ fn effective_threads(cfg: &DiscoveryConfig) -> usize {
 
 /// Find a valid schema embedding `S1 → S2` w.r.t. `att`, or `None` if the
 /// heuristics fail (the problem is NP-complete, Theorem 5.1 — failure does
-/// not prove non-existence). The result is an owned
+/// not prove non-existence; a [`refute`](crate::refute()) that returns
+/// `true` does, and this search then returns `None`). The result is an owned
 /// [`CompiledEmbedding`] — it does not borrow the input DTDs (they are
 /// cloned once into shared `Arc`s), so it can be stored, sent across
 /// threads, and reused long after discovery.

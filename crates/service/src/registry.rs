@@ -25,21 +25,25 @@
 //! * `Found`: discovery found an embedding. The slot keeps the discovered
 //!   engine without its plan cache (the *recipe*), and the live engine
 //!   unless it was evicted.
-//! * `Unembeddable`: discovery failed. Until [`RegistryConfig::negative_ttl`]
-//!   has passed, identical requests fail fast with `NoEmbedding` (counted
-//!   as [`RegistryStats::negative_hits`]), since failing costs as much as
-//!   succeeding. The verdict expires because it proves nothing: discovery
-//!   is a heuristic for an NP-complete search (the paper's Thm 5.1), and it
-//!   runs on the DTD text as received, so a permuted text with the same
+//! * `Unembeddable`: [`refute()`] proved that no embedding exists, or
+//!   discovery failed. Until [`RegistryConfig::negative_ttl`] has passed,
+//!   identical requests fail fast with `NoEmbedding` (counted as
+//!   [`RegistryStats::negative_hits`]), since a failed search costs as much
+//!   as a successful one. A failed search proves nothing: discovery is a
+//!   heuristic for an NP-complete search (the paper's Thm 5.1), and it runs
+//!   on the DTD text as received, so a permuted text with the same
 //!   [`PairKey`] may search the types in a different order and succeed.
-//!   `negative_ttl: None` records no such verdict.
+//!   A refutation is a proof, and it costs microseconds. Both verdicts
+//!   expire alike: the slot does not record which one it holds, and
+//!   refuting an expired verdict again is cheap. `negative_ttl: None`
+//!   records no such verdict.
 //!
 //! The shard mutex guards the counters and serializes every table write.
 //! A warm hit takes no mutex at all: one shared read lock, an `Arc` clone
 //! and a few relaxed counter bumps, so it never waits for a build, not
 //! even one for another pair on the same shard.
 //!
-//! # Search once, rebuild after
+//! # Refute, search once, rebuild after
 //!
 //! Finding an embedding is the NP-complete step (the paper's Thm 5.1);
 //! checking a known `(λ, path)` is polynomial, and the recipe has already
@@ -55,7 +59,13 @@
 //! pair and [`DiscoveryConfig`], a rebuild answers byte for byte as a
 //! fresh search would. [`EmbeddingRegistry::evict`] takes the engine out
 //! of a `Found` slot and keeps the recipe, and drops an `Unembeddable`
-//! slot so the pair is searched again.
+//! slot so the pair is refuted or searched again.
+//!
+//! Before it searches, the registry calls [`refute()`], which checks in
+//! polynomial time a condition every embedding meets. A pair that fails
+//! it gets what a failed search gives (an `Unembeddable` slot,
+//! `NoEmbedding`, one miss, its time in `compile_nanos`) without the
+//! search.
 //!
 //! # Two bounds
 //!
@@ -93,7 +103,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use xse_core::{trim_to_capacity, CompiledEmbedding, SimilarityMatrix};
-use xse_discovery::{find_embedding, DiscoveryConfig};
+use xse_discovery::{find_embedding, refute, DiscoveryConfig};
 use xse_dtd::{Dtd, DtdHash};
 
 use crate::ServiceError;
@@ -134,10 +144,10 @@ pub struct RegistryConfig {
     /// Builds the similarity matrix `att` for each compile (default:
     /// [`default_similarity`]).
     pub sim: fn(&Dtd, &Dtd) -> SimilarityMatrix,
-    /// How long an `Unembeddable` verdict (a failed discovery) is
-    /// remembered: until it expires, identical requests return
-    /// `NoEmbedding` without re-running the search. `None` records no
-    /// such verdict. `Found` verdicts have no TTL.
+    /// How long an `Unembeddable` verdict (a refutation or a failed
+    /// discovery) is remembered: until it expires, identical requests
+    /// return `NoEmbedding` without checking or searching again. `None`
+    /// records no such verdict. `Found` verdicts have no TTL.
     pub negative_ttl: Option<Duration>,
 }
 
@@ -169,8 +179,9 @@ pub struct RegistryStats {
     pub evictions: u64,
     /// Engines currently cached.
     pub entries: u64,
-    /// Total wall-clock nanoseconds spent in discovery, including failed
-    /// runs. A rebuild copies validated state and is not timed.
+    /// Total wall-clock nanoseconds spent deciding pairs: every
+    /// [`refute()`] check and every discovery run, failed ones included. A
+    /// rebuild copies validated state and is not timed.
     pub compile_nanos: u64,
     /// Translation-plan cache hits summed over live engines *plus* every
     /// engine evicted so far (plan counters are folded into a retired
@@ -250,7 +261,8 @@ enum State {
     /// Discovery found an embedding: the recipe (the discovered engine
     /// without its plans) and the live engine unless it was evicted.
     Found(CompiledEmbedding, Option<Arc<CompiledEmbedding>>),
-    /// Discovery found none; the verdict holds until this instant.
+    /// Refuted, or discovery found none; the verdict holds until this
+    /// instant.
     Unembeddable(Instant),
 }
 
@@ -468,15 +480,16 @@ impl EmbeddingRegistry {
     }
 
     /// Resolve the pair to a compiled embedding: cache hit, single-flight
-    /// wait, a rebuild from the pair's recipe, or a fresh
-    /// `find_embedding` run.
+    /// wait, a rebuild from the pair's recipe, or a fresh [`refute()`] check
+    /// and, unless it refutes the pair, a `find_embedding` run.
     ///
     /// # Errors
     /// [`ServiceError::BadDtd`] when either text fails to parse,
-    /// [`ServiceError::NoEmbedding`] when discovery exhausts its restarts
-    /// without finding an information-preserving embedding — remembered as
-    /// an `Unembeddable` verdict for [`RegistryConfig::negative_ttl`], after
-    /// which an identical request re-runs the search.
+    /// [`ServiceError::NoEmbedding`] when [`refute()`] proves that no
+    /// information-preserving embedding exists or discovery exhausts its
+    /// restarts without finding one — remembered as an `Unembeddable`
+    /// verdict for [`RegistryConfig::negative_ttl`], after which an
+    /// identical request checks and searches again.
     pub fn get_or_compile(
         &self,
         source_dtd: &str,
@@ -541,9 +554,9 @@ impl EmbeddingRegistry {
         }
         drop(inner);
 
-        // We own the `Building` slot; search outside every lock. Both
-        // texts parsed when they entered the memo, but propagate errors
-        // regardless.
+        // We own the `Building` slot; refute or search outside every lock.
+        // Both texts parsed when they entered the memo, but propagate
+        // errors regardless.
         let mut guard = PendingGuard {
             shard,
             key,
@@ -553,7 +566,11 @@ impl EmbeddingRegistry {
         let target = parse_dtd(target_dtd, "target")?;
         let att = (self.config.sim)(&source, &target);
         let t0 = Instant::now();
-        let found = find_embedding(&source, &target, &att, &self.config.discovery);
+        let found = if refute(&source, &target, &att) {
+            None
+        } else {
+            find_embedding(&source, &target, &att, &self.config.discovery)
+        };
         let nanos = t0.elapsed().as_nanos() as u64;
 
         // Settle the slot, then wake waiters: they find the engine or the
@@ -631,7 +648,9 @@ impl EmbeddingRegistry {
     }
 
     /// Drop the pair's cached engine and any `Unembeddable` verdict, so a
-    /// failed pair is searched again. A `Found` slot keeps its recipe: the
+    /// failed pair is refuted or searched again: a failed search proves
+    /// nothing, and a refutation, which does, is cheap to repeat. Both
+    /// verdicts go alike. A `Found` slot keeps its recipe: the
     /// next request rebuilds the same engine without a search, so an
     /// eviction never changes an answer. Returns whether a *compiled*
     /// engine existed (in-flight builds are left alone and reported as
@@ -901,6 +920,108 @@ mod tests {
         let st = reg.stats();
         assert_eq!(st.misses, 2, "{st:?}");
         assert_eq!(st.negative_hits, 0, "{st:?}");
+    }
+
+    /// Parse both texts and ask [`refute()`] under the registry's default
+    /// similarity.
+    fn refuted(source: &str, target: &str) -> bool {
+        let (s, t) = (Dtd::parse(source).unwrap(), Dtd::parse(target).unwrap());
+        refute(&s, &t, &default_similarity(&s, &t))
+    }
+
+    #[test]
+    fn a_refuted_pair_answers_as_a_failed_search_does() {
+        // The impossible pair is refuted. This one passes the check (both
+        // leaves can reach `x`), but its two AND paths would be the same
+        // path, so every search fails.
+        let searched = (
+            "<!ELEMENT r (a, b)>\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>",
+            "<!ELEMENT r (x)>\n<!ELEMENT x EMPTY>",
+        );
+        assert!(refuted(impossible_pair().0, impossible_pair().1));
+        assert!(!refuted(searched.0, searched.1));
+        for (s, t) in [impossible_pair(), searched] {
+            let reg = small_registry(4);
+            let no_embedding = |reg: &EmbeddingRegistry| {
+                let err = reg.get_or_compile(s, t).unwrap_err();
+                assert!(matches!(err, ServiceError::NoEmbedding), "{err:?}");
+                reg.stats()
+            };
+            let st = no_embedding(&reg);
+            assert_eq!((st.misses, st.negative_hits, st.compiles), (1, 0, 0));
+            assert!(st.compile_nanos > 0, "the check is timed like a search");
+            let st = no_embedding(&reg);
+            assert_eq!((st.misses, st.negative_hits), (1, 1), "{st:?}");
+            assert!(!reg.evict(s, t).unwrap());
+            let st = no_embedding(&reg);
+            assert_eq!((st.misses, st.negative_hits), (2, 1), "{st:?}");
+            assert_eq!(st.entries, 0);
+        }
+    }
+
+    /// Over pairs shaped like the benchmark's schema-churn population, the
+    /// registry, which refutes before it searches, returns exactly what the
+    /// search alone returns: corpus schemas against every noised target
+    /// the benchmark may draw for them, identity pairs of random schemas,
+    /// and random schemas against unrelated smaller ones.
+    #[test]
+    fn refuting_first_changes_no_verdict() {
+        use xse_workloads::corpus::corpus;
+        use xse_workloads::noise::{noised_copy, NoiseConfig};
+        use xse_workloads::scale::random_schema;
+
+        const PAIR_SEED: u64 = 0x5eed;
+        let mut pairs: Vec<(Dtd, Dtd)> = Vec::new();
+        for (i, (_, source)) in corpus().into_iter().enumerate() {
+            let seed = PAIR_SEED.wrapping_add(i as u64).wrapping_mul(31);
+            for (attempt, level) in [0.3, 0.3, 0.3, 0.2, 0.2, 0.1, 0.1, 0.05]
+                .into_iter()
+                .enumerate()
+            {
+                let copy = noised_copy(&source, NoiseConfig::level(level), seed + attempt as u64);
+                pairs.push((source.clone(), copy.target));
+            }
+        }
+        for (i, n) in [32, 64, 96, 128, 192, 256].into_iter().enumerate() {
+            let source = random_schema(n, PAIR_SEED ^ (0x5ca1e + i as u64));
+            pairs.push((source.clone(), source));
+        }
+        for c in 0..8u64 {
+            let n = 12 + 4 * (c as usize % 4);
+            let source = random_schema(n, PAIR_SEED ^ (0xfa11 + c));
+            let target = random_schema(n / 2, PAIR_SEED.rotate_left(17) ^ (0x0bad + c));
+            pairs.push((source, target));
+        }
+
+        let reg = registry_with(256, 8, RegistryConfig::default().negative_ttl);
+        let (mut found, mut refuted_count, mut failed) = (0, 0, 0);
+        for (source, target) in &pairs {
+            let (s, t) = (source.to_string(), target.to_string());
+            let (source, target) = (Dtd::parse(&s).unwrap(), Dtd::parse(&t).unwrap());
+            let att = default_similarity(&source, &target);
+            let direct = find_embedding(&source, &target, &att, &reg.config().discovery);
+            match (reg.get_or_compile(&s, &t), direct) {
+                (Ok((_, served)), Some(direct)) => {
+                    assert_eq!(served.describe(), direct.describe());
+                    found += 1;
+                }
+                (Err(ServiceError::NoEmbedding), None) => {
+                    if refute(&source, &target, &att) {
+                        refuted_count += 1;
+                    } else {
+                        failed += 1;
+                    }
+                }
+                (served, direct) => panic!(
+                    "registry {:?}, search {:?}:\n{s}\n---\n{t}",
+                    served.map(|_| ()),
+                    direct.is_some()
+                ),
+            }
+        }
+        // Every kind of verdict occurs: found, refuted, and failed without
+        // a refutation.
+        assert!(found > 0 && refuted_count > 0 && failed > 0);
     }
 
     #[test]

@@ -254,7 +254,9 @@
 //! fast until its verdict's TTL
 //! ([`RegistryConfig::negative_ttl`](crate::service::RegistryConfig))
 //! runs out and an evicted engine is rebuilt from its kept, already
-//! validated state without searching again;
+//! validated state without searching again; a pair that
+//! [`refute`](crate::discovery::refute()) proves unembeddable is not
+//! searched at all;
 //! and a deterministic in-process chaos proxy
 //! ([`service::fault::FaultProxy`])
 //! injects delays, resets, truncations and opcode corruption on a seeded

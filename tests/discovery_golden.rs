@@ -438,3 +438,49 @@ fn discovery_results_match_the_recorded_digests() {
         "every found embedding was rebuilt, and its text path and stylesheets checked"
     );
 }
+
+/// A refutation is a proof, so it must agree with every run above: it
+/// refutes none of the 82 runs that find an embedding, whatever the
+/// strategy. Of the 56 failed runs it refutes exactly the 12 on unrelated
+/// random schemas; the 44 failed runs on noised corpus pairs pass the
+/// check and are left to the search.
+#[test]
+fn refute_refutes_only_pairs_that_every_strategy_fails() {
+    let mut found_count = 0;
+    let mut refuted: Vec<String> = Vec::new();
+    for Golden {
+        label,
+        source,
+        target,
+        att,
+        ..
+    } in pairs()
+    {
+        let refutes = xse::discovery::refute(&source, &target, &att);
+        for (sname, strategy) in STRATEGIES {
+            let cfg = DiscoveryConfig {
+                strategy,
+                threads: 1,
+                ..DiscoveryConfig::default()
+            };
+            if find_embedding(&source, &target, &att, &cfg).is_some() {
+                assert!(
+                    !refutes,
+                    "{label}/{sname}: refuted, yet an embedding was found"
+                );
+                found_count += 1;
+            }
+            if refutes {
+                refuted.push(format!("{label}/{sname}"));
+            }
+        }
+    }
+    assert_eq!(found_count, 82);
+    let failing: Vec<String> = GOLDEN
+        .iter()
+        .map(|&(l, _)| l.to_string())
+        .filter(|l| l.starts_with("failing-"))
+        .collect();
+    assert_eq!(failing.len(), 12);
+    assert_eq!(refuted, failing);
+}

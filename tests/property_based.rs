@@ -448,3 +448,47 @@ proptest! {
         }
     }
 }
+
+/// A refutation is a proof: on unrelated random schema pairs, whenever
+/// `refute` says no embedding exists, no strategy finds one. Seeded, so
+/// the pairs and the searches are the same on every run.
+#[test]
+fn refuted_pairs_find_no_embedding() {
+    use xse::discovery::Strategy as Search;
+    let mut rng = StdRng::seed_from_u64(0x2e_f07e);
+    let (mut refuted, mut checked) = (0, 0);
+    for _ in 0..30 {
+        let n = rng.random_range(6usize..24);
+        let source = scale::random_schema(n, rng.random());
+        let target = scale::random_schema(rng.random_range(3..=2 * n), rng.random());
+        for att in [
+            SimilarityMatrix::permissive(&source, &target),
+            SimilarityMatrix::by_name(&source, &target, 0.25),
+            SimilarityMatrix::by_name(&source, &target, 0.0),
+        ] {
+            checked += 1;
+            if !xse::discovery::refute(&source, &target, &att) {
+                continue;
+            }
+            refuted += 1;
+            for strategy in [
+                Search::Random,
+                Search::QualityOrdered,
+                Search::IndependentSet,
+            ] {
+                let cfg = DiscoveryConfig {
+                    strategy,
+                    ..DiscoveryConfig::default()
+                };
+                assert!(
+                    find_embedding(&source, &target, &att, &cfg).is_none(),
+                    "{strategy:?} embedded a refuted pair:\n{source}\n---\n{target}"
+                );
+            }
+        }
+    }
+    assert!(
+        0 < refuted && refuted < checked,
+        "{refuted} of {checked} refuted"
+    );
+}
