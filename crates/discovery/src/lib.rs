@@ -18,8 +18,12 @@
 //!   three strategies the paper evaluates: **Random** (randomly ordered
 //!   target matches, restarts), **Quality-Ordered** (best `att` first), and
 //!   **Independent-Set** (candidate local mappings as weighted vertices of
-//!   a conflict graph; a greedy + local-search WIS heuristic substitutes
-//!   for the quadratic-over-a-sphere solver of Busygin et al.);
+//!   a conflict graph, whose maximum-weight independent set seeds each
+//!   restart). The paper calls the quadratic-over-a-sphere solver of
+//!   Busygin et al. for that set; here the graph's only conflict is two
+//!   images for one source type, so it is a disjoint union of per-type
+//!   cliques, and the exact maximum (each type's heaviest plausible
+//!   candidate) is computed directly;
 //! * every assembled candidate is re-validated by
 //!   [`CompiledEmbedding::new`](xse_core::CompiledEmbedding::new), so a
 //!   returned embedding is always sound — heuristics can only cause false
@@ -42,7 +46,6 @@ pub mod pfp;
 pub mod refute;
 pub mod sat;
 pub mod solver;
-pub mod wis;
 
 pub use refute::refute;
 pub use solver::{

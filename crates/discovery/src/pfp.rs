@@ -50,13 +50,17 @@ pub struct PathReq {
     pub kind: ReqKind,
 }
 
-/// Search limits.
+/// Maximum candidates enumerated per requirement.
+const MAX_CANDIDATES: usize = 48;
+
+/// DFS node-expansion budget per requirement.
+const EXPANSION_BUDGET: usize = 20_000;
+
+/// The search's settable limits, both varied by the ABL-1 ablation. Its
+/// cap on candidate paths per requirement and its DFS expansion budget
+/// are constants.
 #[derive(Clone, Debug)]
 pub struct PfpConfig {
-    /// Maximum candidates enumerated per requirement.
-    pub max_candidates: usize,
-    /// DFS node-expansion budget per requirement.
-    pub expansion_budget: usize,
     /// Highest star position the bump refinement will try.
     pub max_star_bump: usize,
     /// ABL-1 switch: disable the reachability-index pruning (the DFS then
@@ -67,8 +71,6 @@ pub struct PfpConfig {
 impl Default for PfpConfig {
     fn default() -> Self {
         PfpConfig {
-            max_candidates: 48,
-            expansion_budget: 20_000,
             max_star_bump: 8,
             disable_reach_pruning: false,
         }
@@ -320,7 +322,7 @@ struct Enumerator<'a> {
 impl<'a> Enumerator<'a> {
     fn enumerate(&mut self, origin: TypeId, req: PathReq) -> Vec<XrPath> {
         let mut out: Vec<XrPath> = Vec::new();
-        let mut budget = self.cfg.expansion_budget;
+        let mut budget = EXPANSION_BUDGET;
 
         // Text requirement at a str-typed origin: the empty path + text().
         if req.kind == ReqKind::Text && matches!(self.target.production(origin), Production::Str) {
@@ -339,7 +341,7 @@ impl<'a> Enumerator<'a> {
         out: &mut Vec<XrPath>,
         budget: &mut usize,
     ) {
-        if out.len() >= self.cfg.max_candidates || *budget == 0 {
+        if out.len() >= MAX_CANDIDATES || *budget == 0 {
             return;
         }
         *budget -= 1;

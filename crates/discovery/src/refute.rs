@@ -52,6 +52,7 @@ use xse_core::SimilarityMatrix;
 use xse_dtd::{Dtd, Production, SchemaGraph, TypeId};
 
 use crate::index::{ReachIndex, ReachMatrix};
+use crate::solver::bfs_order;
 
 /// Fewest words the fixed point may compare before it gives up, so small
 /// pairs always finish.
@@ -177,18 +178,10 @@ fn root_pair_survives(
         }
         needs.push(Some((matrix, children)));
     }
-    let mut order = vec![source.root()];
+    let order = bfs_order(source);
     let mut queued = vec![false; n1];
-    queued[source.root().index()] = true;
-    let mut i = 0;
-    while let Some(&a) = order.get(i) {
-        for &c in source.production(a).children() {
-            if !queued[c.index()] {
-                queued[c.index()] = true;
-                order.push(c);
-            }
-        }
-        i += 1;
+    for a in &order {
+        queued[a.index()] = true;
     }
 
     // Leaves first; a type goes back on the queue when a child's row shrinks.

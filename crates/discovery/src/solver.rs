@@ -26,7 +26,9 @@ use xse_dtd::{Dtd, Production, SchemaGraph, TypeId};
 
 use crate::index::ReachIndex;
 use crate::pfp::{self, PathReq, PfpConfig, ReqKind};
-use crate::wis::ConflictGraph;
+
+/// Pool size per source type for the Independent-Set seed.
+const POOL_PER_TYPE: usize = 6;
 
 /// The three assembly heuristics evaluated in the paper's experiments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -36,8 +38,10 @@ pub enum Strategy {
     Random,
     /// Candidates in decreasing `att` order ("start with better mappings").
     QualityOrdered,
-    /// Generate a pool of local mappings, pick a consistent heavy subset
-    /// via weighted-independent-set, then repair by search.
+    /// Seed each restart with a maximum-weight independent set of the
+    /// candidate local mappings, then repair by search. The only conflict
+    /// is two images for one source type, so the set is each type's
+    /// heaviest plausible candidate, picked directly.
     IndependentSet,
 }
 
@@ -55,8 +59,6 @@ pub struct DiscoveryConfig {
     pub max_combos: usize,
     /// Prefix-free path search limits.
     pub pfp: PfpConfig,
-    /// Pool size per source type for the Independent-Set strategy.
-    pub pool_per_type: usize,
     /// Worker threads for the restart engine: `1` (the default) runs fully
     /// sequentially on the caller's thread, `0` spawns one worker per
     /// available core. Extra workers lose on pairs won in the first few
@@ -79,7 +81,6 @@ impl Default for DiscoveryConfig {
             restarts: 24,
             max_combos: 64,
             pfp: PfpConfig::default(),
-            pool_per_type: 6,
             threads: 1,
         }
     }
@@ -93,7 +94,8 @@ pub struct DiscoveryStats {
     pub attempts: usize,
     /// Local-embedding (pfp) solves.
     pub local_solves: usize,
-    /// WIS λ-seed derivations (Independent-Set strategy: one per attempt).
+    /// Independent-Set λ-seed derivations (one per attempt under that
+    /// strategy, zero under the others).
     pub wis_seeds: usize,
     /// Candidate embeddings rejected by final validation — the sum of the
     /// three `rejects_*` kinds below.
@@ -126,6 +128,27 @@ impl DiscoveryStats {
 /// trees.
 fn attempt_rng(seed: u64, attempt: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Source types in BFS order from the root: parents before children on
+/// first contact, children in production order. Consistent DTDs have every
+/// type reachable.
+pub(crate) fn bfs_order(source: &Dtd) -> Vec<TypeId> {
+    let mut order = Vec::with_capacity(source.type_count());
+    let mut seen = vec![false; source.type_count()];
+    seen[source.root().index()] = true;
+    order.push(source.root());
+    let mut i = 0;
+    while let Some(&t) = order.get(i) {
+        for &c in source.production(t).children() {
+            if !seen[c.index()] {
+                seen[c.index()] = true;
+                order.push(c);
+            }
+        }
+        i += 1;
+    }
+    order
 }
 
 /// Resolve [`DiscoveryConfig::threads`] (`0` = available parallelism).
@@ -181,6 +204,7 @@ pub fn find_embedding_with_stats(
     let src_graph = SchemaGraph::new(source);
     let tgt_graph = SchemaGraph::new(target);
     let idx = ReachIndex::new(target, &tgt_graph);
+    let order = bfs_order(source);
     // Lowest attempt index that has produced a validated embedding so far;
     // attempts above it can no longer win and are cancelled.
     let bound = AtomicUsize::new(usize::MAX);
@@ -192,6 +216,7 @@ pub fn find_embedding_with_stats(
         src_graph: &src_graph,
         tgt_graph: &tgt_graph,
         idx: &idx,
+        order: &order,
         att,
         cfg,
         bound: &bound,
@@ -337,31 +362,14 @@ struct Env<'e> {
     src_graph: &'e SchemaGraph,
     tgt_graph: &'e SchemaGraph,
     idx: &'e ReachIndex,
+    /// Source types in [`bfs_order`], the order every attempt assigns them.
+    order: &'e [TypeId],
     att: &'e SimilarityMatrix,
     cfg: &'e DiscoveryConfig,
     bound: &'e AtomicUsize,
 }
 
 impl<'e> Env<'e> {
-    /// Source types in BFS order from the root (parents before children on
-    /// first contact; consistent DTDs have everything reachable).
-    fn bfs_order(&self) -> Vec<TypeId> {
-        let mut order = Vec::with_capacity(self.source.type_count());
-        let mut seen = vec![false; self.source.type_count()];
-        let mut queue = std::collections::VecDeque::from([self.source.root()]);
-        seen[self.source.root().index()] = true;
-        while let Some(t) = queue.pop_front() {
-            order.push(t);
-            for &c in self.source.production(t).children() {
-                if !seen[c.index()] {
-                    seen[c.index()] = true;
-                    queue.push_back(c);
-                }
-            }
-        }
-        order
-    }
-
     /// Run attempt `attempt` end to end on the calling thread: derive its
     /// RNG from `(seed, attempt)`, assemble a candidate, validate it.
     /// `&self`-pure — safe to call from any worker concurrently.
@@ -370,12 +378,10 @@ impl<'e> Env<'e> {
         // Independent-Set derives a freshly shuffled λ-seed for *every*
         // restart: seeding only attempt 0 would silently degrade every
         // later restart to the Random strategy.
-        let wis_seed = if self.cfg.strategy == Strategy::IndependentSet {
+        let wis_seed = (self.cfg.strategy == Strategy::IndependentSet).then(|| {
             stats.wis_seeds += 1;
             self.wis_lambda_seed(&mut rng)
-        } else {
-            None
-        };
+        });
         let (lambda, paths) = self.attempt(&mut rng, attempt, wis_seed.as_deref(), stats)?;
         match CompiledEmbedding::new(
             Arc::clone(self.source_arc),
@@ -420,7 +426,7 @@ impl<'e> Env<'e> {
         lambda[self.source.root().index()] = Some(self.target.root());
         let mut paths = PathMapping::new_with_graph(self.source, self.src_graph);
 
-        for a in self.bfs_order() {
+        for &a in self.order {
             // Early-cancel: a sibling worker has already validated a
             // success at a lower index, so this attempt cannot win.
             if attempt > self.bound.load(Ordering::Relaxed) {
@@ -607,44 +613,32 @@ impl<'e> Env<'e> {
         )
     }
 
-    /// Independent-Set seeding: a pool of (type, λ-choice) vertices weighted
-    /// by `att`, conflicts between different choices for the same type;
-    /// the heavy independent set fixes initial λ assignments.
-    fn wis_lambda_seed(&self, rng: &mut StdRng) -> Option<Vec<Option<TypeId>>> {
-        let n = self.source.type_count();
-        let mut vertices: Vec<(TypeId, TypeId, f64)> = Vec::new();
-        for a in self.source.types() {
-            let mut cands = self.att.candidates(a);
-            cands.truncate(self.cfg.pool_per_type.max(1));
-            // Light shuffle so equal-weight pools vary across seeds.
-            cands.shuffle(rng);
-            for (b, w) in cands {
-                // Cheap feasibility filter: a candidate image must be able
-                // to host the production's edge kinds at all.
-                if self.plausible(a, b) {
-                    vertices.push((a, b, w));
-                }
-            }
-        }
-        let mut g = ConflictGraph::new(vertices.iter().map(|v| v.2).collect());
-        for i in 0..vertices.len() {
-            for j in (i + 1)..vertices.len() {
-                let (a1, b1, _) = vertices[i];
-                let (a2, b2, _) = vertices[j];
-                // Same source type, different image: conflict.
-                if a1 == a2 && b1 != b2 {
-                    g.add_conflict(i, j);
-                }
-            }
-        }
-        let set = g.heavy_independent_set();
-        let mut lambda = vec![None; n];
-        for v in set {
-            let (a, b, _) = vertices[v];
-            lambda[a.index()] = Some(b);
-        }
+    /// Independent-Set seeding. The paper reduces assembly to a
+    /// maximum-weight independent set over candidate local mappings
+    /// weighted by `att`, where two mappings conflict when they give one
+    /// source type different images. Those conflicts make the graph a
+    /// disjoint union of per-type cliques, whose maximum-weight independent
+    /// set is each type's heaviest vertex. So each type's pool is its first
+    /// [`POOL_PER_TYPE`] candidates, shuffled so that restarts break ties
+    /// differently, less the implausible ones; the heaviest member seeds
+    /// the type, the first in pool order on a tie. The root is pinned to
+    /// the target root.
+    fn wis_lambda_seed(&self, rng: &mut StdRng) -> Vec<Option<TypeId>> {
+        let mut lambda: Vec<Option<TypeId>> = self
+            .source
+            .types()
+            .map(|a| {
+                let mut pool = self.att.candidates(a);
+                pool.truncate(POOL_PER_TYPE);
+                pool.shuffle(rng);
+                pool.into_iter()
+                    .filter(|&(b, _)| self.plausible(a, b))
+                    .reduce(|best, c| if c.1 > best.1 { c } else { best })
+                    .map(|(b, _)| b)
+            })
+            .collect();
         lambda[self.source.root().index()] = Some(self.target.root());
-        Some(lambda)
+        lambda
     }
 
     /// Quick structural plausibility of mapping `a` onto `b`: the image
@@ -916,6 +910,89 @@ mod tests {
                 assert!(att.get(c, e.lambda(c)) > 0.0, "{strategy:?} used NaN pair");
             }
         }
+    }
+
+    #[test]
+    fn wis_seed_is_each_types_heaviest_plausible_candidate() {
+        // Source `a`, `b`, `c`, `d` are text types; of the target's types,
+        // `x`, `y`, `z` are plausible images for them and the empty `e` is
+        // not.
+        let s1 = Dtd::builder("r")
+            .concat("r", &["a", "b", "c", "d"])
+            .str_type("a")
+            .str_type("b")
+            .str_type("c")
+            .str_type("d")
+            .build()
+            .unwrap();
+        let s2 = Dtd::builder("q")
+            .concat("q", &["x", "y", "z", "e"])
+            .str_type("x")
+            .str_type("y")
+            .str_type("z")
+            .empty("e")
+            .build()
+            .unwrap();
+        let src = |n: &str| s1.type_id(n).unwrap();
+        let tgt = |n: &str| s2.type_id(n).unwrap();
+        // The root's row stays zero: the root is pinned all the same.
+        let mut att = SimilarityMatrix::zero(s1.type_count(), s2.type_count());
+        for (a, b, w) in [
+            ("a", "x", 0.5),
+            ("a", "y", 0.9),
+            ("a", "z", 0.3),
+            ("b", "x", 0.7),
+            ("b", "y", 0.7),
+            ("b", "z", 0.2),
+            ("c", "e", 1.0),
+            ("c", "z", 0.4),
+            ("d", "e", 0.8),
+        ] {
+            att.set(src(a), tgt(b), w);
+        }
+        let (source_arc, target_arc) = (Arc::new(s1.clone()), Arc::new(s2.clone()));
+        let (src_graph, tgt_graph) = (SchemaGraph::new(&s1), SchemaGraph::new(&s2));
+        let idx = ReachIndex::new(&s2, &tgt_graph);
+        let order = bfs_order(&s1);
+        let cfg = DiscoveryConfig::default();
+        let bound = AtomicUsize::new(usize::MAX);
+        let env = Env {
+            source: &s1,
+            target: &s2,
+            source_arc: &source_arc,
+            target_arc: &target_arc,
+            src_graph: &src_graph,
+            tgt_graph: &tgt_graph,
+            idx: &idx,
+            order: &order,
+            att: &att,
+            cfg: &cfg,
+            bound: &bound,
+        };
+        let mut tie_winners = Vec::new();
+        for seed in 0..16 {
+            let seeded = env.wis_lambda_seed(&mut StdRng::seed_from_u64(seed));
+            assert_eq!(seeded[s1.root().index()], Some(s2.root()));
+            assert_eq!(seeded[src("a").index()], Some(tgt("y")));
+            // Replay the pool shuffles: `b`'s tie goes to whichever of `x`
+            // and `y` its shuffled pool lists first.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut first_of_tie = None;
+            for t in s1.types() {
+                let mut pool = att.candidates(t);
+                pool.truncate(POOL_PER_TYPE);
+                pool.shuffle(&mut rng);
+                if t == src("b") {
+                    first_of_tie = pool.iter().find(|&&(_, w)| w == 0.7).map(|&(b, _)| b);
+                }
+            }
+            assert_eq!(seeded[src("b").index()], first_of_tie);
+            tie_winners.push(first_of_tie.unwrap());
+            assert_eq!(seeded[src("c").index()], Some(tgt("z")));
+            assert_eq!(seeded[src("d").index()], None);
+        }
+        // The shuffle really decides the tie.
+        assert!(tie_winners.contains(&tgt("x")) && tie_winners.contains(&tgt("y")));
     }
 
     #[test]

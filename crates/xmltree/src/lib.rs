@@ -55,14 +55,12 @@
 //! take time linear in the document, and all three loop instead of
 //! recursing, so nesting depth is bounded by memory, not by the call stack.
 
-mod builder;
 mod idmap;
 mod node;
 mod parse;
 mod serialize;
 mod symbol;
 
-pub use builder::TreeBuilder;
 pub use idmap::IdMap;
 pub use node::{NodeId, NodeKind, Preorder, XmlTree};
 pub use parse::{parse_xml, ParseError};

@@ -332,6 +332,6 @@ pub mod prelude {
         Client, ClientConfig, EmbeddingRegistry, RegistryConfig, RetryPolicy, RetryingClient,
         Server, ServerConfig,
     };
-    pub use xse_xmltree::{parse_xml, IdMap, NodeId, TreeBuilder, XmlTree};
+    pub use xse_xmltree::{parse_xml, IdMap, NodeId, XmlTree};
     pub use xse_xslt::{generate_forward, generate_inverse, Stylesheet, StylesheetGen};
 }
