@@ -1,11 +1,10 @@
 //! FIG-T micro-slice: InstMap (into a tree, and straight to XML text) and
-//! inverse wall time vs. document size, plus batch throughput of
-//! `apply_batch` at 1 vs N threads.
+//! inverse wall time vs. document size.
 //!
 //! `XSE_SCALE_SMOKE=1` shrinks sizes and sample counts so CI can execute the
-//! whole bench quickly; its assertions (the text path byte-identical to the
-//! tree path + `to_xml`, batch output byte-identical to sequential, batch at
-//! 1 thread not slower than sequential) run in both modes.
+//! whole bench quickly; its assertion (the text path byte-identical to the
+//! tree path + `to_xml`, on every FIG-T document and on a batch of
+//! mid-sized documents) runs in both modes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xse_bench::fixtures;
@@ -67,8 +66,7 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // Batch throughput: mid-sized documents, sequential vs scoped-thread
-    // fan-out — the day-one measurement for the parallel path.
+    // The text path on a batch of mid-sized documents.
     let gen = InstanceGenerator::new(
         &s0,
         GenConfig {
@@ -78,72 +76,13 @@ fn bench(c: &mut Criterion) {
         },
     );
     let n_docs = if smoke { 8u64 } else { 64 };
-    let docs: Vec<_> = (0..n_docs).map(|seed| gen.generate(seed)).collect();
-    let total_nodes: u64 = docs.iter().map(|d| d.len() as u64).sum();
-    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // 1-vs-N comparison, part one — correctness: every batch configuration
-    // produces byte-identical serialization to the sequential loop.
-    let sequential: Vec<String> = docs
-        .iter()
-        .map(|d| e.apply(d).unwrap().tree.to_xml())
-        .collect();
-    for (d, want) in docs.iter().zip(&sequential) {
-        assert_eq!(&e.apply_to_xml(d).unwrap(), want, "apply_to_xml diverges");
-    }
-    for threads in [1, 2, hw_threads] {
-        let batch: Vec<String> = e
-            .apply_batch_with(&docs, threads)
-            .into_iter()
-            .map(|r| r.unwrap().tree.to_xml())
-            .collect();
-        assert_eq!(batch, sequential, "apply_batch({threads}) diverges");
-    }
-    // Part two — no pessimization: batch at threads=1 must not lose to the
-    // plain sequential loop (it degenerates to exactly that loop; the 1.5×
-    // slack only absorbs scheduler noise). Median of 3 to de-flake.
-    let time = |f: &dyn Fn() -> usize| {
-        let mut samples: Vec<std::time::Duration> = (0..3)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                std::hint::black_box(f());
-                t0.elapsed()
-            })
-            .collect();
-        samples.sort();
-        samples[1]
-    };
-    let t_seq = time(&|| docs.iter().map(|d| e.apply(d).unwrap().tree.len()).sum());
-    let t_batch1 = time(&|| {
-        e.apply_batch_with(&docs, 1)
-            .into_iter()
-            .map(|r| r.unwrap().tree.len())
-            .sum()
-    });
-    assert!(
-        t_batch1 <= t_seq * 3 / 2,
-        "apply_batch(1) slower than sequential: {t_batch1:?} vs {t_seq:?}"
-    );
-
-    let mut g = c.benchmark_group("apply_batch");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(total_nodes));
-    // BTreeSet dedups the thread counts (hw_threads may be 1 or 2).
-    for threads in std::collections::BTreeSet::from([1usize, 2, hw_threads]) {
-        g.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    e.apply_batch_with(&docs, threads)
-                        .into_iter()
-                        .map(|r| r.unwrap().tree.len())
-                        .sum::<usize>()
-                })
-            },
+    for d in (0..n_docs).map(|seed| gen.generate(seed)) {
+        assert_eq!(
+            e.apply_to_xml(&d).unwrap(),
+            e.apply(&d).unwrap().tree.to_xml(),
+            "apply_to_xml diverges"
         );
     }
-    g.finish();
 }
 
 criterion_group!(benches, bench);

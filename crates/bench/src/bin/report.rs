@@ -1,52 +1,52 @@
 //! Regenerate every table and figure of EXPERIMENTS.md.
 //!
-//! Usage: `report [all|exp-a|exp-b|exp-c|exp-p|exp-t|tab-1|tab-2|tab-3|tab-4|fig-t|exp-e|abl-1|fig1]`
+//! Usage: `report [all|<section>]`, where the sections are the names in
+//! `SECTIONS`. An unknown section prints the usage line to standard error
+//! and exits with status 2.
 
 use xse_bench::experiments as x;
 use xse_bench::pct;
 
+/// Every section by name, in the order `all` prints them.
+const SECTIONS: [(&str, fn()); 13] = [
+    ("fig1", fig1),
+    ("exp-a", exp_a),
+    ("exp-b", exp_b),
+    ("exp-c", exp_c),
+    ("exp-p", exp_p),
+    ("exp-t", exp_t),
+    ("tab-1", tab1),
+    ("tab-2", tab2),
+    ("tab-3", tab3),
+    ("tab-4", tab4),
+    ("fig-t", fig_t),
+    ("exp-e", exp_e),
+    ("abl-1", abl1),
+];
+
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let all = what == "all";
-    if all || what == "fig1" {
-        fig1();
+    if what == "all" {
+        SECTIONS.iter().for_each(|(_, run)| run());
+    } else if let Some(run) = section(&what) {
+        run();
+    } else {
+        eprintln!("{}", usage());
+        std::process::exit(2);
     }
-    if all || what == "exp-a" {
-        exp_a();
-    }
-    if all || what == "exp-b" {
-        exp_b();
-    }
-    if all || what == "exp-c" {
-        exp_c();
-    }
-    if all || what == "exp-p" {
-        exp_p();
-    }
-    if all || what == "exp-t" {
-        exp_t();
-    }
-    if all || what == "tab-1" {
-        tab1();
-    }
-    if all || what == "tab-2" {
-        tab2();
-    }
-    if all || what == "tab-3" {
-        tab3();
-    }
-    if all || what == "tab-4" {
-        tab4();
-    }
-    if all || what == "fig-t" {
-        fig_t();
-    }
-    if all || what == "exp-e" {
-        exp_e();
-    }
-    if all || what == "abl-1" {
-        abl1();
-    }
+}
+
+/// The section named `name`.
+fn section(name: &str) -> Option<fn()> {
+    SECTIONS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, run)| run)
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = SECTIONS.iter().map(|&(n, _)| n).collect();
+    format!("usage: report [all|{}]", names.join("|"))
 }
 
 fn fig1() {
@@ -251,4 +251,18 @@ fn abl1() {
         );
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{section, usage, SECTIONS};
+
+    #[test]
+    fn lookup_refuses_an_unknown_section_and_finds_every_listed_one() {
+        assert!(section("nonsense").is_none());
+        for (name, _) in SECTIONS {
+            assert!(section(name).is_some(), "{name}");
+            assert!(usage().contains(name), "{name} missing from the usage line");
+        }
+    }
 }

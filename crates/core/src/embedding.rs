@@ -387,9 +387,7 @@ impl EmbeddingBuilder {
 /// [`Arc`], so [`without_plans`](Self::without_plans) copies a validated
 /// engine without checking or compiling anything.
 /// The result has no lifetime parameter and is `Send + Sync`: store it,
-/// share it behind an [`Arc`], and map documents from many threads — or let
-/// [`CompiledEmbedding::apply_batch`](Self::apply_batch) fan a batch out
-/// for you.
+/// share it behind an [`Arc`], and map documents from many threads.
 pub struct CompiledEmbedding {
     pub(crate) source: Arc<Dtd>,
     pub(crate) target: Arc<Dtd>,
@@ -406,8 +404,8 @@ pub struct CompiledEmbedding {
     pub(crate) plan_cache: crate::translate::PlanCache,
 }
 
-// The engine is shared across threads by `apply_batch` and by servers; keep
-// that a compile-time fact rather than an accident of field types.
+// Servers and callers share one engine across threads; keep that a
+// compile-time fact rather than an accident of field types.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledEmbedding>();

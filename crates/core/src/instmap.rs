@@ -19,22 +19,12 @@
 //! - [`CompiledEmbedding::apply_to_xml`] writes compact XML text through
 //!   [`XmlWriter`], the writer behind [`XmlTree::to_xml`], so its bytes are
 //!   those of `apply(t1)?.tree.to_xml()` with no tree in between.
-//!
-//! [`CompiledEmbedding::apply_batch`] fans a slice of documents out over
-//! scoped threads: the engine is `Send + Sync`, each document is mapped
-//! independently, and results come back in input order — bit-identical to
-//! running [`CompiledEmbedding::apply`] sequentially.
 
 use xse_dtd::{Dtd, TypeId, DEFAULT_STRING};
 use xse_xmltree::{IdMap, NodeId, TagId, XmlTree, XmlWriter};
 
 use crate::pfrag::{intern_target_tags, Op, Program};
 use crate::{CompiledEmbedding, EmbeddingError, MappingOutput};
-
-/// Per-thread chunking floor for [`CompiledEmbedding::apply_batch`]: with
-/// fewer total source nodes than this per thread, spawn overhead dominates
-/// and the batch falls back to fewer threads (or a plain sequential loop).
-const MIN_NODES_PER_THREAD: usize = 8192;
 
 /// Where the emitter writes `σd(T1)`. The sink starts inside the target
 /// root element, which is the current element.
@@ -295,115 +285,6 @@ impl CompiledEmbedding {
             ends,
         }
     }
-
-    /// Apply `σd` to every document of a batch, fanning the work out over
-    /// as many scoped threads as the machine offers. Results come back in
-    /// input order and are identical to mapping each document with
-    /// [`CompiledEmbedding::apply`] — the engine is immutable and shared by
-    /// reference, so parallelism cannot change outputs.
-    pub fn apply_batch(&self, docs: &[XmlTree]) -> Vec<Result<MappingOutput, EmbeddingError>> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.apply_batch_with(docs, threads)
-    }
-
-    /// [`CompiledEmbedding::apply_batch`] with an explicit thread count.
-    ///
-    /// The effective parallelism is clamped to `1..=docs.len()` *and* by the
-    /// total work: tiny batches (fewer than `MIN_NODES_PER_THREAD` source
-    /// nodes per thread) use fewer threads, down to a plain sequential loop,
-    /// so the batch path is never slower than sequential on small inputs.
-    /// Chunks are contiguous and balanced by node counts, not document
-    /// counts, so one huge document does not serialize the batch.
-    pub fn apply_batch_with(
-        &self,
-        docs: &[XmlTree],
-        threads: usize,
-    ) -> Vec<Result<MappingOutput, EmbeddingError>> {
-        let sizes: Vec<usize> = docs.iter().map(|t1| t1.len()).collect();
-        let total: usize = sizes.iter().sum();
-        let threads = threads
-            .clamp(1, docs.len().max(1))
-            .min((total / MIN_NODES_PER_THREAD).max(1));
-        if threads <= 1 {
-            return docs.iter().map(|t1| self.apply(t1)).collect();
-        }
-        let ends = chunk_ends(&sizes, threads);
-        let mut results: Vec<Option<Result<MappingOutput, EmbeddingError>>> =
-            (0..docs.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut docs_rest = docs;
-            let mut out_rest = &mut results[..];
-            let mut prev = 0;
-            for &end in &ends {
-                let (in_chunk, dr) = docs_rest.split_at(end - prev);
-                let (out_chunk, or) = out_rest.split_at_mut(end - prev);
-                (docs_rest, out_rest, prev) = (dr, or, end);
-                scope.spawn(move || {
-                    for (t1, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = Some(self.apply(t1));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("chunking covers every input document"))
-            .collect()
-    }
-}
-
-/// Cut `sizes` into at most `parts` contiguous chunks of roughly equal
-/// weight, returning the exclusive end index of each chunk. Every item is
-/// covered; chunks are nonempty.
-fn chunk_ends(sizes: &[usize], parts: usize) -> Vec<usize> {
-    let total: usize = sizes.iter().sum();
-    let target = total.div_ceil(parts.max(1)).max(1);
-    let mut ends = Vec::with_capacity(parts);
-    let mut acc = 0;
-    for (i, &s) in sizes.iter().enumerate() {
-        acc += s;
-        if acc >= target {
-            ends.push(i + 1);
-            acc = 0;
-        }
-    }
-    if ends.last() != Some(&sizes.len()) && !sizes.is_empty() {
-        ends.push(sizes.len());
-    }
-    ends
-}
-
-#[cfg(test)]
-mod chunk_tests {
-    use super::chunk_ends;
-
-    #[test]
-    fn covers_all_items_without_empty_chunks() {
-        for (sizes, parts) in [
-            (vec![1usize; 10], 3),
-            (vec![100, 1, 1, 1, 1, 1], 4),
-            (vec![5], 8),
-            (vec![0, 0, 7, 0], 2),
-        ] {
-            let ends = chunk_ends(&sizes, parts);
-            assert!(ends.len() <= parts.max(1), "{sizes:?} → {ends:?}");
-            assert_eq!(*ends.last().unwrap(), sizes.len());
-            let mut prev = 0;
-            for &e in &ends {
-                assert!(e > prev, "empty chunk in {ends:?}");
-                prev = e;
-            }
-        }
-    }
-
-    #[test]
-    fn balances_by_weight_not_count() {
-        // One huge document followed by many small ones: the huge one gets
-        // its own chunk instead of dragging half the batch with it.
-        let sizes = [1000, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10];
-        let ends = chunk_ends(&sizes, 2);
-        assert_eq!(ends[0], 1, "heavy head is isolated: {ends:?}");
-    }
 }
 
 #[cfg(test)]
@@ -564,44 +445,6 @@ pub(crate) mod tests {
             e.apply(&bad),
             Err(crate::EmbeddingError::SourceInvalid(_))
         ));
-    }
-
-    #[test]
-    fn batch_equals_sequential_and_keeps_order() {
-        let (s1, s2) = wrap();
-        let e = wrap_compiled(&s1, &s2);
-        let docs: Vec<_> = (0..9)
-            .map(|i| {
-                let body: String = (0..i).map(|j| format!("<c>{j}</c>")).collect();
-                parse_xml(&format!("<r><a>d{i}</a><b>{body}</b></r>")).unwrap()
-            })
-            .collect();
-        let sequential: Vec<_> = docs.iter().map(|d| e.apply(d).unwrap()).collect();
-        for threads in [1, 2, 4, 32] {
-            let batch = e.apply_batch_with(&docs, threads);
-            assert_eq!(batch.len(), docs.len());
-            for (got, want) in batch.into_iter().zip(sequential.iter()) {
-                let got = got.unwrap();
-                assert_eq!(got.tree.to_xml(), want.tree.to_xml());
-                assert_eq!(got.idmap.len(), want.idmap.len());
-            }
-        }
-    }
-
-    #[test]
-    fn batch_reports_per_document_errors_in_place() {
-        let (s1, s2) = wrap();
-        let e = wrap_compiled(&s1, &s2);
-        let good = parse_xml("<r><a>x</a><b/></r>").unwrap();
-        let bad = parse_xml("<r><b/><a>x</a></r>").unwrap();
-        let docs = vec![good.clone(), bad, good];
-        let out = e.apply_batch_with(&docs, 3);
-        assert!(out[0].is_ok());
-        assert!(matches!(
-            out[1],
-            Err(crate::EmbeddingError::SourceInvalid(_))
-        ));
-        assert!(out[2].is_ok());
     }
 
     /// Example 4.2 / 4.4: the class DTD S0 into the school DTD S.

@@ -32,9 +32,7 @@
 //!   `InstMap`, Fig. 5), **type safe** and **injective** (Theorem 4.1),
 //!   linear time, replaying each source type's compiled production
 //!   fragment — with [`CompiledEmbedding::apply_to_xml`], which writes the
-//!   same output straight to XML text, and
-//!   [`CompiledEmbedding::apply_batch`], which fans a slice of documents
-//!   out over scoped threads;
+//!   same output straight to XML text;
 //! * [`CompiledEmbedding::invert`] — `σd⁻¹` recovering the source document
 //!   (Theorem 4.3a);
 //! * [`CompiledEmbedding::translate`] — the schema-directed query

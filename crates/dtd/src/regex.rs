@@ -10,7 +10,6 @@
 //! synthetic element type named `name#k`.
 
 use std::collections::HashMap;
-use std::fmt;
 
 use crate::types::TypeDef;
 use crate::{Dtd, DtdError, Production, TypeId};
@@ -34,107 +33,6 @@ pub enum ContentModel {
     Plus(Box<ContentModel>),
     /// `e?` (sugar: `e | ε`).
     Opt(Box<ContentModel>),
-}
-
-impl ContentModel {
-    /// All element names mentioned.
-    pub fn names(&self, out: &mut Vec<String>) {
-        match self {
-            ContentModel::Str | ContentModel::Empty => {}
-            ContentModel::Name(n) => out.push(n.clone()),
-            ContentModel::Seq(items) | ContentModel::Alt(items) => {
-                for i in items {
-                    i.names(out);
-                }
-            }
-            ContentModel::Star(i) | ContentModel::Plus(i) | ContentModel::Opt(i) => i.names(out),
-        }
-    }
-
-    /// Whether a word (sequence of element names) matches this model.
-    /// Backtracking matcher over positions — content models are tiny, words
-    /// can be long; memoized on (subexpression, position) to stay linear-ish.
-    pub fn matches(&self, word: &[&str]) -> bool {
-        fn go(
-            m: &ContentModel,
-            word: &[&str],
-            pos: usize,
-            k: &mut dyn FnMut(usize) -> bool,
-        ) -> bool {
-            match m {
-                ContentModel::Str | ContentModel::Empty => k(pos),
-                ContentModel::Name(n) => {
-                    if word.get(pos).is_some_and(|w| *w == n.as_str()) {
-                        k(pos + 1)
-                    } else {
-                        false
-                    }
-                }
-                ContentModel::Seq(items) => {
-                    fn seq(
-                        items: &[ContentModel],
-                        word: &[&str],
-                        pos: usize,
-                        k: &mut dyn FnMut(usize) -> bool,
-                    ) -> bool {
-                        match items.split_first() {
-                            None => k(pos),
-                            Some((first, rest)) => {
-                                go(first, word, pos, &mut |p| seq(rest, word, p, k))
-                            }
-                        }
-                    }
-                    seq(items, word, pos, k)
-                }
-                ContentModel::Alt(items) => items.iter().any(|i| go(i, word, pos, k)),
-                ContentModel::Opt(inner) => go(inner, word, pos, k) || k(pos),
-                ContentModel::Plus(inner) => go(inner, word, pos, &mut |p| {
-                    go(&ContentModel::Star(inner.clone()), word, p, k)
-                }),
-                ContentModel::Star(inner) => {
-                    if k(pos) {
-                        return true;
-                    }
-                    // Each iteration must consume input or we loop forever.
-                    go(inner, word, pos, &mut |p| p > pos && go(m, word, p, k))
-                }
-            }
-        }
-        go(self, word, 0, &mut |p| p == word.len())
-    }
-}
-
-impl fmt::Display for ContentModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ContentModel::Str => write!(f, "(#PCDATA)"),
-            ContentModel::Empty => write!(f, "EMPTY"),
-            ContentModel::Name(n) => write!(f, "{n}"),
-            ContentModel::Seq(items) => {
-                write!(f, "(")?;
-                for (i, it) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{it}")?;
-                }
-                write!(f, ")")
-            }
-            ContentModel::Alt(items) => {
-                write!(f, "(")?;
-                for (i, it) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "|")?;
-                    }
-                    write!(f, "{it}")?;
-                }
-                write!(f, ")")
-            }
-            ContentModel::Star(i) => write!(f, "{i}*"),
-            ContentModel::Plus(i) => write!(f, "{i}+"),
-            ContentModel::Opt(i) => write!(f, "{i}?"),
-        }
-    }
 }
 
 /// Incrementally allocates synthetic wrapper types during normalization.
@@ -397,46 +295,5 @@ mod tests {
     fn undefined_name_errors() {
         let e = Dtd::from_content_models("r", &[("r".into(), name("ghost"))]).unwrap_err();
         assert!(matches!(e, DtdError::UndefinedType { .. }));
-    }
-
-    #[test]
-    fn word_matching_simple() {
-        let m = ContentModel::Seq(vec![
-            name("a"),
-            ContentModel::Star(Box::new(name("b"))),
-            ContentModel::Opt(Box::new(name("c"))),
-        ]);
-        assert!(m.matches(&["a"]));
-        assert!(m.matches(&["a", "b", "b"]));
-        assert!(m.matches(&["a", "b", "c"]));
-        assert!(!m.matches(&["a", "c", "b"]));
-        assert!(!m.matches(&[]));
-    }
-
-    #[test]
-    fn word_matching_plus_and_alt() {
-        let m = ContentModel::Plus(Box::new(ContentModel::Alt(vec![name("x"), name("y")])));
-        assert!(m.matches(&["x"]));
-        assert!(m.matches(&["x", "y", "x"]));
-        assert!(!m.matches(&[]));
-        assert!(!m.matches(&["z"]));
-    }
-
-    #[test]
-    fn star_of_nullable_inner_terminates() {
-        // (a?)* — inner can match ε; the matcher must not loop.
-        let m = ContentModel::Star(Box::new(ContentModel::Opt(Box::new(name("a")))));
-        assert!(m.matches(&[]));
-        assert!(m.matches(&["a", "a"]));
-        assert!(!m.matches(&["b"]));
-    }
-
-    #[test]
-    fn display_roundtrips_shapes() {
-        let m = ContentModel::Seq(vec![
-            name("a"),
-            ContentModel::Star(Box::new(ContentModel::Alt(vec![name("b"), name("c")]))),
-        ]);
-        assert_eq!(m.to_string(), "(a,(b|c)*)");
     }
 }

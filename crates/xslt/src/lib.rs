@@ -27,6 +27,9 @@
 //!
 //! The `Display` impl renders a stylesheet as `<xsl:template>` markup
 //! matching the paper's listings (Examples 4.5, 4.6).
+//!
+//! [`CompiledEmbedding::static_fragment`]: xse_core::CompiledEmbedding::static_fragment
+//! [`CompiledEmbedding::apply`]: xse_core::CompiledEmbedding::apply
 
 mod exec;
 mod gen_forward;
@@ -37,25 +40,3 @@ pub use exec::{apply_stylesheet, XsltError, MAX_APPLY_DEPTH};
 pub use gen_forward::generate_forward;
 pub use gen_inverse::generate_inverse;
 pub use model::{OutputNode, Pattern, Stylesheet, TemplateRule};
-
-use xse_core::CompiledEmbedding;
-
-/// Stylesheet generation as methods on the compiled engine, so
-/// [`CompiledEmbedding`] is the single entry point for every derived
-/// artifact (`apply`, `invert`, `translate`, and the §4.3 stylesheets).
-pub trait StylesheetGen {
-    /// The forward (`σd`) stylesheet — see [`generate_forward`].
-    fn generate_forward(&self) -> Stylesheet;
-    /// The inverse (`σd⁻¹`) stylesheet — see [`generate_inverse`].
-    fn generate_inverse(&self) -> Stylesheet;
-}
-
-impl StylesheetGen for CompiledEmbedding {
-    fn generate_forward(&self) -> Stylesheet {
-        generate_forward(self)
-    }
-
-    fn generate_inverse(&self) -> Stylesheet {
-        generate_inverse(self)
-    }
-}

@@ -67,15 +67,4 @@ fn main() {
     let back = embedding.invert(&out.tree).unwrap();
     assert!(back.equals(&doc));
     println!("\nσd⁻¹(σd(T)) = T  ✓");
-
-    // 5. The compiled embedding is owned and Send + Sync: map a whole batch
-    //    of catalogs over scoped threads, results in input order.
-    let gen = xse::dtd::InstanceGenerator::new(&source, xse::dtd::GenConfig::default());
-    let batch: Vec<XmlTree> = (0..64).map(|seed| gen.generate(seed)).collect();
-    let outputs = embedding.apply_batch(&batch);
-    assert!(outputs.iter().all(|r| r.is_ok()));
-    println!(
-        "apply_batch mapped {} generated catalogs in parallel ✓",
-        outputs.len()
-    );
 }

@@ -38,8 +38,8 @@ fn main() {
         .expect("v1 embeds in its evolution");
 
     // Generate both stylesheets, straight off the compiled embedding.
-    let forward = emb.generate_forward();
-    let inverse = emb.generate_inverse();
+    let forward = generate_forward(&emb);
+    let inverse = generate_inverse(&emb);
     println!(
         "-- forward stylesheet ({} rules) --\n{forward}",
         forward.len()

@@ -12,8 +12,8 @@
 //! once, then run the derived operations as often as you like:
 //!
 //! * an instance-level mapping `σd` that is **type safe** (the output
-//!   conforms to the target DTD) and **injective** (Theorem 4.1), with a
-//!   batch mode that fans documents out over threads;
+//!   conforms to the target DTD) and **injective** (Theorem 4.1), into a
+//!   tree or straight to XML text;
 //! * an **inverse** `σd⁻¹` recovering the source document (Theorem 4.3a);
 //! * a **query translation** `Tr` such that every regular XPath query `Q`
 //!   over the source satisfies `Q(T) = idM(Tr(Q)(σd(T)))` (Theorem 4.3b);
@@ -94,11 +94,14 @@
 //! let mapped: Vec<_> = out.idmap.map_result(translated.eval(&out.tree)).collect();
 //! assert_eq!(direct, mapped);
 //!
-//! // 4. Batches fan out over scoped threads — same results, in order.
+//! // 4. The engine is `Send + Sync`: threads share it by reference.
 //! let docs = vec![doc.clone(), doc.clone(), doc];
-//! for result in embedding.apply_batch(&docs) {
-//!     assert!(target.validate(&result.unwrap().tree).is_ok());
-//! }
+//! let (embedding, target) = (&embedding, &target);
+//! std::thread::scope(|s| {
+//!     for d in &docs {
+//!         s.spawn(move || target.validate(&embedding.apply(d).unwrap().tree).unwrap());
+//!     }
+//! });
 //! ```
 //!
 //! ## Translation
@@ -333,5 +336,5 @@ pub mod prelude {
         Server, ServerConfig,
     };
     pub use xse_xmltree::{parse_xml, IdMap, NodeId, XmlTree};
-    pub use xse_xslt::{generate_forward, generate_inverse, Stylesheet, StylesheetGen};
+    pub use xse_xslt::{generate_forward, generate_inverse, Stylesheet};
 }

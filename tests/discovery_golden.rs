@@ -114,7 +114,7 @@ fn rebuild_from_resolved_paths(e: &CompiledEmbedding) -> Result<CompiledEmbeddin
 /// source node. The σd stylesheet on the documents and the σd⁻¹ stylesheet
 /// on their images must equal `apply` / `invert`.
 fn check_generated_documents(e: &CompiledEmbedding) -> Result<(), String> {
-    let (fwd, inv) = (e.generate_forward(), e.generate_inverse());
+    let (fwd, inv) = (generate_forward(e), generate_inverse(e));
     let gen = InstanceGenerator::new(
         e.source(),
         GenConfig {

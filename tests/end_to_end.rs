@@ -148,10 +148,11 @@ fn inverse_rejects_tampering() {
 }
 
 /// Acceptance for the compiled engine: it is owned (`'static`),
-/// `Send + Sync`, survives its input schemas, and `apply_batch` over 64+
-/// generated documents produces byte-identical trees to sequential `apply`.
+/// `Send + Sync`, survives its input schemas, and scoped threads sharing
+/// `&emb` map 64 generated documents to byte-identical trees to sequential
+/// `apply`.
 #[test]
-fn compiled_embedding_is_owned_and_batch_matches_sequential() {
+fn compiled_embedding_is_owned_and_threads_sharing_it_match_sequential() {
     fn assert_engine<T: Send + Sync + 'static>(t: T) -> T {
         t
     }
@@ -176,25 +177,27 @@ fn compiled_embedding_is_owned_and_batch_matches_sequential() {
         .iter()
         .map(|d| emb.apply(d).unwrap().tree.to_xml())
         .collect();
-    for threads in [
-        1,
-        3,
-        std::thread::available_parallelism().map_or(4, |n| n.get()),
-    ] {
-        let batch = emb.apply_batch_with(&docs, threads);
-        let batch_xml: Vec<String> = batch
-            .into_iter()
-            .map(|r| r.unwrap().tree.to_xml())
-            .collect();
-        assert_eq!(batch_xml, sequential, "threads = {threads}");
+    let shared = &emb;
+    for threads in [2, 3, 4] {
+        let threaded: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = docs
+                .chunks(docs.len().div_ceil(threads))
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        chunk
+                            .iter()
+                            .map(|d| shared.apply(d).unwrap().tree.to_xml())
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(threaded, sequential, "threads = {threads}");
     }
-    // The default entry point agrees too.
-    let auto: Vec<String> = emb
-        .apply_batch(&docs)
-        .into_iter()
-        .map(|r| r.unwrap().tree.to_xml())
-        .collect();
-    assert_eq!(auto, sequential);
 }
 
 /// A discovered embedding is equally owned: share it across scoped threads
